@@ -1,5 +1,6 @@
 (* Scheduler micro-benchmark: raw engine throughput (steps/sec) on three
-   synthetic workloads that isolate the per-step hot paths —
+   synthetic workloads that isolate the per-step hot paths, plus the
+   serve family's test-sized instance —
 
      access-heavy : unsynchronized shared reads/writes (Mem fast path,
                     lockset snapshots, emit)
@@ -7,6 +8,8 @@
                     enabled-set transitions)
      fork-heavy   : a wide burst of forks + joins (thread-table growth,
                     join wake-ups, death bookkeeping)
+     stress-serve-small : a server-shaped program (many locations,
+                    fork/join-wide rounds)
 
    Each workload is measured four ways:
 
@@ -19,14 +22,17 @@
                            (record-then-detect phase 1)
 
    so the detection tax — sequential vs campaign throughput — is tracked
-   PR-over-PR in both detection modes.  [--max-tax R] turns the
-   access-heavy ratio into a CI gate: the bench fails if
-   sequential/campaign-offline exceeds R.
+   PR-over-PR in both detection modes.  Each harness runs three times and
+   keeps its fastest repetition: slower repetitions only add scheduler
+   and GC noise from the shared machine, never work the code does.
+   [--max-tax R] turns the access-heavy and fork-heavy ratios into a CI
+   gate: the bench fails if either sequential/campaign-offline exceeds R,
+   both sides single-domain.
 
    Results are written as JSON (default BENCH_engine.json) so the perf
    trajectory is tracked PR-over-PR.  The same executable owns the
    trace-fingerprint drift check used by CI: [--write-golden FILE] records
-   the fingerprints of every registry workload (plus the three bench
+   the fingerprints of every registry workload (plus the bench
    workloads) at fixed seeds, and [--check FILE] recomputes and fails on
    any drift — pinning engine behaviour, not just its speed.
 
@@ -255,6 +261,16 @@ let measure_campaign ?offline_detect ~domains ~trials (wl : bench_workload) =
     r_peak_heap_words = peak;
   }
 
+(* The fastest of three repetitions of one harness, by throughput.  Noise
+   on a shared machine only ever slows a run down, so the fastest
+   repetition is the best estimate of what the code costs (the same
+   reasoning as the campaign benchmark's fast quartile). *)
+let fastest measure =
+  List.fold_left
+    (fun best r -> if r.r_steps_per_sec > best.r_steps_per_sec then r else best)
+    (measure ())
+    [ measure (); measure () ]
+
 (* ------------------------------------------------------------------ *)
 (* JSON output (hand-rolled: no JSON dependency in the tree)           *)
 
@@ -289,7 +305,7 @@ let write_json ~path ~mode rows =
 (* ------------------------------------------------------------------ *)
 (* Trace fingerprints: the drift check.
 
-   Every registry workload plus the three bench workloads, run with a
+   Every registry workload plus the bench workloads, run with a
    recorded trace at two fixed seeds under the simple random scheduler.
    Fingerprints are structural (Event.hash_fold) and stable across
    processes, so they can live in a checked-in golden file.             *)
@@ -432,15 +448,28 @@ let () =
     let wls = workloads ~smoke:!smoke in
     let min_wall = if !smoke then 0.05 else 0.5 in
     let trials = if !smoke then 6 else 40 in
+    (* The tax compares like with like: sequential rows are single-domain,
+       so the gate reads a single-domain campaign-offline row, measured
+       extra when --domains puts the regular rows elsewhere (parallel
+       phase-2 scheduling on a shared machine is noise, not detection). *)
+    let gated = [ "access-heavy"; "fork-heavy" ] in
+    let gate_row wl =
+      if !max_tax <> None && !domains <> 1 && List.mem wl.bname gated then
+        [ (fun () -> measure_campaign ~offline_detect:1 ~domains:1 ~trials wl) ]
+      else []
+    in
     let rows =
       List.concat_map
         (fun wl ->
-          [
-            measure_sequential ~min_wall wl;
-            measure_sequential ~recorded:true ~min_wall wl;
-            measure_campaign ~domains:!domains ~trials wl;
-            measure_campaign ~offline_detect:1 ~domains:!domains ~trials wl;
-          ])
+          List.map fastest
+            ([
+               (fun () -> measure_sequential ~min_wall wl);
+               (fun () -> measure_sequential ~recorded:true ~min_wall wl);
+               (fun () -> measure_campaign ~domains:!domains ~trials wl);
+               (fun () ->
+                 measure_campaign ~offline_detect:1 ~domains:!domains ~trials wl);
+             ]
+            @ gate_row wl))
         wls
     in
     Fmt.pr "%-18s %-19s %3s %8s %12s %10s %14s %13s@." "workload" "harness"
@@ -453,30 +482,36 @@ let () =
       rows;
     write_json ~path:!out ~mode:(if !smoke then "smoke" else "full") rows;
     Fmt.pr "wrote %s@." !out;
-    (* The detection-tax gate: sequential vs offline-campaign throughput
-       on the access-heavy workload (the hottest Mem path, where the tax
-       historically peaked at ~18x). *)
+    (* The detection-tax gate: sequential vs single-domain offline-campaign
+       throughput on the access-heavy workload (the hottest Mem path, where
+       the tax historically peaked at ~18x) and the fork-heavy one (the
+       widest vector clocks). *)
     match !max_tax with
     | None -> ()
-    | Some ceiling -> (
-        let find harness =
-          List.find_opt
-            (fun r -> r.r_workload = "access-heavy" && r.r_harness = harness)
-            rows
-        in
-        match (find "sequential", find "campaign-offline") with
-        | Some seq, Some off when off.r_steps_per_sec > 0.0 ->
-            let tax = seq.r_steps_per_sec /. off.r_steps_per_sec in
-            Fmt.pr "detection tax (access-heavy, offline): %.2fx (ceiling %.2fx)@."
-              tax ceiling;
-            if tax > ceiling then begin
-              Fmt.epr
-                "FAIL: access-heavy detection tax %.2fx exceeds --max-tax %.2fx@."
-                tax ceiling;
-              exit 1
-            end
-        | _ ->
-            Fmt.epr "FAIL: --max-tax given but access-heavy rows are missing@.";
-            exit 1)
+    | Some ceiling ->
+        List.iter
+          (fun workload ->
+            let find harness =
+              List.find_opt
+                (fun r ->
+                  r.r_workload = workload && r.r_harness = harness
+                  && r.r_domains = 1)
+                rows
+            in
+            match (find "sequential", find "campaign-offline") with
+            | Some seq, Some off when off.r_steps_per_sec > 0.0 ->
+                let tax = seq.r_steps_per_sec /. off.r_steps_per_sec in
+                Fmt.pr "detection tax (%s, offline): %.2fx (ceiling %.2fx)@."
+                  workload tax ceiling;
+                if tax > ceiling then begin
+                  Fmt.epr
+                    "FAIL: %s detection tax %.2fx exceeds --max-tax %.2fx@."
+                    workload tax ceiling;
+                  exit 1
+                end
+            | _ ->
+                Fmt.epr "FAIL: --max-tax given but %s rows are missing@." workload;
+                exit 1)
+          gated
   end;
   match !check with Some path -> check_golden path | None -> ()

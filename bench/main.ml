@@ -85,12 +85,28 @@ let micro_tests () =
            let d = Rf_detect.Detector.eraser () in
            run_engine ~listeners:[ Rf_detect.Detector.feed d ] ~seed:1
              W.Moldyn.workload.W.Workload.program));
-    (* primitive costs *)
-    Test.make ~name:"prim/vclock-join"
+    Test.make ~name:"detect/hybrid"
+      (Staged.stage (fun () ->
+           let d = Rf_detect.Detector.hybrid () in
+           run_engine ~listeners:[ Rf_detect.Detector.feed d ] ~seed:1
+             W.Moldyn.workload.W.Workload.program));
+    Test.make ~name:"detect/sampling"
+      (Staged.stage (fun () ->
+           let d = Rf_detect.Detector.sampling () in
+           run_engine ~listeners:[ Rf_detect.Detector.feed d ] ~seed:1
+             W.Moldyn.workload.W.Workload.program));
+    (* primitive costs: the history scan's happens-before test is one
+       epoch query against an 8-thread clock *)
+    Test.make ~name:"prim/hb-before"
       (Staged.stage
-         (let a = Rf_vclock.Vclock.of_list (List.init 8 (fun i -> (i, i * 3))) in
-          let b = Rf_vclock.Vclock.of_list (List.init 8 (fun i -> (i, 25 - i))) in
-          fun () -> ignore (Rf_vclock.Vclock.join a b)));
+         (let hb = Rf_detect.Hbclock.create ~lock_edges:false () in
+          List.iter
+            (fun tid ->
+              ignore
+                (Rf_detect.Hbclock.feed hb
+                   (Rf_events.Event.Start { tid; name = "t" })))
+            (List.init 8 Fun.id);
+          fun () -> ignore (Rf_detect.Hbclock.hb_before hb ~tid:3 ~clock:1 ~now_tid:5)));
     Test.make ~name:"prim/prng-int"
       (Staged.stage
          (let p = Rf_util.Prng.create 7 in

@@ -1,11 +1,6 @@
-(* Journal schema v5: v1 (PR 1) had no header and a Trial_finished without
-   the steps/switches/exns fields the resume path replays; v2 (PR 3) had
-   no degradation fields and no per-line checksum; v3 (PR 5) added both;
-   v4 added the static pre-filter events (Pair_filtered,
-   Static_classified); v5 adds the phase-1 detector identity and
-   (sampling) miss bound to Phase1_finished.  The reader skips records it
-   cannot parse, so an old journal degrades to "nothing to resume"
-   instead of failing. *)
+(* Journal schema v5 (the version history is in the interface).  The
+   reader skips records it cannot parse, so an old journal degrades to
+   "nothing to resume" instead of failing. *)
 let schema_version = 5
 
 type event =

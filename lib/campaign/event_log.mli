@@ -17,11 +17,15 @@
     ([Campaign.fuzz_pairs ~resume]) possible. *)
 
 val schema_version : int
-(** Journal schema of this writer (4: static pre-filter events).  Older
-    journals (v1: no header, leaner [Trial_finished]; v2: no checksums or
-    degradation fields; v3: no [Pair_filtered] / [Static_classified])
-    load as observability events only — the resume gate compares schemas,
-    so resuming from one simply re-runs everything. *)
+(** Journal schema of this writer: 5.  One line per version bump:
+    - v1: no header; [Trial_finished] without steps / switches / exns.
+    - v2: [Journal_opened] header and the fields resume replays.
+    - v3: per-line checksums and the degradation labels.
+    - v4: static pre-filter events ([Pair_filtered], [Static_classified]).
+    - v5: phase-1 detector identity and (sampling) miss bound on
+      [Phase1_finished].
+    Older journals load as observability events only — the resume gate
+    compares schemas, so resuming from one simply re-runs everything. *)
 
 type event =
   | Journal_opened of { schema : int }  (** first line of a file journal *)

@@ -29,37 +29,27 @@ let race_count t = Site.Pair.Set.cardinal (t.pairs ())
 let stats t = t.stats ()
 let no_stats () = { st_entries = 0; st_mem_events = 0; st_miss_bound = None }
 
-let hybrid ?cap ?governor () =
-  let d = Hybrid.create ?cap ?governor () in
+(* The access-history instances share one record shape. *)
+let of_history ?(miss_bound = false) d =
   {
-    dname = "hybrid";
-    feed = Hybrid.feed d;
-    races = (fun () -> Hybrid.races d);
-    pairs = (fun () -> Hybrid.pairs d);
+    dname = Access_detector.name d;
+    feed = Access_detector.feed d;
+    races = (fun () -> Access_detector.races d);
+    pairs = (fun () -> Access_detector.pairs d);
     stats =
       (fun () ->
         {
           st_entries = Access_detector.state_entries d;
-          st_mem_events = Hybrid.mem_events d;
-          st_miss_bound = None;
+          st_mem_events = Access_detector.mem_events d;
+          st_miss_bound =
+            (if miss_bound then Some (Access_detector.miss_bound d) else None);
         });
   }
 
+let hybrid ?cap ?governor () = of_history (Hybrid.create ?cap ?governor ())
+
 let hb_precise ?cap ?governor () =
-  let d = Hb_precise.create ?cap ?governor () in
-  {
-    dname = "happens-before";
-    feed = Hb_precise.feed d;
-    races = (fun () -> Hb_precise.races d);
-    pairs = (fun () -> Hb_precise.pairs d);
-    stats =
-      (fun () ->
-        {
-          st_entries = Access_detector.state_entries d;
-          st_mem_events = Hb_precise.mem_events d;
-          st_miss_bound = None;
-        });
-  }
+  of_history (Hb_precise.create ?cap ?governor ())
 
 let fasttrack ?governor () =
   let d = Fasttrack.create ?governor () in
@@ -82,20 +72,7 @@ let eraser ?site_cap ?governor () =
   }
 
 let sampling ?k ?seed ?governor () =
-  let d = Sampling.create ?k ?seed ?governor () in
-  {
-    dname = "sampling";
-    feed = Sampling.feed d;
-    races = (fun () -> Sampling.races d);
-    pairs = (fun () -> Sampling.pairs d);
-    stats =
-      (fun () ->
-        {
-          st_entries = Sampling.state_entries d;
-          st_mem_events = Sampling.mem_events d;
-          st_miss_bound = Some (Sampling.miss_bound d);
-        });
-  }
+  of_history ~miss_bound:true (Sampling.create ?k ?seed ?governor ())
 
 (** Feed a recorded trace through a detector (offline analysis). *)
 let run_on_trace t trace =

@@ -16,7 +16,9 @@
     doing asymptotically less work.
 
     Analysis state is driven by the same happens-before clocks as the other
-    detectors ({!Hbclock} with lock edges).
+    detectors ({!Hbclock} with lock edges): an epoch is what
+    {!Hbclock.feed} returns, and "epoch before the current access" is
+    {!Hbclock.hb_before}.
 
     Under a resource governor each location cell and each slot of an
     inflated read vector is one charged entry.  Degradation semantics:
@@ -30,15 +32,9 @@
 
 open Rf_util
 open Rf_events
-open Rf_vclock
 open Rf_resource
 
 type epoch = { etid : int; eclock : int }
-
-let epoch_of_vc tid vc = { etid = tid; eclock = Vclock.get vc tid }
-
-(* epoch e happened-before (or equals) clock c *)
-let epoch_leq e c = e.eclock <= Vclock.get c e.etid
 
 type read_state =
   | Rnone
@@ -118,8 +114,14 @@ let report t ~loc ~tids ~accesses s1 s2 =
     t.races <- Race.make ~pair ~loc ~tids ~accesses :: t.races
   end
 
+(* epoch [(etid, eclock)] happened-before (or equals) the current point
+   of [tid] *)
+let leq t etid eclock tid =
+  Hbclock.hb_before t.clocks ~tid:etid ~clock:eclock ~now_tid:tid
+let epoch_leq t e tid = leq t e.etid e.eclock tid
+
 let rec feed t ev =
-  let vc = Hbclock.feed t.clocks ev in
+  let clock = Hbclock.feed t.clocks ev in
   match ev with
   | Event.Mem { tid; site; loc; access = Event.Read; _ } -> (
       match cell t loc with
@@ -127,15 +129,15 @@ let rec feed t ev =
       | Some c -> (
           (* write-read race? *)
           (match c.wr with
-          | Some (we, wsite) when we.etid <> tid && not (epoch_leq we vc) ->
+          | Some (we, wsite) when we.etid <> tid && not (epoch_leq t we tid) ->
               report t ~loc ~tids:(we.etid, tid)
                 ~accesses:(Event.Write, Event.Read) wsite site
           | _ -> t.epoch_hits <- t.epoch_hits + 1);
-          let my = epoch_of_vc tid vc in
+          let my = { etid = tid; eclock = clock } in
           match c.rd with
           | Rnone -> c.rd <- Repoch (my, site)
           | Repoch (prev, psite) ->
-              if prev.etid = tid || epoch_leq prev vc then begin
+              if prev.etid = tid || epoch_leq t prev tid then begin
                 (* previous read ordered before us: stay in epoch state *)
                 t.epoch_hits <- t.epoch_hits + 1;
                 c.rd <- Repoch (my, site)
@@ -164,13 +166,13 @@ let rec feed t ev =
       match cell t loc with
       | None -> ()
       | Some c ->
-          feed_write t vc ~tid ~site ~loc c)
+          feed_write t clock ~tid ~site ~loc c)
   | _ -> ()
 
-and feed_write t vc ~tid ~site ~loc c =
+and feed_write t clock ~tid ~site ~loc c =
       (* write-write race? *)
       (match c.wr with
-      | Some (we, wsite) when we.etid <> tid && not (epoch_leq we vc) ->
+      | Some (we, wsite) when we.etid <> tid && not (epoch_leq t we tid) ->
           report t ~loc ~tids:(we.etid, tid) ~accesses:(Event.Write, Event.Write)
             wsite site
       | _ -> t.epoch_hits <- t.epoch_hits + 1);
@@ -178,27 +180,27 @@ and feed_write t vc ~tid ~site ~loc c =
       (match c.rd with
       | Rnone -> ()
       | Repoch (re, rsite) ->
-          if re.etid <> tid && not (epoch_leq re vc) then
+          if re.etid <> tid && not (epoch_leq t re tid) then
             report t ~loc ~tids:(re.etid, tid) ~accesses:(Event.Read, Event.Write)
               rsite site
       | Rshared tbl ->
           t.vc_ops <- t.vc_ops + 1;
           Hashtbl.iter
             (fun rtid (rclock, rsite) ->
-              if rtid <> tid && rclock > Vclock.get vc rtid then
+              if rtid <> tid && not (leq t rtid rclock tid) then
                 report t ~loc ~tids:(rtid, tid) ~accesses:(Event.Read, Event.Write)
                   rsite site)
             tbl;
           (* after an ordered write, reads collapse back to the fast path *)
           if
             Hashtbl.fold
-              (fun rtid (rclock, _) acc -> acc && rclock <= Vclock.get vc rtid)
+              (fun rtid (rclock, _) acc -> acc && leq t rtid rclock tid)
               tbl true
           then begin
             credit t (Hashtbl.length tbl);
             c.rd <- Rnone
           end);
-      c.wr <- Some (epoch_of_vc tid vc, site)
+      c.wr <- Some ({ etid = tid; eclock = clock }, site)
 
 let races t = List.rev t.races
 let pairs t = t.reported

@@ -10,13 +10,11 @@
 
 type t = Access_detector.t
 
-let create ?cap ?governor () =
-  Access_detector.create ?cap ?governor ~name:"happens-before"
-    ~lock_edges:true ~require_disjoint_locksets:false ()
+let create ?(cap = 128) ?governor () =
+  Access_detector.create ?governor ~name:"happens-before" ~lock_edges:true
+    ~require_disjoint_locksets:false ~retention:(Access_detector.Cap cap) ()
 
 let feed = Access_detector.feed
 let races = Access_detector.races
 let pairs = Access_detector.pairs
 let race_count = Access_detector.race_count
-let truncations = Access_detector.truncations
-let mem_events = Access_detector.mem_events

@@ -1,31 +1,14 @@
-(** Happens-before clock builder.
+(** Happens-before clock builder — see the interface for the edge
+    policies and why an event's epoch decides ordering exactly.
 
-    Consumes the event stream of a run and assigns every event a vector
-    clock such that [Vclock.leq (clock e1) (clock e2)] iff e1 happens-before
-    (or equals) e2 under the chosen edge policy.
-
-    Two policies are needed (paper §2.1 vs related work [44]):
-
-    - [lock_edges = false]: edges are program order plus the SND/RCV
-      messages generated at thread start, join, and notify→wait.  This is
-      the *weak* relation used by hybrid race detection — deliberately
-      ignoring lock release→acquire ordering so that accesses merely
-      serialized by a lock still count as concurrent (that is what makes
-      the technique predictive, and imprecise).
-
-    - [lock_edges = true]: additionally order each lock release before every
-      later acquire of the same lock.  This yields the classical precise
-      happens-before relation of Schonberg-style detectors.
-
-    State growth is dominated by [msgs] (one clock per SND, never
-    reclaimed: any future RCV may still match it).  Under a resource
-    governor each table entry is charged against the shared budget, and
-    on degradation the {e lowest} message ids are evicted — they are the
-    oldest messages, hence the least likely to still have an unmatched
-    receive.  An evicted message's RCV simply contributes no edge, which
-    weakens (never strengthens) the happens-before relation: degraded
-    runs can only over-report concurrency, preserving the hybrid
-    detector's predictive direction. *)
+    Clocks are mutable arrays: incoming edges join in place, a SND
+    snapshots a copy (the sender keeps ticking), and a release overwrites
+    the lock's own clock ([L_m := C_t], as in FastTrack), so the only
+    per-event allocation is a message snapshot.  State growth is
+    dominated by [msgs] (one clock per SND, never reclaimed: any future
+    RCV may still match it); a governor trip evicts the lowest-id half,
+    and an evicted message's RCV contributes no edge — degraded runs can
+    only over-report concurrency. *)
 
 open Rf_events
 open Rf_vclock
@@ -34,11 +17,16 @@ open Rf_resource
 type t = {
   lock_edges : bool;
   governor : Governor.t option;
-  threads : (int, Vclock.t) Hashtbl.t;
+  mutable threads : Vclock.t array;  (* by tid; [absent] until first event *)
   msgs : (int, Vclock.t) Hashtbl.t;
   lock_release : (int, Vclock.t) Hashtbl.t;
   mutable msg_evictions : int;
 }
+
+(* Sentinel for threads not seen yet; never written. *)
+let absent = Vclock.create ()
+
+let charge t n = match t.governor with Some g -> Governor.charge g n | None -> ()
 
 (* Shed the lowest-id half of the message clocks.  Deterministic: the
    surviving set depends only on the key set, never on hash order. *)
@@ -58,7 +46,7 @@ let create ?governor ~lock_edges () =
     {
       lock_edges;
       governor;
-      threads = Hashtbl.create 16;
+      threads = Array.make 16 absent;
       msgs = Hashtbl.create 64;
       lock_release = Hashtbl.create 16;
       msg_evictions = 0;
@@ -69,45 +57,52 @@ let create ?governor ~lock_edges () =
   | None -> ());
   t
 
-let charge_new t tbl key =
-  match t.governor with
-  | Some g when not (Hashtbl.mem tbl key) -> Governor.charge g 1
-  | _ -> ()
-
-let thread_clock t tid =
-  match Hashtbl.find_opt t.threads tid with
-  | Some c -> c
-  | None -> Vclock.bottom
-
 let msg_evictions t = t.msg_evictions
 
-(** Process one event; returns the event's vector clock. *)
+let clock_of t tid =
+  if tid < Array.length t.threads then Array.unsafe_get t.threads tid else absent
+
+let hb_before t ~tid ~clock ~now_tid = clock <= Vclock.get (clock_of t now_tid) tid
+
 let feed t ev =
   let tid = Event.tid ev in
-  let c = thread_clock t tid in
+  let c = clock_of t tid in
+  let fresh = c == absent in
+  let c = if fresh then Vclock.create () else c in
   (* Incoming edges join into the thread clock before the event ticks. *)
-  let c =
-    match ev with
-    | Event.Rcv { msg; _ } -> (
-        match Hashtbl.find_opt t.msgs msg with
-        | Some m -> Vclock.join c m
-        | None -> c (* unmatched (or evicted) receive: no edge *))
-    | Event.Acquire { lock; _ } when t.lock_edges -> (
-        match Hashtbl.find_opt t.lock_release lock with
-        | Some r -> Vclock.join c r
-        | None -> c)
-    | _ -> c
-  in
-  let c = Vclock.tick c tid in
-  charge_new t t.threads tid;
-  Hashtbl.replace t.threads tid c;
-  (* Outgoing edges snapshot the thread clock after the tick. *)
+  (match ev with
+  | Event.Rcv { msg; _ } -> (
+      match Hashtbl.find_opt t.msgs msg with
+      | Some m -> Vclock.join c m
+      | None -> () (* unmatched (or evicted) receive: no edge *))
+  | Event.Acquire { lock; _ } when t.lock_edges -> (
+      match Hashtbl.find_opt t.lock_release lock with
+      | Some r -> Vclock.join c r
+      | None -> ())
+  | _ -> ());
+  Vclock.tick c tid;
+  if fresh then begin
+    let n = Array.length t.threads in
+    if tid >= n then begin
+      let a = Array.make (max (tid + 1) (2 * n)) absent in
+      Array.blit t.threads 0 a 0 n;
+      t.threads <- a
+    end;
+    (* Charged after the join: a trip here may evict messages, but never
+       the one this event has already received. *)
+    charge t 1;
+    t.threads.(tid) <- c
+  end;
+  (* Outgoing edges capture the thread clock after the tick. *)
   (match ev with
   | Event.Snd { msg; _ } ->
-      charge_new t t.msgs msg;
-      Hashtbl.replace t.msgs msg c
-  | Event.Release { lock; _ } when t.lock_edges ->
-      charge_new t t.lock_release lock;
-      Hashtbl.replace t.lock_release lock c
+      if not (Hashtbl.mem t.msgs msg) then charge t 1;
+      Hashtbl.replace t.msgs msg (Vclock.copy c)
+  | Event.Release { lock; _ } when t.lock_edges -> (
+      match Hashtbl.find_opt t.lock_release lock with
+      | Some r -> Vclock.assign r c
+      | None ->
+          charge t 1;
+          Hashtbl.replace t.lock_release lock (Vclock.copy c))
   | _ -> ());
-  c
+  Vclock.get c tid

@@ -1,52 +1,72 @@
-(** Vector clocks.
+(** Vector clocks, array-backed and updated in place: component [tid]
+    lives at index [tid] of an [int array] that grows on demand, and
+    components past its end read 0. *)
 
-    The happens-before relation of the paper (§2.1) is computed "by
-    maintaining a vector clock with every thread".  A clock maps thread ids
-    to logical timestamps; missing entries are implicitly 0.
+type t = { mutable c : int array }
 
-    The usual lattice laws hold: [join] is the least upper bound under
-    [leq], [bottom] is the unit, and [leq] is a partial order.  Events [e1]
-    and [e2] with clocks [c1], [c2] are concurrent iff neither [leq c1 c2]
-    nor [leq c2 c1]. *)
+let create () = { c = [||] }
 
-module Imap = Map.Make (Int)
+let get t tid = if tid < Array.length t.c then Array.unsafe_get t.c tid else 0
 
-type t = int Imap.t
+(* Make room for component [n - 1], at least doubling so a clock that
+   learns threads one by one grows in amortized O(1). *)
+let grow t n =
+  let len = Array.length t.c in
+  if n > len then begin
+    let c = Array.make (max n (2 * len)) 0 in
+    Array.blit t.c 0 c 0 len;
+    t.c <- c
+  end
 
-let bottom : t = Imap.empty
+let tick t tid =
+  grow t (tid + 1);
+  t.c.(tid) <- t.c.(tid) + 1
 
-let get t tid = match Imap.find_opt tid t with Some n -> n | None -> 0
+let join t other =
+  let o = other.c in
+  let n = Array.length o in
+  grow t n;
+  let c = t.c in
+  for i = 0 to n - 1 do
+    let x = Array.unsafe_get o i in
+    if x > Array.unsafe_get c i then Array.unsafe_set c i x
+  done
 
-let set t tid n = if n = 0 then Imap.remove tid t else Imap.add tid n t
+(* Index one past the last non-zero component. *)
+let used t =
+  let n = ref (Array.length t.c) in
+  while !n > 0 && t.c.(!n - 1) = 0 do decr n done;
+  !n
 
-let tick t tid = Imap.add tid (get t tid + 1) t
+let copy t = { c = Array.sub t.c 0 (used t) }
 
-let of_list l = List.fold_left (fun acc (tid, n) -> set acc tid n) bottom l
-
-let to_list t = Imap.bindings t
-
-let join a b =
-  Imap.union (fun _tid x y -> Some (max x y)) a b
+let assign t src =
+  let n = used src in
+  if n > Array.length t.c then t.c <- Array.sub src.c 0 n
+  else begin
+    Array.blit src.c 0 t.c 0 n;
+    Array.fill t.c n (Array.length t.c - n) 0
+  end
 
 let leq a b =
-  (* a <= b iff every component of a is <= the corresponding one in b. *)
-  Imap.for_all (fun tid n -> n <= get b tid) a
+  let rec go i = i < 0 || (a.c.(i) <= get b i && go (i - 1)) in
+  go (Array.length a.c - 1)
 
-let equal a b = Imap.equal Int.equal a b
+let equal a b = leq a b && leq b a
 
-let lt a b = leq a b && not (equal a b)
+let of_list l =
+  let t = create () in
+  List.iter
+    (fun (tid, n) ->
+      grow t (tid + 1);
+      t.c.(tid) <- n)
+    l;
+  t
 
-let concurrent a b = (not (leq a b)) && not (leq b a)
-
-let compare = Imap.compare Int.compare
-
-let is_bottom t = Imap.is_empty t
-
-let cardinal = Imap.cardinal
+let to_list t =
+  List.filter (fun (_, n) -> n <> 0) (List.init (used t) (fun i -> (i, t.c.(i))))
 
 let pp ppf t =
   Fmt.pf ppf "{%a}"
     (Fmt.list ~sep:(Fmt.any ",@ ") (fun ppf (tid, n) -> Fmt.pf ppf "t%d:%d" tid n))
-    (Imap.bindings t)
-
-let to_string t = Fmt.str "%a" pp t
+    (to_list t)

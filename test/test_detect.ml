@@ -15,25 +15,32 @@ let mem ~tid ~line ?(loc = Loc.global "v") ?(access = Event.Write)
 (* ------------------------------------------------------------------ *)
 (* Hbclock                                                             *)
 
+(* [before hb (tid, c) now] — the event of [tid] with epoch [c] is ordered
+   before the current point of thread [now]. *)
+let before hb (tid, clock) now_tid = Hbclock.hb_before hb ~tid ~clock ~now_tid
+
 let test_hbclock_program_order () =
   let hb = Hbclock.create ~lock_edges:false () in
   let c1 = Hbclock.feed hb (mem ~tid:0 ~line:1 ()) in
   let c2 = Hbclock.feed hb (mem ~tid:0 ~line:2 ()) in
-  Alcotest.(check bool) "program order" true (Rf_vclock.Vclock.lt c1 c2)
+  Alcotest.(check bool) "epochs increase" true (c1 < c2);
+  Alcotest.(check bool) "program order" true (before hb (0, c1) 0)
 
 let test_hbclock_unrelated_threads_concurrent () =
   let hb = Hbclock.create ~lock_edges:false () in
   let c1 = Hbclock.feed hb (mem ~tid:0 ~line:1 ()) in
   let c2 = Hbclock.feed hb (mem ~tid:1 ~line:2 ()) in
-  Alcotest.(check bool) "concurrent" true (Rf_vclock.Vclock.concurrent c1 c2)
+  Alcotest.(check bool) "t0's access not before t1" false (before hb (0, c1) 1);
+  Alcotest.(check bool) "t1's access not before t0" false (before hb (1, c2) 0)
 
 let test_hbclock_msg_edge () =
   let hb = Hbclock.create ~lock_edges:false () in
   let c1 = Hbclock.feed hb (mem ~tid:0 ~line:1 ()) in
   let _ = Hbclock.feed hb (Event.Snd { tid = 0; msg = 7; reason = Event.Fork }) in
+  Alcotest.(check bool) "not yet received" false (before hb (0, c1) 1);
   let _ = Hbclock.feed hb (Event.Rcv { tid = 1; msg = 7; reason = Event.Fork }) in
-  let c2 = Hbclock.feed hb (mem ~tid:1 ~line:2 ()) in
-  Alcotest.(check bool) "ordered via message" true (Rf_vclock.Vclock.lt c1 c2)
+  let _ = Hbclock.feed hb (mem ~tid:1 ~line:2 ()) in
+  Alcotest.(check bool) "ordered via message" true (before hb (0, c1) 1)
 
 let test_hbclock_lock_edges_policy () =
   let run ~lock_edges =
@@ -41,19 +48,40 @@ let test_hbclock_lock_edges_policy () =
     let c1 = Hbclock.feed hb (mem ~tid:0 ~line:1 ()) in
     let _ = Hbclock.feed hb (Event.Release { tid = 0; lock = 5; site = st 2 }) in
     let _ = Hbclock.feed hb (Event.Acquire { tid = 1; lock = 5; site = st 3 }) in
-    let c2 = Hbclock.feed hb (mem ~tid:1 ~line:4 ()) in
-    (c1, c2)
+    let _ = Hbclock.feed hb (mem ~tid:1 ~line:4 ()) in
+    before hb (0, c1) 1
   in
-  let c1, c2 = run ~lock_edges:true in
-  Alcotest.(check bool) "lock edge orders" true (Rf_vclock.Vclock.lt c1 c2);
-  let c1, c2 = run ~lock_edges:false in
-  Alcotest.(check bool) "no lock edge: concurrent" true
-    (Rf_vclock.Vclock.concurrent c1 c2)
+  Alcotest.(check bool) "lock edge orders" true (run ~lock_edges:true);
+  Alcotest.(check bool) "no lock edge: concurrent" false (run ~lock_edges:false)
+
+let test_hbclock_release_overwrites () =
+  (* the lock's clock is the last release's, not an accumulation *)
+  let hb = Hbclock.create ~lock_edges:true () in
+  let c1 = Hbclock.feed hb (mem ~tid:0 ~line:1 ()) in
+  let _ = Hbclock.feed hb (Event.Release { tid = 0; lock = 5; site = st 2 }) in
+  let _ = Hbclock.feed hb (Event.Release { tid = 2; lock = 5; site = st 2 }) in
+  let _ = Hbclock.feed hb (Event.Acquire { tid = 1; lock = 5; site = st 3 }) in
+  Alcotest.(check bool) "earlier releaser not joined" false (before hb (0, c1) 1)
 
 let test_hbclock_unmatched_rcv () =
   let hb = Hbclock.create ~lock_edges:false () in
   let c = Hbclock.feed hb (Event.Rcv { tid = 3; msg = 999; reason = Event.Join }) in
-  Alcotest.(check int) "own component ticked" 1 (Rf_vclock.Vclock.get c 3)
+  Alcotest.(check int) "own component ticked" 1 c
+
+let test_hbclock_evicted_msg () =
+  (* a budget trip sheds the lowest-id half of the pending messages; a
+     receive of an evicted message contributes no edge *)
+  let g = Rf_resource.Governor.create ~max_entries:1000 () in
+  let hb = Hbclock.create ~governor:g ~lock_edges:false () in
+  let c1 = Hbclock.feed hb (mem ~tid:0 ~line:1 ()) in
+  let _ = Hbclock.feed hb (Event.Snd { tid = 0; msg = 1; reason = Event.Fork }) in
+  let _ = Hbclock.feed hb (Event.Snd { tid = 0; msg = 2; reason = Event.Fork }) in
+  Rf_resource.Governor.trip g Rf_resource.Governor.Injected;
+  Alcotest.(check int) "one message evicted" 1 (Hbclock.msg_evictions hb);
+  let _ = Hbclock.feed hb (Event.Rcv { tid = 1; msg = 1; reason = Event.Fork }) in
+  let _ = Hbclock.feed hb (Event.Rcv { tid = 2; msg = 2; reason = Event.Fork }) in
+  Alcotest.(check bool) "evicted message: no edge" false (before hb (0, c1) 1);
+  Alcotest.(check bool) "surviving message: edge" true (before hb (0, c1) 2)
 
 (* ------------------------------------------------------------------ *)
 (* Hybrid on synthetic streams                                         *)
@@ -358,7 +386,9 @@ let () =
             test_hbclock_unrelated_threads_concurrent;
           Alcotest.test_case "msg edge" `Quick test_hbclock_msg_edge;
           Alcotest.test_case "lock edge policy" `Quick test_hbclock_lock_edges_policy;
+          Alcotest.test_case "release overwrites" `Quick test_hbclock_release_overwrites;
           Alcotest.test_case "unmatched rcv" `Quick test_hbclock_unmatched_rcv;
+          Alcotest.test_case "evicted message" `Quick test_hbclock_evicted_msg;
         ] );
       ( "hybrid",
         [
