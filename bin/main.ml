@@ -54,6 +54,67 @@ let load file =
   | Rf_lang.Lang.Error m -> Error m
   | Sys_error m -> Error m
 
+(* A TARGET is a built-in workload name or an RFL file: its program and,
+   forced only by callers that classify pairs, its static model. *)
+let resolve_target target =
+  match Rf_workloads.Registry.find target with
+  | Some w ->
+      Ok (w.Rf_workloads.Workload.program, lazy w.Rf_workloads.Workload.static)
+  | None -> (
+      match load target with
+      | Ok prog ->
+          Ok
+            ( Rf_lang.Lang.program ~print:ignore prog,
+              lazy (Some (Rf_static.Static.of_program prog)) )
+      | Error m ->
+          Error
+            (Fmt.str
+               "%S is neither a built-in workload (see 'racefuzzer list') nor a \
+                loadable RFL file:@.%s"
+               target m))
+
+(* Phase-1 detectors by name, shared by 'detect' and 'offline'. *)
+
+let detector_arg =
+  Arg.(
+    value & opt string "hybrid"
+    & info [ "detector" ] ~docv:"NAME"
+        ~doc:"hybrid, hb (precise), fasttrack, eraser, or sampling.")
+
+let detector_maker = function
+  | "hybrid" -> Rf_detect.Detector.hybrid ~cap:128
+  | "hb" | "happens-before" -> Rf_detect.Detector.hb_precise ~cap:128
+  | "fasttrack" -> Rf_detect.Detector.fasttrack
+  | "eraser" -> Rf_detect.Detector.eraser ~site_cap:16
+  | "sampling" -> Rf_detect.Detector.sampling ~k:4 ~seed:0
+  | s ->
+      Fmt.epr "unknown detector %S@." s;
+      exit 1
+
+(* Journal and worker fleet, shared by 'campaign' and 'serve'. *)
+
+let open_log = function
+  | Some path -> (
+      try Rf_campaign.Event_log.open_file path
+      with Sys_error m ->
+        Fmt.epr "cannot open event log: %s@." m;
+        exit 1)
+  | None -> Rf_campaign.Event_log.null ()
+
+let worker_fleet ?mem_mb ?cpu_s ~workers ~deadline target =
+  if workers <= 0 then None
+  else
+    Some
+      {
+        Rf_campaign.Proc_pool.sp_cmd = [| Sys.executable_name; "campaign-worker" |];
+        sp_workers = workers;
+        sp_heartbeat = deadline;
+        sp_rlimit_as_mb = mem_mb;
+        sp_rlimit_cpu_s = cpu_s;
+        sp_policy = Rf_campaign.Supervisor.default_policy;
+        sp_target = target;
+      }
+
 (* Resource-governance flags, shared by 'fuzz' and 'campaign'. *)
 
 let detector_budget_arg =
@@ -131,30 +192,13 @@ let run_cmd =
 (* detect                                                              *)
 
 let detect_cmd =
-  let detector_arg =
-    Arg.(
-      value & opt string "hybrid"
-      & info [ "detector" ] ~docv:"NAME"
-          ~doc:"hybrid, hb (precise), fasttrack, eraser, or sampling.")
-  in
   let action file detector trials =
     match load file with
     | Error m ->
         Fmt.epr "%s@." m;
         exit 1
     | Ok prog ->
-        let mk =
-          match detector with
-          | "hybrid" -> Rf_detect.Detector.hybrid ~cap:128
-          | "hb" | "happens-before" -> Rf_detect.Detector.hb_precise ~cap:128
-          | "fasttrack" -> Rf_detect.Detector.fasttrack
-          | "eraser" -> Rf_detect.Detector.eraser ~site_cap:16
-          | "sampling" -> Rf_detect.Detector.sampling ~k:4 ~seed:0
-          | s ->
-              Fmt.epr "unknown detector %S@." s;
-              exit 1
-        in
-        let d = mk () in
+        let d = detector_maker detector () in
         let main = Rf_lang.Lang.program ~print:ignore prog in
         List.iter
           (fun seed ->
@@ -270,20 +314,13 @@ let fuzz_cmd =
 (* A recorded schedule names its target program; resolve it the same way
    'campaign' resolves its TARGET argument, so artifacts written by
    'campaign --repro-dir' replay without extra flags. *)
-let resolve_target target =
-  match Rf_workloads.Registry.find target with
-  | Some w -> Ok w.Rf_workloads.Workload.program
-  | None -> (
-      if target = "" then
-        Error "schedule records no target program (empty \"target\" field)"
-      else
-        match load target with
-        | Ok prog -> Ok (Rf_lang.Lang.program ~print:ignore prog)
-        | Error m ->
-            Error
-              (Fmt.str
-                 "schedule target %S is neither a built-in workload (see \
-                  'racefuzzer list') nor a loadable RFL file:@.%s" target m))
+let schedule_program target =
+  if target = "" then
+    Error "schedule records no target program (empty \"target\" field)"
+  else
+    match resolve_target target with
+    | Ok (program, _) -> Ok program
+    | Error m -> Error ("schedule target " ^ m)
 
 (* A *.sched.json positional is replayed from its recording; anything else
    is treated as an RFL file for the historical seed-based replay. *)
@@ -312,7 +349,7 @@ let replay_schedule_action file verbose =
       exit 4
   | sched -> (
       let meta = sched.Rf_replay.Schedule.meta in
-      match resolve_target meta.Rf_replay.Schedule.m_target with
+      match schedule_program meta.Rf_replay.Schedule.m_target with
       | Error m ->
           Fmt.epr "%s@." m;
           exit 1
@@ -430,7 +467,7 @@ let shrink_cmd =
         exit 4
     | sched -> (
         let meta = sched.Rf_replay.Schedule.meta in
-        match resolve_target meta.Rf_replay.Schedule.m_target with
+        match schedule_program meta.Rf_replay.Schedule.m_target with
         | Error m ->
             Fmt.epr "%s@." m;
             exit 1
@@ -801,26 +838,12 @@ let campaign_cmd =
       detector_budget mem_budget no_degrade offline_detect offline_shards workers
       worker_deadline worker_mem worker_cpu corpus save_traces chaos_kill
       chaos_torn chaos_hang p1_detector sample_k sample_seed =
-    let program =
-      match Rf_workloads.Registry.find target with
-      | Some w ->
-          Ok (w.Rf_workloads.Workload.program, w.Rf_workloads.Workload.static)
-      | None -> (
-          match load target with
-          | Ok prog ->
-              Ok
-                ( Rf_lang.Lang.program ~print:ignore prog,
-                  Some (Rf_static.Static.of_program prog) )
-          | Error m ->
-              Error
-                (Fmt.str "%S is neither a built-in workload (see 'racefuzzer list') nor a \
-                          loadable RFL file:@.%s" target m))
-    in
-    match program with
+    match resolve_target target with
     | Error m ->
         Fmt.epr "%s@." m;
         exit 1
     | Ok (program, static) ->
+        let static = Lazy.force static in
         (* Resuming from the very file we are about to (re)write would
            truncate the journal before it can be read: move it aside. *)
         let resume =
@@ -839,15 +862,7 @@ let campaign_cmd =
             Fmt.epr "resume journal %S not found@." path;
             exit 4
         | _ -> ());
-        let log =
-          match logfile with
-          | Some path -> (
-              try Rf_campaign.Event_log.open_file path
-              with Sys_error m ->
-                Fmt.epr "cannot open event log: %s@." m;
-                exit 1)
-          | None -> Rf_campaign.Event_log.null ()
-        in
+        let log = open_log logfile in
         let chaos =
           (* Proc faults are liveness-only (they never change results), so
              they are usable without --chaos: alone they ride an otherwise
@@ -872,19 +887,8 @@ let campaign_cmd =
               }
         in
         let proc =
-          if workers <= 0 then None
-          else
-            Some
-              {
-                Rf_campaign.Proc_pool.sp_cmd =
-                  [| Sys.executable_name; "campaign-worker" |];
-                sp_workers = workers;
-                sp_heartbeat = worker_deadline;
-                sp_rlimit_as_mb = worker_mem;
-                sp_rlimit_cpu_s = worker_cpu;
-                sp_policy = Rf_campaign.Supervisor.default_policy;
-                sp_target = target;
-              }
+          worker_fleet ?mem_mb:worker_mem ?cpu_s:worker_cpu ~workers
+            ~deadline:worker_deadline target
         in
         let static_filter =
           if static_filter && static = None then begin
@@ -1083,24 +1087,8 @@ let offline_cmd =
             "Shard detection by memory location over $(docv) domains run in \
              parallel; merged verdicts equal the single-shard result.")
   in
-  let detector_arg =
-    Arg.(
-      value & opt string "hybrid"
-      & info [ "detector" ] ~docv:"NAME"
-          ~doc:"hybrid, hb (precise), fasttrack, eraser, or sampling.")
-  in
   let action dir shards detector =
-    let mk =
-      match detector with
-      | "hybrid" -> Rf_detect.Detector.hybrid ~cap:128
-      | "hb" | "happens-before" -> Rf_detect.Detector.hb_precise ~cap:128
-      | "fasttrack" -> Rf_detect.Detector.fasttrack
-      | "eraser" -> Rf_detect.Detector.eraser ~site_cap:16
-      | "sampling" -> Rf_detect.Detector.sampling ~k:4 ~seed:0
-      | s ->
-          Fmt.epr "unknown detector %S@." s;
-          exit 1
-    in
+    let mk = detector_maker detector in
     let files =
       match Sys.readdir dir with
       | names ->
@@ -1322,15 +1310,7 @@ let serve_cmd =
     end
     else begin
       let dir = pos0 in
-      let log =
-        match logfile with
-        | Some path -> (
-            try Rf_campaign.Event_log.open_file path
-            with Sys_error m ->
-              Fmt.epr "cannot open event log: %s@." m;
-              exit 1)
-        | None -> Rf_campaign.Event_log.null ()
-      in
+      let log = open_log logfile in
       let chaos =
         let any =
           chaos_kill <> None || die_reval <> None || fail_reval <> None
@@ -1349,21 +1329,7 @@ let serve_cmd =
               c_watch_storm = watch_storm;
             }
       in
-      let proc =
-        if workers <= 0 then None
-        else
-          Some
-            {
-              Rf_campaign.Proc_pool.sp_cmd =
-                [| Sys.executable_name; "campaign-worker" |];
-              sp_workers = workers;
-              sp_heartbeat = worker_deadline;
-              sp_rlimit_as_mb = None;
-              sp_rlimit_cpu_s = None;
-              sp_policy = Rf_campaign.Supervisor.default_policy;
-              sp_target = "";
-            }
-      in
+      let proc = worker_fleet ~workers ~deadline:worker_deadline "" in
       let config =
         {
           Rf_campaign.Service.v_cycles = max 0 cycles;
@@ -1404,7 +1370,7 @@ let serve_cmd =
       in
       let code =
         Rf_campaign.Service.serve ~log ~stop config
-          ~resolve:resolve_target ~dir
+          ~resolve:schedule_program ~dir
       in
       Rf_campaign.Event_log.close log;
       exit code
@@ -1507,7 +1473,9 @@ let () =
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "campaign-worker" then
     Rf_campaign.Proc_pool.worker_main
       ~resolve:(fun target ->
-        match resolve_target target with Ok p -> Some p | Error _ -> None)
+        match resolve_target target with
+        | Ok (program, _) -> Some program
+        | Error _ -> None)
       ()
 
 let () = exit (Cmd.eval main_cmd)

@@ -108,7 +108,6 @@ type pair_state = {
   mutable ps_first_race : int;  (** max_int = none yet *)
   mutable ps_first_error : int;
   mutable ps_cancelled : int;  (** trials skipped past the cutoff bound *)
-  mutable ps_run : int;
   mutable ps_settled : bool;  (** savings already returned to the pool *)
   mutable ps_crash_idxs : int list;  (** indices whose trial crashed the harness *)
   mutable ps_q_skipped : int;  (** trials skipped past the quarantine bound *)
@@ -146,30 +145,18 @@ let grow ps wanted =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Resume: a journal's trial records, keyed by (pair label, seed).  A
-   resumed campaign recomputes its entire schedule from scratch; whenever
-   it reaches a trial the journal already settled, it replays the record
+(* Resume: a journal's trial records, keyed by (pair label, seed), as the
+   same [Proc_pool.tresult] records executed trials produce.  A resumed
+   campaign recomputes its entire schedule from scratch; whenever it
+   reaches a trial the journal already settled, it settles the record
    instead of executing.  Because trials are pure in (pair, seed), the
    resumed control flow — resolutions, quarantines, budget waves —
    matches the uninterrupted run's exactly. *)
 
-type replayed =
-  | R_finished of {
-      r_race : bool;
-      r_deadlock : bool;
-      r_steps : int;
-      r_switches : int;
-      r_exns : int;
-      r_wall : float;
-      r_degraded : Governor.snapshot option;
-    }
-  | R_crashed of { r_exn : string }
-  | R_exhausted of { r_reason : string; r_steps : int; r_wall : float }
-
 (* Rebuild the journaled degradation summary.  Only the fields that feed
    the fingerprint and the report (level, trigger, evicted) are
    journaled; the run-local counters (trips, entries, peak) are not, and
-   replayed trials never read them. *)
+   aggregation never reads them. *)
 let snapshot_of_record ~degraded ~level ~trigger ~evicted =
   if not degraded then None
   else
@@ -212,31 +199,29 @@ let load_resume path =
               _;
             } ->
             Hashtbl.replace tbl (pair, seed)
-              (R_finished
+              (Proc_pool.T_finished
                  {
-                   r_race = race;
-                   r_deadlock = deadlock;
-                   r_steps = steps;
-                   r_switches = switches;
-                   r_exns = exns;
-                   r_wall = wall;
-                   r_degraded =
-                     snapshot_of_record ~degraded ~level ~trigger ~evicted;
+                   t_race = race;
+                   t_deadlock = deadlock;
+                   t_steps = steps;
+                   t_switches = switches;
+                   t_exns = exns;
+                   t_wall = wall;
+                   t_degraded = degraded;
+                   t_level = level;
+                   t_trigger = trigger;
+                   t_evicted = evicted;
                  })
-        | Event_log.Trial_crashed { pair; seed; exn_; _ } ->
-            Hashtbl.replace tbl (pair, seed) (R_crashed { r_exn = exn_ })
+        | Event_log.Trial_crashed { pair; seed; exn_; backtrace; _ } ->
+            Hashtbl.replace tbl (pair, seed)
+              (Proc_pool.T_crashed { t_exn = exn_; t_backtrace = backtrace })
         | Event_log.Trial_exhausted { pair; seed; reason; steps; wall; _ } ->
             Hashtbl.replace tbl (pair, seed)
-              (R_exhausted { r_reason = reason; r_steps = steps; r_wall = wall })
+              (Proc_pool.T_exhausted
+                 { t_reason = reason; t_steps = steps; t_wall = wall })
         | _ -> ())
       events;
   (tbl, skipped)
-
-let reason_string = function
-  | Outcome.Wall_deadline -> "wall deadline"
-  | Outcome.Step_deadline -> "step deadline"
-  | Outcome.Heap_watermark -> "heap watermark"
-  | Outcome.Detector_budget -> "detector budget"
 
 (* ------------------------------------------------------------------ *)
 
@@ -270,33 +255,22 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
     | Some _ as w -> w
     | None -> Option.bind chaos (fun c -> c.Chaos.c_trial_deadline)
   in
-  (* Per-trial governor: fresh state for each trial keeps degradation a
-     pure function of (pair, seed), never of which domain ran what
-     before.  A governor exists only when some budget (or a deterministic
-     chaos trip) is in play; otherwise trials run exactly as before. *)
-  let governor_for ~tripped =
-    if detector_budget = None && mem_budget = None && not tripped then None
-    else Some (Governor.create ?max_entries:detector_budget ~no_degrade ())
-  in
-  (* The heap watermark is a physical backstop: when it fires we first
-     ride the ladder down (absorb the trip, keep going lighter), and only
-     cancel the trial once the bottom rung is reached.  Without a
-     governor there is no ladder, so the watermark cancels directly. *)
-  let heap_hook governor =
-    Option.map
-      (fun g () ->
-        if Governor.level g = Governor.Lockset_only then false
-        else begin
-          Governor.trip g Governor.Heap_watermark;
-          true
-        end)
-      governor
-  in
-  let make_deadline governor =
-    match (trial_wall, mem_budget) with
-    | None, None -> None
-    | wall, heap_mb ->
-        Some (Engine.deadline ?wall ?heap_mb ?heap_hook:(heap_hook governor) ())
+  (* One trial configuration for both tiers: the in-process tier runs
+     [Proc_pool.execute] with it, worker processes receive it in their
+     init frame.  Each trial gets a fresh governor ([Fuzzer.governance]),
+     which keeps degradation a pure function of (pair, seed), never of
+     which domain ran what before. *)
+  let init =
+    {
+      Proc_pool.i_target =
+        (match proc with Some sp -> sp.Proc_pool.sp_target | None -> "");
+      i_max_steps = max_steps;
+      i_postpone = postpone_timeout;
+      i_detector_budget = detector_budget;
+      i_mem_budget = mem_budget;
+      i_no_degrade = no_degrade;
+      i_trial_wall = trial_wall;
+    }
   in
   (* Multi-process tier: spawn the worker fleet up front and gate on the
      init handshake.  If no worker ever comes up (exec failure, target
@@ -308,17 +282,6 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
     | None -> None
     | Some _ when npairs = 0 || total_budget = 0 -> None
     | Some sp ->
-        let init =
-          {
-            Proc_pool.i_target = sp.Proc_pool.sp_target;
-            i_max_steps = max_steps;
-            i_postpone = postpone_timeout;
-            i_detector_budget = detector_budget;
-            i_mem_budget = mem_budget;
-            i_no_degrade = no_degrade;
-            i_trial_wall = trial_wall;
-          }
-        in
         let p = Proc_pool.create sp ~init in
         if Proc_pool.await_ready p ~timeout:15.0 then Some p
         else begin
@@ -359,7 +322,6 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
              ps_first_race = max_int;
              ps_first_error = max_int;
              ps_cancelled = 0;
-             ps_run = 0;
              ps_settled = false;
              ps_crash_idxs = [];
              ps_q_skipped = 0;
@@ -393,80 +355,131 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
   let worker_gave_up_n = Atomic.make 0 in
   let interrupted_remaining = ref 0 in
   (* -------------------------------------------------------------- *)
-  (* Trial bookkeeping, shared by fresh executions and journal replays
-     so both feed resolution/quarantine state identically.            *)
-  let record_trial d ps idx seed (tr : Fuzzer.trial) =
-    let o = tr.Fuzzer.t_outcome in
-    let race = Algo.race_created tr.Fuzzer.t_report in
-    let error = race && Outcome.has_exception o in
-    let deadlock = Outcome.deadlocked o in
-    let newly_resolved =
-      Mutex.protect mutex (fun () ->
-          ps.ps_slots.(idx) <- Some tr;
-          ps.ps_run <- ps.ps_run + 1;
-          let before = resolution ps in
-          if race && idx < ps.ps_first_race then ps.ps_first_race <- idx;
-          if error && idx < ps.ps_first_error then ps.ps_first_error <- idx;
-          match (before, resolution ps) with None, Some k -> Some k | _ -> None)
-    in
-    let dg = tr.Fuzzer.t_degraded in
-    if dg <> None then Atomic.incr degraded_n;
-    Event_log.emit log
-      (Event_log.Trial_finished
-         {
-           pair = ps.ps_label;
-           seed;
-           domain = d;
-           race;
-           error;
-           deadlock;
-           steps = o.Outcome.steps;
-           switches = o.Outcome.switches;
-           exns = List.length o.Outcome.exceptions;
-           wall = o.Outcome.wall_time;
-           degraded = dg <> None;
-           level =
-             (match dg with
-             | Some s -> Governor.level_to_string s.Governor.g_level
-             | None -> "full");
-           trigger =
-             (match dg with
-             | Some { Governor.g_trigger = Some tg; _ } ->
-                 Governor.trigger_to_string tg
-             | _ -> "");
-           evicted =
-             (match dg with Some s -> s.Governor.g_evicted | None -> 0);
-         });
-    Option.iter
-      (fun k ->
+  (* The one merge: every trial result — executed on a domain, returned
+     by a worker process or replayed from the journal — settles here, so
+     all three feed resolution/quarantine state and the journal
+     identically.                                                      *)
+  let settle d ps idx seed (r : Proc_pool.tresult) =
+    match r with
+    | Proc_pool.T_finished f ->
+        let degraded =
+          snapshot_of_record ~degraded:f.t_degraded ~level:f.t_level
+            ~trigger:f.t_trigger ~evicted:f.t_evicted
+        in
+        let tr =
+          Fuzzer.trial_of_record ~degraded ~pair:ps.ps_pair ~seed ~race:f.t_race
+            ~exns:f.t_exns ~deadlock:f.t_deadlock ~steps:f.t_steps
+            ~switches:f.t_switches ~wall:f.t_wall
+        in
+        let error = f.t_race && f.t_exns > 0 in
+        (* The cut is journaled when the pair first resolves and again
+           whenever a late-finishing earlier trial lowers it, so the last
+           [Pair_resolved] of a pair is always its final cut. *)
+        let cut =
+          Mutex.protect mutex (fun () ->
+              ps.ps_slots.(idx) <- Some tr;
+              let before = resolution ps in
+              if f.t_race && idx < ps.ps_first_race then ps.ps_first_race <- idx;
+              if error && idx < ps.ps_first_error then ps.ps_first_error <- idx;
+              match (before, resolution ps) with
+              | None, (Some _ as k) -> k
+              | Some b, (Some k' as k) when k' < b -> k
+              | _ -> None)
+        in
+        if f.t_degraded then Atomic.incr degraded_n;
         Event_log.emit log
-          (Event_log.Pair_resolved { pair = ps.ps_label; at_trial = k }))
-      newly_resolved
-  in
-  let record_crash d ps idx seed exn_str backtrace =
-    let newly_quarantined =
-      Mutex.protect mutex (fun () ->
-          let before = quarantine_bound ~qn ps in
-          ps.ps_crash_idxs <- idx :: ps.ps_crash_idxs;
-          match (before, quarantine_bound ~qn ps) with
-          | None, Some k -> Some (k, List.length ps.ps_crash_idxs)
-          | _ -> None)
-    in
-    Atomic.incr crashes_n;
-    Event_log.emit log
-      (Event_log.Trial_crashed
-         { pair = ps.ps_label; seed; domain = d; exn_ = exn_str; backtrace });
-    Option.iter
-      (fun (k, crashes) ->
+          (Event_log.Trial_finished
+             {
+               pair = ps.ps_label;
+               seed;
+               domain = d;
+               race = f.t_race;
+               error;
+               deadlock = f.t_deadlock;
+               steps = f.t_steps;
+               switches = f.t_switches;
+               exns = f.t_exns;
+               wall = f.t_wall;
+               degraded = f.t_degraded;
+               level = f.t_level;
+               trigger = f.t_trigger;
+               evicted = f.t_evicted;
+             });
+        Option.iter
+          (fun k ->
+            Event_log.emit log
+              (Event_log.Pair_resolved { pair = ps.ps_label; at_trial = k }))
+          cut
+    | Proc_pool.T_crashed { t_exn; t_backtrace } ->
+        let newly_quarantined =
+          Mutex.protect mutex (fun () ->
+              let before = quarantine_bound ~qn ps in
+              ps.ps_crash_idxs <- idx :: ps.ps_crash_idxs;
+              match (before, quarantine_bound ~qn ps) with
+              | None, Some k -> Some (k, List.length ps.ps_crash_idxs)
+              | _ -> None)
+        in
+        Atomic.incr crashes_n;
         Event_log.emit log
-          (Event_log.Pair_quarantined { pair = ps.ps_label; crashes; at_trial = k }))
-      newly_quarantined
+          (Event_log.Trial_crashed
+             {
+               pair = ps.ps_label;
+               seed;
+               domain = d;
+               exn_ = t_exn;
+               backtrace = t_backtrace;
+             });
+        Option.iter
+          (fun (k, crashes) ->
+            Event_log.emit log
+              (Event_log.Pair_quarantined
+                 { pair = ps.ps_label; crashes; at_trial = k }))
+          newly_quarantined
+    | Proc_pool.T_exhausted { t_reason; t_steps; t_wall } ->
+        Mutex.protect mutex (fun () -> ps.ps_exhausted <- ps.ps_exhausted + 1);
+        Event_log.emit log
+          (Event_log.Trial_exhausted
+             {
+               pair = ps.ps_label;
+               seed;
+               domain = d;
+               reason = t_reason;
+               steps = t_steps;
+               wall = t_wall;
+             })
   in
-  let record_exhausted d ps _idx seed reason steps wall =
-    Mutex.protect mutex (fun () -> ps.ps_exhausted <- ps.ps_exhausted + 1);
-    Event_log.emit log
-      (Event_log.Trial_exhausted
-         { pair = ps.ps_label; seed; domain = d; reason; steps; wall })
+  (* Count one executed trial against its domain or worker slot; the
+     chaos stop-after fault keys on the running total. *)
+  let executed d busy =
+    domain_trials.(d) <- domain_trials.(d) + 1;
+    domain_busy.(d) <- domain_busy.(d) +. busy;
+    let n = Atomic.fetch_and_add executed_n 1 + 1 in
+    match chaos with
+    | Some { Chaos.c_stop_after = Some m; _ } when n >= m -> request_stop stop
+    | _ -> ()
+  in
+  (* The faults that change a trial's result, pure functions of
+     (chaos seed, pair, seed), so both tiers inject the same ones.  The
+     process dispatcher adds its transport faults on top. *)
+  let assignment ~id ps seed =
+    let label = ps.ps_label in
+    let on fault =
+      match chaos with Some plan -> fault plan ~label ~seed | None -> false
+    in
+    {
+      Proc_pool.a_id = id;
+      a_pair = ps.ps_pair;
+      a_seed = seed;
+      a_crash = on Chaos.crashes;
+      a_stall =
+        (match chaos with
+        | Some plan when Chaos.stalls plan ~label ~seed -> plan.Chaos.c_stall_seconds
+        | _ -> 0.0);
+      a_tripped = on Chaos.trips_budget;
+      a_die = false;
+      a_torn = false;
+      a_hang = false;
+    }
   in
   (* Skip-check and journal-replay, shared verbatim by the in-process
      worker loop (which applies them at pop time) and the multi-process
@@ -486,78 +499,25 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
   in
   let try_resume d ps idx seed =
     match Hashtbl.find_opt resume_tbl (ps.ps_label, seed) with
-    | Some (R_finished r) ->
+    | Some r ->
         Atomic.incr replayed_n;
-        let tr =
-          Fuzzer.trial_of_record ~degraded:r.r_degraded ~pair:ps.ps_pair ~seed
-            ~race:r.r_race
-            ~exns:r.r_exns ~deadlock:r.r_deadlock ~steps:r.r_steps
-            ~switches:r.r_switches ~wall:r.r_wall
-        in
-        record_trial d ps idx seed tr;
-        true
-    | Some (R_crashed r) ->
-        Atomic.incr replayed_n;
-        record_crash d ps idx seed r.r_exn "";
-        true
-    | Some (R_exhausted r) ->
-        Atomic.incr replayed_n;
-        record_exhausted d ps idx seed r.r_reason r.r_steps r.r_wall;
+        settle d ps idx seed r;
         true
     | None -> false
   in
-  (* One task: skip-check, then replay from the journal or execute inside
-     the sandbox.  Nothing a trial does can escape this function. *)
+  (* One in-process task: skip-check, then replay from the journal or
+     execute through the trial body worker processes run too. *)
   let process d (idx, p) =
     let ps = states.(p) in
     if not (check_skip ps idx) then begin
       let seed = seed_of idx in
       if not (try_resume d ps idx seed) then begin
-          Event_log.emit log
-            (Event_log.Trial_started { pair = ps.ps_label; seed; domain = d });
-          let tripped =
-            match chaos with
-            | Some plan -> Chaos.trips_budget plan ~label:ps.ps_label ~seed
-            | None -> false
-          in
-          let governor = governor_for ~tripped in
-          let deadline = make_deadline governor in
-          let chaos_inject =
-            match chaos with
-            | Some plan -> Chaos.inject plan ~label:ps.ps_label ~seed
-            | None -> ignore
-          in
-          (* The injected trip runs inside the sandbox so that, under
-             [no_degrade], the resulting [Budget_stop] is converted to a
-             Budget_exhausted result rather than killing the worker. *)
-          let inject =
-            match governor with
-            | Some g when tripped ->
-                fun () ->
-                  chaos_inject ();
-                  Governor.trip g Governor.Injected
-            | _ -> chaos_inject
-          in
-          let w0 = Unix.gettimeofday () in
-          let res =
-            Fuzzer.run_trial ?postpone_timeout ?deadline ?governor ~inject
-              ~max_steps ~program ps.ps_pair seed
-          in
-          let wall = Unix.gettimeofday () -. w0 in
-          domain_trials.(d) <- domain_trials.(d) + 1;
-          domain_busy.(d) <- domain_busy.(d) +. wall;
-          let n = Atomic.fetch_and_add executed_n 1 + 1 in
-          (match chaos with
-          | Some { Chaos.c_stop_after = Some m; _ } when n >= m ->
-              request_stop stop
-          | _ -> ());
-          (match res with
-          | Fuzzer.Completed tr -> record_trial d ps idx seed tr
-          | Fuzzer.Harness_crash (e, bt) ->
-              record_crash d ps idx seed (Printexc.to_string e) bt
-          | Fuzzer.Budget_exhausted { bx_reason; bx_steps; bx_wall; _ } ->
-              record_exhausted d ps idx seed (reason_string bx_reason) bx_steps
-                bx_wall)
+        Event_log.emit log
+          (Event_log.Trial_started { pair = ps.ps_label; seed; domain = d });
+        let w0 = Unix.gettimeofday () in
+        let r = Proc_pool.execute init ~program (assignment ~id:0 ps seed) in
+        executed d (Unix.gettimeofday () -. w0);
+        settle d ps idx seed r
       end
     end
   in
@@ -644,58 +604,26 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
             else begin
               incr assign_ctr;
               let id = !assign_ctr in
-              let die =
-                (match chaos_state with
-                | Some (plan, st) -> Chaos.kills_worker plan st
-                | None -> false)
-                ||
-                match chaos with
-                | Some { Chaos.c_kill_assignment = Some n; _ } -> n = id
-                | _ -> false
-              in
-              let at n = match n with Some n -> n = id | None -> false in
-              let torn =
-                match chaos with
-                | Some pl -> at pl.Chaos.c_torn_frame
-                | None -> false
-              in
-              let hang =
-                match chaos with
-                | Some pl -> at pl.Chaos.c_hang_assignment
-                | None -> false
-              in
-              let crash =
-                match chaos with
-                | Some pl -> Chaos.crashes pl ~label:ps.ps_label ~seed
-                | None -> false
-              in
-              let stall =
-                match chaos with
-                | Some pl when Chaos.stalls pl ~label:ps.ps_label ~seed ->
-                    pl.Chaos.c_stall_seconds
-                | _ -> 0.0
-              in
-              let tripped =
-                match chaos with
-                | Some pl -> Chaos.trips_budget pl ~label:ps.ps_label ~seed
-                | None -> false
+              let a = assignment ~id ps seed in
+              let a =
+                match chaos_state with
+                | None -> a
+                | Some (plan, st) ->
+                    let at = function Some n -> n = id | None -> false in
+                    {
+                      a with
+                      Proc_pool.a_die =
+                        Chaos.kills_worker plan st
+                        || at plan.Chaos.c_kill_assignment;
+                      a_torn = at plan.Chaos.c_torn_frame;
+                      a_hang = at plan.Chaos.c_hang_assignment;
+                    }
               in
               Event_log.emit log
                 (Event_log.Trial_started
                    { pair = ps.ps_label; seed; domain = worker });
               Hashtbl.replace proc_inflight id (idx, p);
-              Proc_pool.assign pool ~worker
-                {
-                  Proc_pool.a_id = id;
-                  a_pair = ps.ps_pair;
-                  a_seed = seed;
-                  a_crash = crash;
-                  a_stall = stall;
-                  a_tripped = tripped;
-                  a_die = die;
-                  a_torn = torn;
-                  a_hang = hang;
-                }
+              Proc_pool.assign pool ~worker a
             end
           end
     in
@@ -708,40 +636,13 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
           | None -> ()  (* late result from a worker already declared dead *)
           | Some (idx, p) ->
               Hashtbl.remove proc_inflight ev_id;
-              let ps = states.(p) in
-              let seed = seed_of idx in
-              domain_trials.(ev_worker) <- domain_trials.(ev_worker) + 1;
-              let n = Atomic.fetch_and_add executed_n 1 + 1 in
-              (match chaos with
-              | Some { Chaos.c_stop_after = Some m; _ } when n >= m ->
-                  request_stop stop
-              | _ -> ());
-              (match ev_result with
-              | Proc_pool.T_finished
-                  { t_race; t_deadlock; t_steps; t_switches; t_exns; t_wall;
-                    t_degraded; t_level; t_trigger; t_evicted } ->
-                  domain_busy.(ev_worker) <- domain_busy.(ev_worker) +. t_wall;
-                  (* The exact resume-replay path: worker results are
-                     journal-shaped records, so rebuilding the trial with
-                     [trial_of_record] makes multi-process aggregation
-                     byte-identical to in-process execution. *)
-                  let tr =
-                    Fuzzer.trial_of_record
-                      ~degraded:
-                        (snapshot_of_record ~degraded:t_degraded
-                           ~level:t_level ~trigger:t_trigger
-                           ~evicted:t_evicted)
-                      ~pair:ps.ps_pair ~seed ~race:t_race ~exns:t_exns
-                      ~deadlock:t_deadlock ~steps:t_steps ~switches:t_switches
-                      ~wall:t_wall
-                  in
-                  record_trial ev_worker ps idx seed tr
-              | Proc_pool.T_crashed { t_exn; t_backtrace } ->
-                  record_crash ev_worker ps idx seed t_exn t_backtrace
-              | Proc_pool.T_exhausted { t_reason; t_steps; t_wall } ->
-                  domain_busy.(ev_worker) <- domain_busy.(ev_worker) +. t_wall;
-                  record_exhausted ev_worker ps idx seed t_reason t_steps
-                    t_wall))
+              executed ev_worker
+                (match ev_result with
+                | Proc_pool.T_finished { t_wall; _ }
+                | Proc_pool.T_exhausted { t_wall; _ } ->
+                    t_wall
+                | Proc_pool.T_crashed _ -> 0.0);
+              settle ev_worker states.(p) idx (seed_of idx) ev_result)
       | Proc_pool.Ev_died
           { ev_worker; ev_pid; ev_in_flight; ev_reason; ev_killed; _ } ->
           (match ev_in_flight with
@@ -1007,25 +908,8 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
      governor is shared across the phase-1 seeds: detection precision is
      a whole-phase property, and the entry budget is a cap on detector
      state, which persists across seeds. *)
-  let p1_gov =
-    if detector_budget = None && mem_budget = None then None
-    else Some (Governor.create ?max_entries:detector_budget ~no_degrade ())
-  in
-  let p1_deadline =
-    Option.map
-      (fun mb ->
-        let heap_hook =
-          Option.map
-            (fun g () ->
-              if Governor.level g = Governor.Lockset_only then false
-              else begin
-                Governor.trip g Governor.Heap_watermark;
-                true
-              end)
-            p1_gov
-        in
-        Engine.deadline ~heap_mb:mb ?heap_hook ())
-      mem_budget
+  let p1_gov, p1_deadline =
+    Fuzzer.governance ?detector_budget ?mem_budget ~no_degrade ~tripped:false ()
   in
   let detect =
     match (offline_detect, save_traces) with

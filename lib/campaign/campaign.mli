@@ -34,7 +34,7 @@
 
     {2 Fault tolerance}
 
-    Trials run inside a sandbox ({!Racefuzzer.Fuzzer.run_trial}): a
+    Trials run inside a sandbox ({!Proc_pool.execute}): a
     harness crash or watchdog cancellation is recorded in the journal and
     costs one trial, never the campaign.  A pair that crashes the harness
     [quarantine_crashes] times is {e quarantined} at its Nth-smallest
@@ -183,10 +183,12 @@ val fuzz_pairs :
     [proc] switches phase 2 to the multi-process tier ({!Proc_pool}):
     trials ship to crash-isolated worker processes instead of running on
     in-process domains, with heartbeat supervision, per-worker rlimits
-    and backoff respawn.  Worker results merge through the journal-record
-    replay path, so the analysis — and both fingerprints — are
-    byte-identical to the in-process run, including under worker SIGKILL
-    chaos.  If no worker completes its handshake the campaign silently
+    and backoff respawn.  Both tiers run each trial through one body
+    ({!Proc_pool.execute}) and settle its {!Proc_pool.tresult} record the
+    same way a resume settles a journaled one, so the analysis — and both
+    fingerprints — are byte-identical to the in-process run, including
+    under worker SIGKILL chaos and across a kill on one tier resumed on
+    the other.  If no worker completes its handshake the campaign silently
     degrades to the in-process pool at the same width; if the whole fleet
     dies past its respawn budget mid-wave, the remaining trials finish
     inline. *)

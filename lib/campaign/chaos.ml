@@ -98,11 +98,6 @@ let trips_budget plan ~label ~seed =
   plan.c_budget_rate > 0.0
   && unit_float (hash plan ~salt:0x3 ~label ~seed) < plan.c_budget_rate
 
-let inject plan ~label ~seed () =
-  if stalls plan ~label ~seed then Unix.sleepf plan.c_stall_seconds;
-  if crashes plan ~label ~seed then
-    raise (Injected_crash (Printf.sprintf "chaos: injected crash (%s seed %d)" label seed))
-
 (* Worker-death state: one counter for pops, one for deaths granted. *)
 type state = { pops : int Atomic.t; deaths : int Atomic.t }
 

@@ -102,10 +102,6 @@ val trips_budget : plan -> label:string -> seed:int -> bool
     seed), so degraded trials land identically across domain counts and
     kill/resume boundaries. *)
 
-val inject : plan -> label:string -> seed:int -> unit -> unit
-(** The [?inject] hook for [Fuzzer.run_trial]: sleep if the trial stalls,
-    then raise {!Injected_crash} if it crashes. *)
-
 (** {1 Worker deaths} *)
 
 type state

@@ -113,7 +113,10 @@ type event =
           actually skips anything *)
   | Pair_resolved of { pair : string; at_trial : int }
       (** the pair is classified real and harmful by its trial prefix
-          [0..at_trial]; queued trials past that index will be cancelled *)
+          [0..at_trial]; queued trials past that index will be cancelled.
+          Emitted when the pair first resolves and again whenever a
+          late-finishing earlier trial lowers the cut, so the last one
+          per pair is the final cut. *)
   | Pair_quarantined of { pair : string; crashes : int; at_trial : int }
       (** the pair crashed the harness [crashes] times; trials past
           [at_trial] are skipped and the pair is reported, not fatal *)

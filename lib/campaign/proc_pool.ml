@@ -1,12 +1,13 @@
-(* Multi-process campaign execution.
+(* Multi-process campaign execution, and the one trial body.
 
    The module is deliberately split down the pipe: the [Frame] / message
-   codec in the middle, [worker_main] below it (runs in the child,
-   stdin/stdout only), the pool at the bottom (runs in the supervisor,
-   owns every fd, pid and timer).  Nothing here touches campaign pair
-   state — the supervisor half surfaces plain events and the campaign
-   merges them through the same record-replay path as a journal resume,
-   which is the whole determinism story.
+   codec at the top, [execute] (the trial body every tier runs) and
+   [worker_main] (runs in the child, stdin/stdout only) in the middle,
+   the pool at the bottom (runs in the supervisor, owns every fd, pid
+   and timer).  Nothing here touches campaign pair state — the
+   supervisor half surfaces plain events, and the campaign settles
+   their [tresult] records exactly as it settles in-process results and
+   journal replays, which is the whole determinism story.
 
    Fault model: a worker can die at any byte boundary (SIGKILL, OOM via
    rlimit, CPU rlimit, exec failure), hang forever, or write garbage.
@@ -20,7 +21,6 @@ open Rf_util
 module Fuzzer = Racefuzzer.Fuzzer
 module Algo = Racefuzzer.Algo
 module Outcome = Rf_runtime.Outcome
-module Engine = Rf_runtime.Engine
 module Governor = Rf_resource.Governor
 
 (* ------------------------------------------------------------------ *)
@@ -366,6 +366,65 @@ let reason_string = function
   | Outcome.Detector_budget -> "detector budget"
 
 (* ------------------------------------------------------------------ *)
+(* The trial body.  Worker processes and the campaign's in-process tier
+   both run every trial through [execute], so a trial is governed,
+   chaos-injected, sandboxed and recorded the same way on either side
+   of the pipe — byte-identical results are the contract. *)
+
+let execute init ~program a =
+  let governor, deadline =
+    Fuzzer.governance ?detector_budget:init.i_detector_budget
+      ?mem_budget:init.i_mem_budget ?wall:init.i_trial_wall
+      ~no_degrade:init.i_no_degrade ~tripped:a.a_tripped ()
+  in
+  (* Injected faults run inside the sandbox: a crash becomes a harness
+     crash, and under [no_degrade] the injected trip's [Budget_stop]
+     becomes a [T_exhausted] record rather than killing the caller. *)
+  let inject () =
+    if a.a_stall > 0.0 then Unix.sleepf a.a_stall;
+    if a.a_crash then
+      raise
+        (Chaos.Injected_crash
+           (Printf.sprintf "chaos: injected crash (%s seed %d)"
+              (Site.Pair.to_string a.a_pair) a.a_seed));
+    match governor with
+    | Some g when a.a_tripped -> Governor.trip g Governor.Injected
+    | _ -> ()
+  in
+  match
+    Fuzzer.run_trial ?postpone_timeout:init.i_postpone ?deadline ?governor
+      ~inject ~max_steps:init.i_max_steps ~program a.a_pair a.a_seed
+  with
+  | Fuzzer.Completed tr ->
+      let o = tr.Fuzzer.t_outcome in
+      let dg = tr.Fuzzer.t_degraded in
+      T_finished
+        {
+          t_race = Algo.race_created tr.Fuzzer.t_report;
+          t_deadlock = Outcome.deadlocked o;
+          t_steps = o.Outcome.steps;
+          t_switches = o.Outcome.switches;
+          t_exns = List.length o.Outcome.exceptions;
+          t_wall = o.Outcome.wall_time;
+          t_degraded = dg <> None;
+          t_level =
+            (match dg with
+            | Some s -> Governor.level_to_string s.Governor.g_level
+            | None -> "full");
+          t_trigger =
+            (match dg with
+            | Some { Governor.g_trigger = Some tg; _ } ->
+                Governor.trigger_to_string tg
+            | _ -> "");
+          t_evicted = (match dg with Some s -> s.Governor.g_evicted | None -> 0);
+        }
+  | Fuzzer.Harness_crash (e, bt) ->
+      T_crashed { t_exn = Printexc.to_string e; t_backtrace = bt }
+  | Fuzzer.Budget_exhausted { bx_reason; bx_steps; bx_wall; _ } ->
+      T_exhausted
+        { t_reason = reason_string bx_reason; t_steps = bx_steps; t_wall = bx_wall }
+
+(* ------------------------------------------------------------------ *)
 (* The worker half: stdin/stdout protocol loop. *)
 
 let worker_main ~resolve () =
@@ -413,86 +472,6 @@ let worker_main ~resolve () =
     | None -> fail "cannot resolve target %S" init.i_target
   in
   send (encode_ready ());
-  (* Mirror of the campaign's in-process trial path ([Campaign.process]):
-     same governor construction, same heap-hook ladder, same injection
-     order, same sandbox — byte-identical results are the contract. *)
-  let run_assignment a =
-    let label = Site.Pair.to_string a.a_pair in
-    let governor =
-      if init.i_detector_budget = None && init.i_mem_budget = None
-         && not a.a_tripped
-      then None
-      else
-        Some
-          (Governor.create ?max_entries:init.i_detector_budget
-             ~no_degrade:init.i_no_degrade ())
-    in
-    let heap_hook =
-      Option.map
-        (fun g () ->
-          if Governor.level g = Governor.Lockset_only then false
-          else begin
-            Governor.trip g Governor.Heap_watermark;
-            true
-          end)
-        governor
-    in
-    let deadline =
-      match (init.i_trial_wall, init.i_mem_budget) with
-      | None, None -> None
-      | wall, heap_mb -> Some (Engine.deadline ?wall ?heap_mb ?heap_hook ())
-    in
-    let chaos_inject () =
-      if a.a_stall > 0.0 then Unix.sleepf a.a_stall;
-      if a.a_crash then
-        raise
-          (Chaos.Injected_crash
-             (Printf.sprintf "chaos: injected crash (%s seed %d)" label a.a_seed))
-    in
-    let inject =
-      match governor with
-      | Some g when a.a_tripped ->
-          fun () ->
-            chaos_inject ();
-            Governor.trip g Governor.Injected
-      | _ -> chaos_inject
-    in
-    let res =
-      Fuzzer.run_trial ?postpone_timeout:init.i_postpone ?deadline ?governor
-        ~inject ~max_steps:init.i_max_steps ~program a.a_pair a.a_seed
-    in
-    match res with
-    | Fuzzer.Completed tr ->
-        let o = tr.Fuzzer.t_outcome in
-        let dg = tr.Fuzzer.t_degraded in
-        T_finished
-          {
-            t_race = Algo.race_created tr.Fuzzer.t_report;
-            t_deadlock = Outcome.deadlocked o;
-            t_steps = o.Outcome.steps;
-            t_switches = o.Outcome.switches;
-            t_exns = List.length o.Outcome.exceptions;
-            t_wall = o.Outcome.wall_time;
-            t_degraded = dg <> None;
-            t_level =
-              (match dg with
-              | Some s -> Governor.level_to_string s.Governor.g_level
-              | None -> "full");
-            t_trigger =
-              (match dg with
-              | Some { Governor.g_trigger = Some tg; _ } ->
-                  Governor.trigger_to_string tg
-              | _ -> "");
-            t_evicted =
-              (match dg with Some s -> s.Governor.g_evicted | None -> 0);
-          }
-    | Fuzzer.Harness_crash (e, bt) ->
-        T_crashed { t_exn = Printexc.to_string e; t_backtrace = bt }
-    | Fuzzer.Budget_exhausted { bx_reason; bx_steps; bx_wall; _ } ->
-        T_exhausted
-          { t_reason = reason_string bx_reason; t_steps = bx_steps;
-            t_wall = bx_wall }
-  in
   let rec loop () =
     match
       (try read_frame ()
@@ -510,7 +489,7 @@ let worker_main ~resolve () =
               while true do
                 Unix.sleepf 3600.0
               done;
-            let result = run_assignment a in
+            let result = execute init ~program a in
             let payload = encode_result ~id:a.a_id result in
             if a.a_torn then begin
               (* Flip the last checksum byte: the supervisor must raise

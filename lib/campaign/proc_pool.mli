@@ -42,10 +42,12 @@
     through [sh -c 'ulimit ...; exec "$@"'], so an OOM or spin kills one
     worker, not the campaign.
 
-    Results are {e records}, not live values: the supervisor rebuilds
-    each trial with [Fuzzer.trial_of_record] — the checkpoint/resume
-    machinery — which is what makes multi-process fingerprints
-    byte-identical to in-process ones. *)
+    Results are {e records}, not live values.  Workers and the
+    campaign's in-process tier compute them with one trial body
+    ({!execute}), and the campaign settles every {!tresult} — from a
+    domain, a worker or a resume journal — by rebuilding the trial with
+    [Fuzzer.trial_of_record], which is what makes multi-process
+    fingerprints byte-identical to in-process ones. *)
 
 open Rf_util
 
@@ -96,10 +98,11 @@ type assignment = {
   a_hang : bool;  (** hang forever (exercises the heartbeat deadline) *)
 }
 
-(** A finished trial, as the wire carries it: exactly the journal's
-    [Trial_finished]/[Trial_crashed]/[Trial_exhausted] payload, so the
-    supervisor merges worker results through the same
-    [Fuzzer.trial_of_record] path as a journal resume. *)
+(** A finished trial, as the wire and the journal carry it: exactly the
+    journal's [Trial_finished]/[Trial_crashed]/[Trial_exhausted] payload.
+    It is the only form in which a trial result reaches campaign
+    aggregation, whether the trial ran on a domain, in a worker process
+    or was replayed from a resume journal. *)
 type tresult =
   | T_finished of {
       t_race : bool;
@@ -115,6 +118,18 @@ type tresult =
     }
   | T_crashed of { t_exn : string; t_backtrace : string }
   | T_exhausted of { t_reason : string; t_steps : int; t_wall : float }
+
+(** {1 The trial body} *)
+
+val execute : init -> program:(unit -> unit) -> assignment -> tresult
+(** Run one assignment's trial: fresh governance from [init]
+    ([Fuzzer.governance]), the assignment's result-bearing chaos faults
+    ([a_stall], [a_crash], [a_tripped]) injected inside the sandbox, then
+    [Fuzzer.run_trial], recorded as a {!tresult}.  The only trial body:
+    the worker loop calls it for every assignment and the campaign's
+    in-process tier calls it for every executed trial, so both tiers
+    compute byte-identical records.  The transport faults ([a_die],
+    [a_torn], [a_hang]) belong to the worker loop and are ignored here. *)
 
 (** {1 The worker half} *)
 

@@ -16,6 +16,28 @@ open Rf_resource
 type program = unit -> unit
 
 (* ------------------------------------------------------------------ *)
+(* Resource governance                                                 *)
+
+(* One governed run's governor and watchdog.  A governor exists only
+   when some budget (or an injected trip) is in play, so ungoverned runs
+   execute exactly as they did before governance existed.  The watchdog
+   exists when a wall or heap bound does; its heap hook rides the
+   governor's ladder down before it cancels anything. *)
+let governance ?detector_budget ?mem_budget ?wall ~no_degrade ~tripped () =
+  let governor =
+    if detector_budget = None && mem_budget = None && not tripped then None
+    else Some (Governor.create ?max_entries:detector_budget ~no_degrade ())
+  in
+  let deadline =
+    match (wall, mem_budget) with
+    | None, None -> None
+    | wall, heap_mb ->
+        let heap_hook = Option.map Governor.heap_hook governor in
+        Some (Engine.deadline ?wall ?heap_mb ?heap_hook ())
+  in
+  (governor, deadline)
+
+(* ------------------------------------------------------------------ *)
 (* Phase 1                                                             *)
 
 (** How phase 1 attaches its detector to the executions it observes.
@@ -72,10 +94,55 @@ type phase1_result = {
           (sampling only) the miss-probability bound *)
 }
 
+(* A governor's final state, when it ever tripped. *)
+let degraded_snapshot = function
+  | Some g when Governor.degraded g -> Some (Governor.snapshot g)
+  | _ -> None
+
 let potential_pairs r =
   List.fold_left
     (fun acc (race : Rf_detect.Race.t) -> Site.Pair.Set.add race.Rf_detect.Race.pair acc)
     Site.Pair.Set.empty r.potential
+
+(** Offline-only phase 1: replay previously saved recordings through the
+    detectors without executing the program at all.  This is how the serve
+    loop amortises phase 1 across campaigns — record once per target, then
+    re-analyze the saved [Btrace.t]s on every subsequent wave.  The
+    candidate set is identical to a live [Recorded] pass over the same
+    executions; [p1_outcomes] is empty because nothing ran. *)
+let phase1_of_recordings ?(shards = 1) ?governor ?(detector = Hybrid)
+    (recordings : Rf_events.Btrace.t list) : phase1_result =
+  let t0 = Unix.gettimeofday () in
+  (* A governed pass runs its shards sequentially so the shared governor
+     meters combined state deterministically; ungoverned multi-shard
+     passes fan out across domains. *)
+  let potential, stats =
+    Rf_detect.Offline.detect_stats ~shards
+      ~parallel:(governor = None && shards > 1)
+      ~make:(fun () -> make_p1_detector ?governor detector)
+      recordings
+  in
+  let t1 = Unix.gettimeofday () in
+  {
+    potential;
+    p1_outcomes = [];
+    p1_wall = t1 -. t0;
+    p1_degraded = degraded_snapshot governor;
+    p1_name = p1_detector_name detector;
+    p1_stats = stats;
+    p1_recording =
+      Some
+        {
+          rec_events = 0;
+          rec_bytes =
+            List.fold_left
+              (fun acc r -> acc + Rf_events.Btrace.byte_size r)
+              0 recordings;
+          rec_wall = 0.0;
+          detect_wall = t1 -. t0;
+          rec_shards = shards;
+        };
+  }
 
 (** Run hybrid race detection over [seeds] executions (the paper uses one;
     more executions can only widen the candidate set).  [governor] meters
@@ -86,11 +153,6 @@ let phase1 ?(seeds = [ 0 ]) ?(max_steps = Engine.default_config.max_steps)
     ?deadline ?governor ?(detect = Inline) ?(detector = Hybrid) ?trace_sink
     (program : program) : phase1_result =
   let t0 = Unix.gettimeofday () in
-  let degraded () =
-    match governor with
-    | Some g when Governor.degraded g -> Some (Governor.snapshot g)
-    | _ -> None
-  in
   (match (trace_sink, detect) with
   | Some _, Inline ->
       invalid_arg "Fuzzer.phase1: trace_sink requires Recorded detection"
@@ -111,7 +173,7 @@ let phase1 ?(seeds = [ 0 ]) ?(max_steps = Engine.default_config.max_steps)
         potential = Rf_detect.Detector.races d;
         p1_outcomes = outcomes;
         p1_wall = Unix.gettimeofday () -. t0;
-        p1_degraded = degraded ();
+        p1_degraded = degraded_snapshot governor;
         p1_recording = None;
         p1_name = p1_detector_name detector;
         p1_stats = Rf_detect.Detector.stats d;
@@ -141,77 +203,17 @@ let phase1 ?(seeds = [ 0 ]) ?(max_steps = Engine.default_config.max_steps)
       | None -> ()
       | Some sink -> List.iter2 (fun seed r -> sink ~seed r) seeds recordings);
       let t1 = Unix.gettimeofday () in
-      (* Detect: a fresh detector per shard replays the recordings.  A
-         governed pass runs its shards sequentially so the shared
-         governor meters combined state deterministically; ungoverned
-         multi-shard passes fan out across domains. *)
-      let potential, stats =
-        Rf_detect.Offline.detect_stats ~shards
-          ~parallel:(governor = None && shards > 1)
-          ~make:(fun () -> make_p1_detector ?governor detector)
-          recordings
-      in
-      let t2 = Unix.gettimeofday () in
+      (* Detect: the offline-only pass over the recordings just made. *)
+      let p1 = phase1_of_recordings ~shards ?governor ~detector recordings in
       {
-        potential;
+        p1 with
         p1_outcomes = outcomes;
-        p1_wall = t2 -. t0;
-        p1_degraded = degraded ();
-        p1_name = p1_detector_name detector;
-        p1_stats = stats;
+        p1_wall = Unix.gettimeofday () -. t0;
         p1_recording =
-          Some
-            {
-              rec_events = events;
-              rec_bytes =
-                List.fold_left
-                  (fun acc r -> acc + Rf_events.Btrace.byte_size r)
-                  0 recordings;
-              rec_wall = t1 -. t0;
-              detect_wall = t2 -. t1;
-              rec_shards = shards;
-            };
+          Option.map
+            (fun r -> { r with rec_events = events; rec_wall = t1 -. t0 })
+            p1.p1_recording;
       }
-
-(** Offline-only phase 1: replay previously saved recordings through the
-    detectors without executing the program at all.  This is how the serve
-    loop amortises phase 1 across campaigns — record once per target, then
-    re-analyze the saved [Btrace.t]s on every subsequent wave.  The
-    candidate set is identical to a live [Recorded] pass over the same
-    executions; [p1_outcomes] is empty because nothing ran. *)
-let phase1_of_recordings ?(shards = 1) ?governor ?(detector = Hybrid)
-    (recordings : Rf_events.Btrace.t list) : phase1_result =
-  let t0 = Unix.gettimeofday () in
-  let potential, stats =
-    Rf_detect.Offline.detect_stats ~shards
-      ~parallel:(governor = None && shards > 1)
-      ~make:(fun () -> make_p1_detector ?governor detector)
-      recordings
-  in
-  let t1 = Unix.gettimeofday () in
-  {
-    potential;
-    p1_outcomes = [];
-    p1_wall = t1 -. t0;
-    p1_degraded =
-      (match governor with
-      | Some g when Governor.degraded g -> Some (Governor.snapshot g)
-      | _ -> None);
-    p1_name = p1_detector_name detector;
-    p1_stats = stats;
-    p1_recording =
-      Some
-        {
-          rec_events = 0;
-          rec_bytes =
-            List.fold_left
-              (fun acc r -> acc + Rf_events.Btrace.byte_size r)
-              0 recordings;
-          rec_wall = 0.0;
-          detect_wall = t1 -. t0;
-          rec_shards = shards;
-        };
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Phase 2                                                             *)
@@ -298,10 +300,7 @@ let run_trial ?postpone_timeout ?deadline ?governor ?(listeners = [])
               t_seed = seed;
               t_outcome = outcome;
               t_report = report;
-              t_degraded =
-                (match governor with
-                | Some g when Governor.degraded g -> Some (Governor.snapshot g)
-                | _ -> None);
+              t_degraded = degraded_snapshot governor;
             })
   | exception Governor.Budget_stop trigger ->
       (* A no-degrade governor refused to shed state: the trial budget is
@@ -405,30 +404,6 @@ let fuzz_pair ?(seeds = List.init 100 Fun.id) ?postpone_timeout
     (pair : Site.Pair.t) : pair_result =
   let t0 = Unix.gettimeofday () in
   let trials = List.map (run_trial_exn ?postpone_timeout ~max_steps ~program pair) seeds in
-  aggregate_trials ~pair ~wall:(Unix.gettimeofday () -. t0) trials
-
-(** Parallel variant: trials are split across [domains] OCaml domains —
-    the paper's observation that "different invocations of RaceFuzzer are
-    independent of each other [so] performance can be increased linearly
-    with the number of processors or cores".  Result is identical to the
-    sequential {!fuzz_pair} on the same seed list (trials are re-sorted by
-    seed), modulo wall-clock time. *)
-let fuzz_pair_parallel ?(domains = 4) ?(seeds = List.init 100 Fun.id)
-    ?postpone_timeout ?(max_steps = Engine.default_config.max_steps)
-    ~(program : program) (pair : Site.Pair.t) : pair_result =
-  let t0 = Unix.gettimeofday () in
-  let domains = max 1 (min domains (List.length seeds)) in
-  let chunks = Array.make domains [] in
-  List.iteri (fun i seed -> chunks.(i mod domains) <- seed :: chunks.(i mod domains)) seeds;
-  let workers =
-    Array.map
-      (fun chunk ->
-        Domain.spawn (fun () ->
-            List.map (run_trial_exn ?postpone_timeout ~max_steps ~program pair) chunk))
-      chunks
-  in
-  let trials = Array.to_list workers |> List.concat_map Domain.join in
-  let trials = List.sort (fun a b -> Int.compare a.t_seed b.t_seed) trials in
   aggregate_trials ~pair ~wall:(Unix.gettimeofday () -. t0) trials
 
 (** Re-run a single phase-2 execution from its seed: the paper's replay
@@ -632,25 +607,8 @@ let analyze ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 Fun.id)
      and hence the unbounded analysis state — is.  Phase-2 trials carry
      no detector, so they run ungoverned here (the campaign orchestrator
      additionally governs trials for its chaos/watermark paths). *)
-  let governor =
-    if detector_budget = None && mem_budget = None then None
-    else Some (Governor.create ?max_entries:detector_budget ~no_degrade ())
-  in
-  let deadline =
-    Option.map
-      (fun mb ->
-        let heap_hook =
-          Option.map
-            (fun g () ->
-              if Governor.level g = Governor.Lockset_only then false
-              else begin
-                Governor.trip g Governor.Heap_watermark;
-                true
-              end)
-            governor
-        in
-        Engine.deadline ~heap_mb:mb ?heap_hook ())
-      mem_budget
+  let governor, deadline =
+    governance ?detector_budget ?mem_budget ~no_degrade ~tripped:false ()
   in
   let p1 =
     phase1 ~seeds:phase1_seeds ?max_steps ?deadline ?governor ?detect ?detector

@@ -7,14 +7,35 @@
     actually created and {e harmful} when a trial with a created race ends
     in an uncaught exception.  {!analyze} chains both phases.
 
-    Invocations are independent, so {!fuzz_pair_parallel} distributes
-    trials over OCaml domains — the paper's "embarrassingly parallel"
-    observation — with results identical to the sequential run. *)
+    Invocations are independent — the paper's "embarrassingly parallel"
+    observation.  The campaign orchestrator ([Rf_campaign.Campaign])
+    distributes the same trials over domains or worker processes; every
+    tier runs {!run_trial} through one trial body and merges results
+    through {!trial_of_record}, so its verdicts equal the sequential
+    run's. *)
 
 open Rf_util
 open Rf_runtime
 
 type program = unit -> unit
+
+(** {1 Resource governance} *)
+
+val governance :
+  ?detector_budget:int ->
+  ?mem_budget:float ->
+  ?wall:float ->
+  no_degrade:bool ->
+  tripped:bool ->
+  unit ->
+  Rf_resource.Governor.t option * Engine.deadline option
+(** The governor and watchdog of one governed run (a phase-1 pass or one
+    phase-2 trial).  A fresh governor exists iff [detector_budget] or
+    [mem_budget] is set or [tripped] (a chaos trip is coming), so an
+    ungoverned run executes exactly as before governance existed.  The
+    watchdog exists iff [wall] (seconds) or [mem_budget] (MB) is set; its
+    heap hook is {!Rf_resource.Governor.heap_hook}, which rides the
+    ladder down before the run is cancelled. *)
 
 (** {1 Phase 1} *)
 
@@ -143,10 +164,10 @@ val is_harmful : pair_result -> bool
 (** {2 The shared trial interface}
 
     [run_trial] and [aggregate_trials] are the two primitives every phase-2
-    driver is built from: {!fuzz_pair}, {!fuzz_pair_parallel} and the
-    campaign orchestrator ([Rf_campaign.Campaign]) all execute the same
-    single-trial function and fold trial lists with the same aggregation,
-    which is what makes their results comparable bit-for-bit. *)
+    driver is built from: {!fuzz_pair} and the campaign orchestrator
+    ([Rf_campaign.Campaign]) execute the same single-trial function and
+    fold trial lists with the same aggregation, which is what makes their
+    results comparable bit-for-bit. *)
 
 (** Sandboxed result of one phase-2 execution.  Program misbehaviour
     (exceptions, deadlocks, timeouts) is data inside a [Completed] trial's
@@ -214,11 +235,12 @@ val trial_of_record :
   switches:int ->
   wall:float ->
   trial
-(** Rebuild a trial from its journal record without re-executing — the
-    checkpoint/resume path.  The synthetic trial carries exactly the
-    fields {!aggregate_trials} and the campaign fingerprint read, so a
-    resumed campaign aggregates bit-identically to the run that wrote the
-    journal. *)
+(** Rebuild a trial from its journal-shaped record.  This is how every
+    campaign trial enters aggregation: executed on a domain, returned by
+    a worker process, or replayed from a resume journal.  The synthetic
+    trial carries exactly the fields {!aggregate_trials}, the campaign
+    fingerprint and repro witness selection read, so all three sources
+    aggregate bit-identically. *)
 
 val aggregate_trials : pair:Site.Pair.t -> wall:float -> trial list -> pair_result
 (** Fold trials (in seed order) into a {!pair_result}.  Pure: the result
@@ -233,17 +255,6 @@ val fuzz_pair :
   pair_result
 (** Default 100 seeds, like the paper's probability estimates.  Engine
     switch points are restricted to sync operations plus the pair (§4). *)
-
-val fuzz_pair_parallel :
-  ?domains:int ->
-  ?seeds:int list ->
-  ?postpone_timeout:int option ->
-  ?max_steps:int ->
-  program:program ->
-  Site.Pair.t ->
-  pair_result
-(** Same result as {!fuzz_pair} on the same seed list, computed on
-    [domains] cores. *)
 
 val replay :
   ?postpone_timeout:int option ->

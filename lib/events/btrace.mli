@@ -1,12 +1,11 @@
 (** Compact binary execution traces: the recording half of the offline
     detection pipeline.
 
-    The textual {!Serial} format is for archiving and inspection; this
-    format is for the engine hot path.  A {!writer} appends fixed-width,
-    id-keyed records into a [Buffer]-backed block arena — no [Event.t]
-    is allocated, no lockset is snapshotted — so a detector-free engine
-    run can record at a small fraction of the cost of feeding an inline
-    detector.  The sealed recording is then decoded (possibly several
+    The format is built for the engine hot path.  A {!writer} appends
+    fixed-width, id-keyed records into a [Buffer]-backed block arena — no
+    [Event.t] is allocated, no lockset is snapshotted — so a
+    detector-free engine run can record at a small fraction of the cost
+    of feeding an inline detector.  The sealed recording is then decoded (possibly several
     times, by several detectors, possibly sharded by memory location)
     into the ordinary {!Event.t} stream.
 
@@ -36,8 +35,7 @@
 
     Sites are re-interned on decode from their structural key
     (file, line, col, label), so a recording read back in a fresh
-    process compares site-equal with live detection — the same contract
-    as {!Serial}. *)
+    process compares site-equal with live detection. *)
 
 open Rf_util
 

@@ -103,6 +103,16 @@ let trip t trigger =
         List.iter (fun f -> f lv) t.hooks)
   end
 
+(* The heap watermark is a physical backstop: when it fires we first
+   ride the ladder down (absorb the trip, keep going lighter), and only
+   cancel the run once the bottom rung is reached. *)
+let heap_hook t () =
+  if t.lv = Lockset_only then false
+  else begin
+    trip t Heap_watermark;
+    true
+  end
+
 let charge t n =
   t.n <- t.n + n;
   if t.n > t.peak then t.peak <- t.n;

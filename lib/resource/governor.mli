@@ -100,6 +100,13 @@ val trip : t -> trigger -> unit
     {!Budget_stop}.  Used by the heap-watermark backstop and by chaos
     injection. *)
 
+val heap_hook : t -> unit -> bool
+(** The engine watchdog's heap-watermark hook ([Engine.deadline
+    ?heap_hook]) for a governed run: a crossing {!trip}s the governor
+    with [Heap_watermark] and returns [true] (absorbed, keep running
+    lighter) until the ladder is at {!Lockset_only}, where it returns
+    [false] so the run cancels. *)
+
 val level : t -> level
 val entries : t -> int
 

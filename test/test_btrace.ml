@@ -66,6 +66,25 @@ let test_roundtrip_file () =
   Sys.remove path;
   Alcotest.(check bool) "file roundtrip" true (Trace.equal tr (Btrace.to_trace bt))
 
+let test_nasty_strings () =
+  (* Strings are length-prefixed, so no byte needs escaping: a newline,
+     a quote, a colon and a percent sign all survive the roundtrip. *)
+  let nasty = "a b:c,\"d%e\nf" in
+  let site = Site.make ~file:nasty ~line:1 ~col:1 nasty in
+  let tr = trace_of [ mem ~site ~loc:(Loc.global nasty) () ] in
+  let bt = Btrace.of_string (Btrace.to_string (Btrace.of_trace tr)) in
+  Alcotest.(check bool) "nasty strings survive" true
+    (Trace.equal tr (Btrace.to_trace bt))
+
+let test_reload_reinterns_sites () =
+  (* A reloaded recording of an unchanged program re-interns each site
+     to the live site, not to a copy. *)
+  let sealed = Btrace.to_string (Btrace.of_trace (trace_of [ mem () ])) in
+  match Trace.to_list (Btrace.to_trace (Btrace.of_string sealed)) with
+  | [ Event.Mem { site; _ } ] ->
+      Alcotest.(check int) "same site id after reload" (Site.id s1) (Site.id site)
+  | _ -> Alcotest.fail "expected one Mem event"
+
 let test_writer_small_blocks () =
   (* A tiny block size forces many frames; the stream must still decode
      to the same sequence, so framing is invisible to readers. *)
@@ -280,6 +299,9 @@ let () =
           Alcotest.test_case "sample roundtrip" `Quick test_roundtrip_sample;
           Alcotest.test_case "file roundtrip" `Quick test_roundtrip_file;
           Alcotest.test_case "small blocks" `Quick test_writer_small_blocks;
+          Alcotest.test_case "nasty site strings" `Quick test_nasty_strings;
+          Alcotest.test_case "reload re-interns sites" `Quick
+            test_reload_reinterns_sites;
           QCheck_alcotest.to_alcotest prop_roundtrip_random;
         ] );
       ( "rejection",

@@ -204,12 +204,18 @@ let test_deadlock_replay () =
 (* ------------------------------------------------------------------ *)
 (* Parallel fuzzing equivalence (embarrassingly parallel claim)        *)
 
+(* One pair's trials fuzzed by a campaign over [domains] domains. *)
+let campaign_pair ~domains ~seeds ~program pair =
+  match Rf_campaign.Campaign.fuzz_pairs ~domains ~seeds ~program [ pair ] with
+  | [ r ], _ -> r
+  | _ -> Alcotest.fail "one pair in, one result out"
+
 let test_parallel_fuzz_matches_sequential () =
   let program = Rf_workloads.Figure1.program in
   let pair = Rf_workloads.Figure1.real_pair in
   let seeds = List.init 40 Fun.id in
   let seq = Racefuzzer.Fuzzer.fuzz_pair ~seeds ~program pair in
-  let par = Racefuzzer.Fuzzer.fuzz_pair_parallel ~domains:4 ~seeds ~program pair in
+  let par = campaign_pair ~domains:4 ~seeds ~program pair in
   Alcotest.(check int) "race trials equal" seq.Racefuzzer.Fuzzer.race_trials
     par.Racefuzzer.Fuzzer.race_trials;
   Alcotest.(check int) "error trials equal" seq.Racefuzzer.Fuzzer.error_trials
@@ -233,7 +239,7 @@ let test_parallel_fuzz_collections () =
     Site.Pair.Set.choose (Racefuzzer.Fuzzer.potential_pairs p1)
   in
   let seq = Racefuzzer.Fuzzer.fuzz_pair ~seeds ~program pair in
-  let par = Racefuzzer.Fuzzer.fuzz_pair_parallel ~domains:3 ~seeds ~program pair in
+  let par = campaign_pair ~domains:3 ~seeds ~program pair in
   Alcotest.(check int) "collections: race trials equal"
     seq.Racefuzzer.Fuzzer.race_trials par.Racefuzzer.Fuzzer.race_trials
 

@@ -13,6 +13,7 @@ open Rf_util
 module Fuzzer = Racefuzzer.Fuzzer
 module Campaign = Rf_campaign.Campaign
 module Event_log = Rf_campaign.Event_log
+module Chaos = Rf_campaign.Chaos
 module W = Rf_workloads
 
 let fp = Campaign.fingerprint
@@ -137,6 +138,38 @@ let test_budget_reallocation () =
   Alcotest.(check bool) "trials_cancelled event emitted" true
     (has (function Event_log.Trials_cancelled _ -> true | _ -> false))
 
+let test_late_trial_lowers_cut () =
+  (* figure1's real pair races and fails on seeds 0, 1 and 2.  A chaos
+     stall on seed 0 (and not on seed 1) lets the second domain resolve
+     the pair at cut 1 first; the stalled seed 0 then finishes and
+     lowers the cut to 0.  The journal must end on the final cut. *)
+  let label = Site.Pair.to_string W.Figure1.real_pair in
+  let stalls plan seed = Chaos.stalls plan ~label ~seed in
+  let chaos =
+    List.init 64 (fun seed -> Chaos.plan ~stall_rate:0.5 ~stall_seconds:0.3 seed)
+    |> List.find (fun plan -> stalls plan 0 && not (stalls plan 1))
+  in
+  let log = Event_log.memory () in
+  let results, _ =
+    Campaign.fuzz_pairs ~domains:2 ~cutoff:true ~seeds:(seeds 10) ~chaos ~log
+      ~program:W.Figure1.program [ W.Figure1.real_pair ]
+  in
+  let cuts =
+    List.filter_map
+      (function
+        | Event_log.Pair_resolved { pair; at_trial } when pair = label ->
+            Some at_trial
+        | _ -> None)
+      (Event_log.events log)
+  in
+  Alcotest.(check (option int)) "last journaled cut" (Some 0)
+    (List.nth_opt (List.rev cuts) 0);
+  match results with
+  | [ r ] ->
+      Alcotest.(check int) "aggregated prefix [0..0]" 1
+        (List.length r.Fuzzer.trials)
+  | _ -> Alcotest.fail "one pair in, one result out"
+
 let test_event_log_jsonl_shape () =
   (* every event renders as one JSON object per line with seq/t/ev keys *)
   let path = Filename.temp_file "campaign" ".jsonl" in
@@ -205,6 +238,8 @@ let () =
           Alcotest.test_case "cancels and truncates" `Quick
             test_cutoff_cancels_and_truncates;
           Alcotest.test_case "budget reallocation" `Quick test_budget_reallocation;
+          Alcotest.test_case "late trial lowers journaled cut" `Quick
+            test_late_trial_lowers_cut;
         ] );
       ( "observability",
         [

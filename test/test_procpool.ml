@@ -266,6 +266,75 @@ let test_proc_campaign_survives_worker_sigkill () =
     (cfp killed)
 
 (* ------------------------------------------------------------------ *)
+(* Resume across tiers and versions                                    *)
+
+(* figure1 under the --chaos preset, 100 trials per pair on two slots;
+   [stop_after] is the deterministic kill. *)
+let run_fig1_chaos ?proc ?resume ?log ?stop_after () =
+  Campaign.run ~domains:2 ~cutoff:true ~phase1_seeds:(seeds 5)
+    ~seeds_per_pair:(seeds 100)
+    ~chaos:{ (Chaos.default 7) with Chaos.c_stop_after = stop_after }
+    ?proc ?resume ?log ~target:"figure1" W.Figure1.program
+
+(* Kill a run after 15 trials on one tier, resume its journal on the
+   other tier, and compare against the uninterrupted run. *)
+let kill_then_resume ~killed_proc ~resumed_proc =
+  let journal = Filename.temp_file "rf-cross-tier" ".journal" in
+  let log = Event_log.open_file journal in
+  let killed =
+    Fun.protect
+      ~finally:(fun () -> Event_log.close log)
+      (fun () -> run_fig1_chaos ?proc:killed_proc ~log ~stop_after:15 ())
+  in
+  Alcotest.(check bool) "the first run was cut" true
+    killed.Campaign.stats.Campaign.s_interrupted;
+  let resumed = run_fig1_chaos ?proc:resumed_proc ~resume:journal () in
+  Sys.remove journal;
+  let on_workers r = r.Campaign.stats.Campaign.s_proc_active > 0 in
+  Alcotest.(check bool) "the killed run's tier" (killed_proc <> None)
+    (on_workers killed);
+  Alcotest.(check bool) "the resumed run's tier" (resumed_proc <> None)
+    (on_workers resumed);
+  Alcotest.(check bool) "trials replayed from the journal" true
+    (resumed.Campaign.stats.Campaign.s_replayed > 0);
+  resumed
+
+let test_resume_across_tiers () =
+  let whole = run_fig1_chaos () in
+  let on_domains =
+    kill_then_resume ~killed_proc:(Some (spec ())) ~resumed_proc:None
+  in
+  Alcotest.(check string) "worker journal resumed on domains" (fp whole)
+    (fp on_domains);
+  Alcotest.(check string) "confirmed, worker journal on domains" (cfp whole)
+    (cfp on_domains);
+  let on_workers =
+    kill_then_resume ~killed_proc:None ~resumed_proc:(Some (spec ()))
+  in
+  Alcotest.(check string) "domain journal resumed on workers" (fp whole)
+    (fp on_workers);
+  Alcotest.(check string) "confirmed, domain journal on workers" (cfp whole)
+    (cfp on_workers)
+
+(* A schema-5 journal written by an earlier build: figure1 --domains 1
+   --trials 40 --chaos --chaos-seed 3 --detector-budget 100000
+   --no-degrade, stopped after 20 executed trials (17 finished, 2 crashed,
+   1 exhausted).  The fingerprints are the uninterrupted run's. *)
+let test_resume_journal_from_earlier_build () =
+  let w = Option.get (W.Registry.find "figure1") in
+  let r =
+    Campaign.run ~domains:2 ~cutoff:true ~phase1_seeds:(seeds 5)
+      ~seeds_per_pair:(seeds 40) ~chaos:(Chaos.default 3)
+      ~detector_budget:100000 ~no_degrade:true
+      ?static:w.W.Workload.static ~target:"figure1"
+      ~resume:"resume_figure1_chaos3.jsonl" w.W.Workload.program
+  in
+  Alcotest.(check int) "every journaled trial replayed" 20
+    r.Campaign.stats.Campaign.s_replayed;
+  Alcotest.(check string) "fingerprint" "8d0120a12da5529ddf9fe8796597e407" (fp r);
+  Alcotest.(check string) "confirmed" "0ce352f06a98ed98a5fad9f59a484e35" (cfp r)
+
+(* ------------------------------------------------------------------ *)
 (* Corpus                                                              *)
 
 let tmpdir prefix =
@@ -423,6 +492,12 @@ let () =
             test_proc_campaign_fingerprint_parity;
           Alcotest.test_case "parity under worker SIGKILL" `Quick
             test_proc_campaign_survives_worker_sigkill;
+        ] );
+      ( "resume",
+        [
+          Alcotest.test_case "across tiers" `Quick test_resume_across_tiers;
+          Alcotest.test_case "journal from an earlier build" `Quick
+            test_resume_journal_from_earlier_build;
         ] );
       ( "corpus",
         [
