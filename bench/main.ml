@@ -90,11 +90,6 @@ let micro_tests () =
            let d = Rf_detect.Detector.hybrid () in
            run_engine ~listeners:[ Rf_detect.Detector.feed d ] ~seed:1
              W.Moldyn.workload.W.Workload.program));
-    Test.make ~name:"detect/sampling"
-      (Staged.stage (fun () ->
-           let d = Rf_detect.Detector.sampling () in
-           run_engine ~listeners:[ Rf_detect.Detector.feed d ] ~seed:1
-             W.Moldyn.workload.W.Workload.program));
     (* primitive costs: the history scan's happens-before test is one
        epoch query against an 8-thread clock *)
     Test.make ~name:"prim/hb-before"

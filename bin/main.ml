@@ -79,14 +79,13 @@ let detector_arg =
   Arg.(
     value & opt string "hybrid"
     & info [ "detector" ] ~docv:"NAME"
-        ~doc:"hybrid, hb (precise), fasttrack, eraser, or sampling.")
+        ~doc:"hybrid, hb (precise), fasttrack, or eraser.")
 
 let detector_maker = function
   | "hybrid" -> Rf_detect.Detector.hybrid ~cap:128
   | "hb" | "happens-before" -> Rf_detect.Detector.hb_precise ~cap:128
   | "fasttrack" -> Rf_detect.Detector.fasttrack
   | "eraser" -> Rf_detect.Detector.eraser ~site_cap:16
-  | "sampling" -> Rf_detect.Detector.sampling ~k:4 ~seed:0
   | s ->
       Fmt.epr "unknown detector %S@." s;
       exit 1
@@ -212,10 +211,7 @@ let detect_cmd =
         Fmt.pr "%s: %d potential racing statement pair(s)@."
           (Rf_detect.Detector.name d)
           (List.length races);
-        List.iter (fun r -> Fmt.pr "  %a@." Rf_detect.Race.pp r) races;
-        (match (Rf_detect.Detector.stats d).Rf_detect.Detector.st_miss_bound with
-        | Some b -> Fmt.pr "miss bound <= %.6f@." b
-        | None -> ())
+        List.iter (fun r -> Fmt.pr "  %a@." Rf_detect.Race.pp r) races
   in
   Cmd.v
     (Cmd.info "detect" ~doc:"Phase 1: report potential races in an RFL program.")
@@ -802,42 +798,11 @@ let campaign_cmd =
              hangs forever, forcing the --worker-deadline SIGKILL path.  \
              Liveness-only; usable without --chaos.")
   in
-  let p1_detector_arg =
-    Arg.(
-      value & opt string "hybrid"
-      & info [ "detector" ] ~docv:"NAME"
-          ~doc:
-            "Phase-1 detector: $(b,hybrid) (full tracking, the default) or \
-             $(b,sampling) — O(1) reservoir-sampled summaries per memory \
-             location (see --sample-k).  Sampling reports a subset of \
-             hybrid's candidate pairs plus a per-run miss-probability bound \
-             (journal + report); confirmed results on the paper figures are \
-             unchanged at a fraction of the detector memory.")
-  in
-  let sample_k_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "sample-k" ] ~docv:"K"
-          ~doc:
-            "Samples kept per memory location with --detector sampling.  \
-             Larger $(docv) lowers the miss bound and raises memory \
-             linearly.")
-  in
-  let sample_seed_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "sample-seed" ] ~docv:"SEED"
-          ~doc:
-            "Seed of the reservoir-sampling PRNG (--detector sampling).  \
-             Sample sets are a pure function of (seed, location, access \
-             index): the same seed reproduces the same pairs and miss bound \
-             on any domain count, shard count, or inline/offline mode.")
-  in
   let action target domains budget logfile no_cutoff p1 trials chaos_flag chaos_seed
       chaos_stop trial_deadline resume repro_dir repro_fuel static_filter
       detector_budget mem_budget no_degrade offline_detect offline_shards workers
       worker_deadline worker_mem worker_cpu corpus save_traces chaos_kill
-      chaos_torn chaos_hang p1_detector sample_k sample_seed =
+      chaos_torn chaos_hang =
     match resolve_target target with
     | Error m ->
         Fmt.epr "%s@." m;
@@ -899,15 +864,6 @@ let campaign_cmd =
           end
           else static_filter
         in
-        let detector =
-          match p1_detector with
-          | "hybrid" -> Racefuzzer.Fuzzer.Hybrid
-          | "sampling" ->
-              Racefuzzer.Fuzzer.Sampling { sample_k; sample_seed }
-          | s ->
-              Fmt.epr "unknown phase-1 detector %S (hybrid or sampling)@." s;
-              exit 1
-        in
         let stop = Rf_campaign.Campaign.stop_switch () in
         let on_signal =
           (* Graceful SIGINT/SIGTERM: in-process workers drain, worker
@@ -928,7 +884,7 @@ let campaign_cmd =
               ?mem_budget ~no_degrade ?repro_dir ~target ~repro_fuel ?static
               ~static_filter
               ?offline_detect:(if offline_detect then Some offline_shards else None)
-              ?proc ?save_traces ?corpus ~detector program
+              ?proc ?save_traces ?corpus program
           with
           | Rf_resource.Governor.Budget_stop trigger ->
               Rf_campaign.Event_log.close log;
@@ -991,8 +947,7 @@ let campaign_cmd =
       $ static_filter_arg $ detector_budget_arg $ mem_budget_arg $ no_degrade_arg
       $ offline_detect_arg $ offline_shards_arg $ workers_arg
       $ worker_deadline_arg $ worker_mem_arg $ worker_cpu_arg $ corpus_arg
-      $ save_traces_arg $ chaos_kill_arg $ chaos_torn_arg $ chaos_hang_arg
-      $ p1_detector_arg $ sample_k_arg $ sample_seed_arg)
+      $ save_traces_arg $ chaos_kill_arg $ chaos_torn_arg $ chaos_hang_arg)
 
 (* ------------------------------------------------------------------ *)
 (* corpus                                                              *)
@@ -1106,16 +1061,13 @@ let offline_cmd =
     end;
     match List.map Rf_events.Btrace.load files with
     | recordings ->
-        let races, stats =
-          Rf_detect.Offline.detect_stats ~shards:(max 1 shards)
+        let races =
+          Rf_detect.Offline.detect ~shards:(max 1 shards)
             ~parallel:(shards > 1) ~make:mk recordings
         in
         Fmt.pr "%d recording(s), %d shard(s): %d potential racing statement pair(s)@."
           (List.length recordings) (max 1 shards) (List.length races);
-        List.iter (fun r -> Fmt.pr "  %a@." Rf_detect.Race.pp r) races;
-        (match stats.Rf_detect.Detector.st_miss_bound with
-        | Some b -> Fmt.pr "miss bound <= %.6f@." b
-        | None -> ())
+        List.iter (fun r -> Fmt.pr "  %a@." Rf_detect.Race.pp r) races
     | exception Rf_events.Btrace.Corrupt m ->
         Fmt.epr "corrupt recording: %s@." m;
         exit 4

@@ -43,9 +43,6 @@ type stats = {
   (* resource governance *)
   s_degraded : int;
   s_p1_level : string option;
-  s_p1_detector : string;
-  s_p1_miss_bound : float option;
-  s_p1_entries : int;
   s_p1_recording : Fuzzer.recording_stats option;
   s_resume_skipped : int;
   (* reproduction artifacts ([run ~repro_dir]) *)
@@ -411,12 +408,17 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
               (Event_log.Pair_resolved { pair = ps.ps_label; at_trial = k }))
           cut
     | Proc_pool.T_crashed { t_exn; t_backtrace } ->
-        let newly_quarantined =
+        (* Like the cut: journaled when the pair first reaches the crash
+           threshold and again whenever a late-finishing lower crash
+           lowers the bound, so the last [Pair_quarantined] of a pair is
+           always its final bound. *)
+        let quarantined =
           Mutex.protect mutex (fun () ->
               let before = quarantine_bound ~qn ps in
               ps.ps_crash_idxs <- idx :: ps.ps_crash_idxs;
               match (before, quarantine_bound ~qn ps) with
               | None, Some k -> Some (k, List.length ps.ps_crash_idxs)
+              | Some b, Some k when k < b -> Some (k, List.length ps.ps_crash_idxs)
               | _ -> None)
         in
         Atomic.incr crashes_n;
@@ -434,7 +436,7 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
             Event_log.emit log
               (Event_log.Pair_quarantined
                  { pair = ps.ps_label; crashes; at_trial = k }))
-          newly_quarantined
+          quarantined
     | Proc_pool.T_exhausted { t_reason; t_steps; t_wall } ->
         Mutex.protect mutex (fun () -> ps.ps_exhausted <- ps.ps_exhausted + 1);
         Event_log.emit log
@@ -869,9 +871,6 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
       s_interrupted = interrupted;
       s_degraded = Atomic.get degraded_n;
       s_p1_level = None;
-      s_p1_detector = "hybrid";
-      s_p1_miss_bound = None;
-      s_p1_entries = 0;
       s_p1_recording = None;
       s_resume_skipped = resume_skipped;
       s_repro_written = 0;
@@ -892,7 +891,7 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
     ?(log = Event_log.null ()) ?supervision ?chaos ?trial_deadline ?resume ?stop
     ?detector_budget ?mem_budget ?(no_degrade = false) ?proc ?repro_dir
     ?(target = "") ?repro_fuel ?static ?(static_filter = false) ?offline_detect
-    ?save_traces ?corpus ?detector ?phase1 (program : Fuzzer.program) : result =
+    ?save_traces ?corpus ?phase1 (program : Fuzzer.program) : result =
   (* A corpus wants reproduction artifacts; without an explicit repro
      directory they are written inside the corpus itself (whose directory
      must then exist before the repro pass mkdirs beneath it). *)
@@ -940,7 +939,7 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
     | Some p1 -> p1
     | None ->
         Fuzzer.phase1 ~seeds:phase1_seeds ?max_steps ?deadline:p1_deadline
-          ?governor:p1_gov ~detect ?detector ?trace_sink program
+          ?governor:p1_gov ~detect ?trace_sink program
   in
   (match (save_traces, !saved_traces) with
   | Some dir, traces ->
@@ -977,8 +976,6 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
          wall = p1.Fuzzer.p1_wall;
          degraded = p1_level <> None;
          level = Option.value ~default:"full" p1_level;
-         detector = p1.Fuzzer.p1_name;
-         miss_bound = p1.Fuzzer.p1_stats.Rf_detect.Detector.st_miss_bound;
        });
   let pairs = Site.Pair.Set.elements potential in
   (* Static pre-filter: classify the frontier, journal every skipped pair
@@ -1150,9 +1147,6 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
          stats with
          s_phase1_wall = p1.Fuzzer.p1_wall;
          s_p1_level = p1_level;
-         s_p1_detector = p1.Fuzzer.p1_name;
-         s_p1_miss_bound = p1.Fuzzer.p1_stats.Rf_detect.Detector.st_miss_bound;
-         s_p1_entries = p1.Fuzzer.p1_stats.Rf_detect.Detector.st_entries;
          s_p1_recording = p1.Fuzzer.p1_recording;
          s_static = static_sum;
          s_repro_written = List.length repro.Repro.written;

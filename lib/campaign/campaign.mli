@@ -98,13 +98,6 @@ type stats = {
           (degraded precision, explicitly labeled) *)
   s_p1_level : string option;
       (** phase-1 final ladder level when phase 1 degraded ({!run} only) *)
-  s_p1_detector : string;
-      (** which phase-1 detector ran ("hybrid", "sampling"; {!run} only) *)
-  s_p1_miss_bound : float option;
-      (** sampling only: upper bound on the probability that any
-          particular racing pair went unobserved in phase 1 *)
-  s_p1_entries : int;
-      (** live phase-1 detector state entries at end of detection *)
   s_p1_recording : Fuzzer.recording_stats option;
       (** recording/offline-detection cost split when phase 1 ran
           record-then-detect ({!run} with [~offline_detect]) *)
@@ -219,7 +212,6 @@ val run :
   ?offline_detect:int ->
   ?save_traces:string ->
   ?corpus:string ->
-  ?detector:Fuzzer.p1_detector ->
   ?phase1:Fuzzer.phase1_result ->
   Fuzzer.program ->
   result
@@ -270,16 +262,6 @@ val run :
     event; the files reload with {!Rf_events.Btrace.load} for offline
     re-detection.
 
-    [detector] selects the phase-1 analysis ({!Fuzzer.p1_detector}):
-    [Hybrid] full tracking (default) or [Sampling] O(1)-per-location
-    reservoir sampling.  The detector identity lands in [s_p1_detector]
-    and the [Phase1_finished] journal record; with sampling, the run's
-    aggregate miss-probability bound is reported in [s_p1_miss_bound]
-    and the journal.  Sampling composes with [offline_detect]: reservoir
-    decisions are keyed on (seed, location, per-location access index),
-    so pairs and bounds are identical inline, sharded and across domain
-    counts.
-
     [corpus] absorbs this campaign's durable artifacts into a
     persistent cross-campaign store ({!Corpus}): every distinct error
     fingerprint with its minimized schedule, every degraded-trial
@@ -292,9 +274,8 @@ val run :
     [phase1] bypasses the live phase-1 pass entirely, fuzzing the
     supplied result's candidate pairs instead — serve mode feeds
     {!Fuzzer.phase1_of_recordings} output here so one recorded phase 1
-    serves many campaign waves.  [phase1_seeds], [save_traces],
-    [offline_detect] and [detector] are ignored when [phase1] is
-    given. *)
+    serves many campaign waves.  [phase1_seeds], [save_traces] and
+    [offline_detect] are ignored when [phase1] is given. *)
 
 (** {1 Determinism checking} *)
 

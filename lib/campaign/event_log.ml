@@ -16,8 +16,6 @@ type event =
       wall : float;
       degraded : bool;
       level : string;
-      detector : string;
-      miss_bound : float option;
     }
   | Phase1_recorded of {
       events : int;
@@ -139,16 +137,13 @@ let fields_of_event = function
           ("budget", (match budget with Some b -> I b | None -> Null));
           ("cutoff", B cutoff);
         ] )
-  | Phase1_finished { potential; wall; degraded; level; detector; miss_bound }
-    ->
+  | Phase1_finished { potential; wall; degraded; level } ->
       ( "phase1_finished",
         [
           ("potential", I potential);
           ("wall", F wall);
           ("degraded", B degraded);
           ("level", S level);
-          ("detector", S detector);
-          ("miss_bound", (match miss_bound with Some x -> F x | None -> Null));
         ] )
   | Phase1_recorded { events; bytes; shards; record_wall; detect_wall } ->
       ( "phase1_recorded",
@@ -465,13 +460,11 @@ let event_of_fields fields : event option =
   | Some "phase1_finished" ->
       let* potential = int_f fields "potential" in
       let* wall = float_f fields "wall" in
-      (* degradation fields arrived in v3, detector identity in v5;
-         default for older journals *)
+      (* degradation fields arrived in v3; default for older journals.
+         The v5 detector identity and miss bound fields are ignored. *)
       let degraded = Option.value ~default:false (bool_f fields "degraded") in
       let level = Option.value ~default:"full" (str_f fields "level") in
-      let detector = Option.value ~default:"hybrid" (str_f fields "detector") in
-      let miss_bound = float_f fields "miss_bound" in
-      Some (Phase1_finished { potential; wall; degraded; level; detector; miss_bound })
+      Some (Phase1_finished { potential; wall; degraded; level })
   | Some "phase1_recorded" ->
       let* events = int_f fields "events" in
       let* bytes = int_f fields "bytes" in

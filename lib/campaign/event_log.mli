@@ -23,7 +23,9 @@ val schema_version : int
     - v3: per-line checksums and the degradation labels.
     - v4: static pre-filter events ([Pair_filtered], [Static_classified]).
     - v5: phase-1 detector identity and (sampling) miss bound on
-      [Phase1_finished].
+      [Phase1_finished].  Since the sampling detector was removed these
+      two fields are no longer written; the reader still accepts and
+      ignores them, so v5 journals that carry them resume as before.
     Older journals load as observability events only — the resume gate
     compares schemas, so resuming from one simply re-runs everything. *)
 
@@ -40,10 +42,6 @@ type event =
       wall : float;
       degraded : bool;  (** detection ran under a tripped governor *)
       level : string;  (** final ladder level ("full" when not degraded) *)
-      detector : string;  (** which detector ran ("hybrid", "sampling") *)
-      miss_bound : float option;
-          (** sampling only: upper bound on the probability that any
-              particular racing pair went unobserved this run *)
     }
   | Phase1_recorded of {
       events : int;  (** engine events captured in the binary recordings *)
@@ -119,7 +117,10 @@ type event =
           per pair is the final cut. *)
   | Pair_quarantined of { pair : string; crashes : int; at_trial : int }
       (** the pair crashed the harness [crashes] times; trials past
-          [at_trial] are skipped and the pair is reported, not fatal *)
+          [at_trial] are skipped and the pair is reported, not fatal.
+          Emitted when the pair first reaches the crash threshold and
+          again whenever a late-finishing lower crash lowers the bound,
+          so the last one per pair holds the final bound. *)
   | Trials_cancelled of { pair : string; count : int }
   | Budget_granted of { pair : string; extra : int }
       (** trials freed by a resolved pair, reallocated to this one *)

@@ -52,25 +52,6 @@ let governance ?detector_budget ?mem_budget ?wall ~no_degrade ~tripped () =
     the race list is byte-identical, report order included. *)
 type detect_mode = Inline | Recorded of { shards : int }
 
-(** Which detector phase 1 attaches.  [Hybrid] is the paper's full
-    tracking; [Sampling] keeps [sample_k] reservoir samples per location
-    ({!Rf_detect.Sampling}), trading bounded misses — quantified by the
-    reported miss bound — for O(1) state per location.  Orthogonal to
-    {!detect_mode}: either detector runs inline or over recordings, with
-    identical results. *)
-type p1_detector =
-  | Hybrid
-  | Sampling of { sample_k : int; sample_seed : int }
-
-let p1_detector_name = function
-  | Hybrid -> "hybrid"
-  | Sampling _ -> "sampling"
-
-let make_p1_detector ?governor = function
-  | Hybrid -> Rf_detect.Detector.hybrid ?governor ()
-  | Sampling { sample_k; sample_seed } ->
-      Rf_detect.Detector.sampling ~k:sample_k ~seed:sample_seed ?governor ()
-
 (** Cost accounting of a [Recorded] phase 1. *)
 type recording_stats = {
   rec_events : int;  (** events recorded across all seeds *)
@@ -88,10 +69,8 @@ type phase1_result = {
       (** the governor's final state when it tripped during detection *)
   p1_recording : recording_stats option;
       (** filled iff phase 1 ran in [Recorded] mode *)
-  p1_name : string;  (** which detector ran ("hybrid", "sampling", ...) *)
   p1_stats : Rf_detect.Detector.stats;
-      (** end-of-run accounting: live state entries, memory events, and
-          (sampling only) the miss-probability bound *)
+      (** end-of-run accounting: live state entries and memory events *)
 }
 
 (* A governor's final state, when it ever tripped. *)
@@ -110,7 +89,7 @@ let potential_pairs r =
     re-analyze the saved [Btrace.t]s on every subsequent wave.  The
     candidate set is identical to a live [Recorded] pass over the same
     executions; [p1_outcomes] is empty because nothing ran. *)
-let phase1_of_recordings ?(shards = 1) ?governor ?(detector = Hybrid)
+let phase1_of_recordings ?(shards = 1) ?governor
     (recordings : Rf_events.Btrace.t list) : phase1_result =
   let t0 = Unix.gettimeofday () in
   (* A governed pass runs its shards sequentially so the shared governor
@@ -119,7 +98,7 @@ let phase1_of_recordings ?(shards = 1) ?governor ?(detector = Hybrid)
   let potential, stats =
     Rf_detect.Offline.detect_stats ~shards
       ~parallel:(governor = None && shards > 1)
-      ~make:(fun () -> make_p1_detector ?governor detector)
+      ~make:(fun () -> Rf_detect.Detector.hybrid ?governor ())
       recordings
   in
   let t1 = Unix.gettimeofday () in
@@ -128,7 +107,6 @@ let phase1_of_recordings ?(shards = 1) ?governor ?(detector = Hybrid)
     p1_outcomes = [];
     p1_wall = t1 -. t0;
     p1_degraded = degraded_snapshot governor;
-    p1_name = p1_detector_name detector;
     p1_stats = stats;
     p1_recording =
       Some
@@ -150,7 +128,7 @@ let phase1_of_recordings ?(shards = 1) ?governor ?(detector = Hybrid)
     the caller — phase 1 has no sandbox, running out of budget there is a
     campaign-level failure. *)
 let phase1 ?(seeds = [ 0 ]) ?(max_steps = Engine.default_config.max_steps)
-    ?deadline ?governor ?(detect = Inline) ?(detector = Hybrid) ?trace_sink
+    ?deadline ?governor ?(detect = Inline) ?trace_sink
     (program : program) : phase1_result =
   let t0 = Unix.gettimeofday () in
   (match (trace_sink, detect) with
@@ -159,7 +137,7 @@ let phase1 ?(seeds = [ 0 ]) ?(max_steps = Engine.default_config.max_steps)
   | _ -> ());
   match detect with
   | Inline ->
-      let d = make_p1_detector ?governor detector in
+      let d = Rf_detect.Detector.hybrid ?governor () in
       let outcomes =
         List.map
           (fun seed ->
@@ -175,7 +153,6 @@ let phase1 ?(seeds = [ 0 ]) ?(max_steps = Engine.default_config.max_steps)
         p1_wall = Unix.gettimeofday () -. t0;
         p1_degraded = degraded_snapshot governor;
         p1_recording = None;
-        p1_name = p1_detector_name detector;
         p1_stats = Rf_detect.Detector.stats d;
       }
   | Recorded { shards } ->
@@ -204,7 +181,7 @@ let phase1 ?(seeds = [ 0 ]) ?(max_steps = Engine.default_config.max_steps)
       | Some sink -> List.iter2 (fun seed r -> sink ~seed r) seeds recordings);
       let t1 = Unix.gettimeofday () in
       (* Detect: the offline-only pass over the recordings just made. *)
-      let p1 = phase1_of_recordings ~shards ?governor ~detector recordings in
+      let p1 = phase1_of_recordings ~shards ?governor recordings in
       {
         p1 with
         p1_outcomes = outcomes;
@@ -601,7 +578,7 @@ let restrict_analysis ~keep (a : analysis) : analysis =
 
 let analyze ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 Fun.id)
     ?postpone_timeout ?max_steps ?detector_budget ?mem_budget
-    ?(no_degrade = false) ?static ?(static_filter = false) ?detect ?detector
+    ?(no_degrade = false) ?static ?(static_filter = false) ?detect
     (program : program) : analysis =
   (* Resource governance lives in phase 1: that is where the detector —
      and hence the unbounded analysis state — is.  Phase-2 trials carry
@@ -611,8 +588,7 @@ let analyze ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 Fun.id)
     governance ?detector_budget ?mem_budget ~no_degrade ~tripped:false ()
   in
   let p1 =
-    phase1 ~seeds:phase1_seeds ?max_steps ?deadline ?governor ?detect ?detector
-      program
+    phase1 ~seeds:phase1_seeds ?max_steps ?deadline ?governor ?detect program
   in
   let pairs = Site.Pair.Set.elements (potential_pairs p1) in
   let pairs, filtered =

@@ -50,22 +50,6 @@ val governance :
     is byte-identical, report order included. *)
 type detect_mode = Inline | Recorded of { shards : int }
 
-(** Which detector phase 1 attaches.  [Hybrid] (the default) is the
-    paper's full-tracking hybrid detection; [Sampling] keeps [sample_k]
-    reservoir samples per dynamic location ({!Rf_detect.Sampling}) — the
-    reported pairs are a subset of [Hybrid]'s and the probability of any
-    particular miss is bounded by the run's reported miss bound.
-    Orthogonal to {!detect_mode}: either detector runs inline or over
-    recordings, with identical results (sampling decisions are keyed on
-    the location and per-location access index, never on a shared
-    stream). *)
-type p1_detector =
-  | Hybrid
-  | Sampling of { sample_k : int; sample_seed : int }
-
-val p1_detector_name : p1_detector -> string
-(** ["hybrid"] / ["sampling"] — the journal/report identity. *)
-
 (** Cost accounting of a [Recorded] phase 1. *)
 type recording_stats = {
   rec_events : int;  (** events recorded across all seeds *)
@@ -83,10 +67,8 @@ type phase1_result = {
       (** governor state when detection ran degraded; [None] otherwise *)
   p1_recording : recording_stats option;
       (** filled iff phase 1 ran in [Recorded] mode *)
-  p1_name : string;  (** which detector ran ("hybrid", "sampling", ...) *)
   p1_stats : Rf_detect.Detector.stats;
-      (** end-of-run accounting: live state entries, memory events, and
-          (sampling only) the miss-probability bound *)
+      (** end-of-run accounting: live state entries and memory events *)
 }
 
 val phase1 :
@@ -95,7 +77,6 @@ val phase1 :
   ?deadline:Engine.deadline ->
   ?governor:Rf_resource.Governor.t ->
   ?detect:detect_mode ->
-  ?detector:p1_detector ->
   ?trace_sink:(seed:int -> Rf_events.Btrace.t -> unit) ->
   program ->
   phase1_result
@@ -112,9 +93,7 @@ val phase1 :
     shards sequentially so the shared budget stays deterministic;
     ungoverned multi-shard passes run one domain per shard.
 
-    [detector] (default [Hybrid]) selects which phase-1 analysis runs;
-    [p1_name] and [p1_stats] record its identity and end-of-run
-    accounting (for sampling, including the miss bound).
+    [p1_stats] records the detector's end-of-run accounting.
 
     [trace_sink] receives each seed's sealed binary recording before the
     offline pass replays it (persistence hook for [--save-traces]); it
@@ -124,7 +103,6 @@ val phase1 :
 val phase1_of_recordings :
   ?shards:int ->
   ?governor:Rf_resource.Governor.t ->
-  ?detector:p1_detector ->
   Rf_events.Btrace.t list ->
   phase1_result
 (** Offline-only phase 1 over previously saved recordings: the detectors
@@ -364,7 +342,6 @@ val analyze :
   ?static:Rf_static.Static.t ->
   ?static_filter:bool ->
   ?detect:detect_mode ->
-  ?detector:p1_detector ->
   program ->
   analysis
 (** [detector_budget] caps phase-1 detector-state entries; [mem_budget]

@@ -1,5 +1,5 @@
 (** Generic access-history race detector: the one history core behind
-    {!Hybrid}, {!Hb_precise} and {!Sampling}.
+    {!Hybrid} and {!Hb_precise}.
 
     Per dynamic memory location it keeps a bounded history of access
     summaries (thread, site, access kind, lockset, epoch) and flags a race
@@ -10,12 +10,10 @@
     exactly "not {!Hbclock.hb_before} the fresh access's thread" — one
     array read on the stored epoch (see {!Hbclock} for the argument).
 
-    Retention is [Cap n] (hybrid, hb-precise: the newest [n]; an entry by
-    the same thread, site, access kind and lockset is superseded by the
-    new access, whose races involve the same statement pair) or
-    [Reservoir { k; seed }] (sampling: algorithm R, each draw a pure
-    function of [(seed, Loc.hash loc, m)] for the [m]-th access).
-    [truncations] counts dropped summaries.
+    Each location keeps its newest [cap] summaries; an entry by the same
+    thread, site, access kind and lockset is superseded by the new
+    access, whose races involve the same statement pair.  [truncations]
+    counts dropped summaries.
 
     {2 Resource governance}
 
@@ -24,8 +22,7 @@
     - {b Full}: identical to the ungoverned detector.
     - {b Sampled}: a cap shrinks to min 8 and replacement switches from
       drop-oldest to a victim picked by an FNV-1a hash of the access
-      counter, so survivors spread over the bucket's lifetime; a
-      reservoir shrinks to [k/2] (min 1).
+      counter, so survivors spread over the bucket's lifetime.
     - {b Lockset-only}: no clock feeding (new summaries carry epoch 0)
       and the predicate falls back to Eraser-style lockset discipline —
       an over-approximation, the right direction for phase 1, whose
@@ -40,8 +37,6 @@
 open Rf_util
 open Rf_events
 open Rf_resource
-
-type retention = Cap of int | Reservoir of { k : int; seed : int }
 
 (* The access being fed.  [meta] packs what the scan tests first:
    [tid lsl 2], bit 1 = non-empty lockset, bit 0 = write. *)
@@ -64,10 +59,9 @@ let access_of_meta m = if m land 1 = 1 then Event.Write else Event.Read
 (* Summaries live in slots [lo .. top-1], structure-of-arrays so a scan
    reads one contiguous int array: [hot] holds [meta; clock; site id] per
    slot, [sites] and [locksets] are only read to report a race or to test
-   two non-empty locksets.  New summaries are appended at the top, so
-   under [Cap] the top is the newest end; a reservoir's slot index is its
-   reservoir position.  [Cap] drops a summary by marking its slot dead
-   (meta [-1]) and slides the live ones down when the arrays fill, so
+   two non-empty locksets.  New summaries are appended at the top, so the
+   top is the newest end.  A summary is dropped by marking its slot dead
+   (meta [-1]) and the live ones slide down when the arrays fill, so
    supersession and drop-oldest cost O(1) amortized. *)
 type bucket = {
   mutable hot : int array;
@@ -76,7 +70,6 @@ type bucket = {
   mutable lo : int;
   mutable top : int;
   mutable live : int;
-  mutable seen : int;  (* accesses to this location, ever *)
   mutable b_epoch : int;  (* last-touch: value of [mem_events] *)
   b_id : int;  (* creation index; compaction tie-break *)
 }
@@ -110,20 +103,19 @@ type t = {
   clocks : Hbclock.t;
   governor : Governor.t option;
   require_disjoint_locksets : bool;
-  retention : retention;
+  cap : int;
   history : bucket Loc.Tbl.t;
   mutable races : Race.t list;  (* newest first *)
   mutable reported : Site.Pair.Set.t;
   reported_ids : id_set;  (* [reported], as pair ids *)
   mutable truncations : int;
   mutable mem_events : int;
-  mutable evicted_buckets : int;  (* whole buckets shed by compaction *)
   mutable next_bucket_id : int;
   mutable entries_charged : int;
 }
 
 (* FNV-1a over the 8 little-endian bytes of [n]: a cheap, seedless,
-   platform-independent hash used to pick reservoir victims. *)
+   platform-independent hash used to pick Sampled-rung victims. *)
 let fnv1a64 n = Fnv.(mask63 (fold_int63 basis63 n))
 
 let charge t n =
@@ -142,14 +134,10 @@ let level t =
   match t.governor with Some g -> Governor.level g | None -> Governor.Full
 
 (* Effective history bound at each rung. *)
-let bound_at t lv =
-  match (t.retention, lv) with
-  | Cap n, Governor.Full -> n
-  | Cap n, Governor.Sampled -> min n 8
-  | Cap _, Governor.Lockset_only -> 2
-  | Reservoir { k; _ }, Governor.Full -> k
-  | Reservoir { k; _ }, Governor.Sampled -> max 1 (k / 2)
-  | Reservoir _, Governor.Lockset_only -> 1
+let bound_at t = function
+  | Governor.Full -> t.cap
+  | Governor.Sampled -> min t.cap 8
+  | Governor.Lockset_only -> 2
 
 (* Evict whole buckets, oldest last-touch first, until the charged
    entries fit in half the budget.  Collect-and-sort: never iterate a
@@ -183,28 +171,25 @@ let compact t =
             if t.entries_charged > target then begin
               Loc.Tbl.remove t.history loc;
               evict t b.live;
-              t.truncations <- t.truncations + b.live;
-              t.evicted_buckets <- t.evicted_buckets + 1
+              t.truncations <- t.truncations + b.live
             end)
           buckets
       end
 
-let create ?governor ~name ~lock_edges ~require_disjoint_locksets ~retention
-    () =
+let create ?governor ~name ~lock_edges ~require_disjoint_locksets ~cap () =
   let t =
     {
       dname = name;
       clocks = Hbclock.create ?governor ~lock_edges ();
       governor;
       require_disjoint_locksets;
-      retention;
+      cap;
       history = Loc.Tbl.create 256;
       races = [];
       reported = Site.Pair.Set.empty;
       reported_ids = { slots = Array.make 64 (-1); count = 0 };
       truncations = 0;
       mem_events = 0;
-      evicted_buckets = 0;
       next_bucket_id = 0;
       entries_charged = 0;
     }
@@ -215,16 +200,6 @@ let create ?governor ~name ~lock_edges ~require_disjoint_locksets ~retention
   t
 
 let name t = t.dname
-
-(* The reservoir draw for the [m]-th access to [loc]: a pure function of
-   (sample seed, location hash, m), so the decision is identical no
-   matter which shard, domain or mode replays the access. *)
-let slot_draw ~seed ~loc ~m =
-  let key =
-    Fnv.(
-      mask63 (fold_int63 (fold_int63 (fold_int63 basis63 seed) (Loc.hash loc)) m))
-  in
-  Prng.int (Prng.create key) m
 
 (* An unordered site pair as one int: the dedup test runs for every
    conflicting summary a scan meets, so it must not allocate. *)
@@ -333,11 +308,11 @@ let rec nth_newest b i v =
   else if v = 0 then i
   else nth_newest b (i - 1) (v - 1)
 
-(* Cap retention.  Every accounting call precedes the charge for the new
+(* Retention.  Every accounting call precedes the charge for the new
    summary and the bucket is only rewritten after it: a trip inside
    [charge] may compact this very bucket away, and then it must be shed
    at its pre-access size. *)
-let retain_capped t lv b ~cap fresh ~superseded ~superseded_at =
+let retain t lv b ~cap fresh ~superseded ~superseded_at =
   if superseded > 0 then credit t superseded;
   let live = b.live - superseded in
   (* A degradation step can shrink [cap] under a bucket filled at a
@@ -375,28 +350,6 @@ let retain_capped t lv b ~cap fresh ~superseded ~superseded_at =
         let victim = fnv1a64 t.mem_events mod cap in
         store b (nth_newest b (b.top - 1) victim) fresh
 
-(* Reservoir retention.  A degradation step can shrink [k] under a fuller
-   reservoir; keeping a fixed prefix of the slots preserves uniformity
-   (any fixed subset of reservoir positions is itself a uniform
-   subsample), so the miss bound stays valid. *)
-let retain_sampled t b ~seed ~k ~loc fresh =
-  let live = b.live in
-  if live > k then begin
-    t.truncations <- t.truncations + (live - k);
-    evict t (live - k)
-  end;
-  if live < k then begin
-    charge t 1;
-    push b fresh
-  end
-  else begin
-    b.top <- k;
-    b.live <- k;
-    t.truncations <- t.truncations + 1;
-    let r = slot_draw ~seed ~loc ~m:b.seen in
-    if r < k then store b r fresh
-  end
-
 let feed t ev =
   let lv = level t in
   (* At the bottom rung the clock machinery is frozen: no feeding, and
@@ -431,7 +384,6 @@ let feed t ev =
                 lo = 0;
                 top = 0;
                 live = 0;
-                seen = 0;
                 b_epoch = t.mem_events;
                 b_id = t.next_bucket_id;
               }
@@ -441,28 +393,19 @@ let feed t ev =
             b
       in
       b.b_epoch <- t.mem_events;
-      b.seen <- b.seen + 1;
-      let bound = bound_at t lv in
-      (match t.retention with
-      | Cap _ ->
-          (* Scan newest first, counting summaries the access supersedes. *)
-          let superseded = ref 0 and superseded_at = ref 0 in
-          for i = b.top - 1 downto b.lo do
-            if not (dead b i) then begin
-              if conflicting t lv b i fresh then report t ~loc b i fresh;
-              if supersedes b i fresh then begin
-                incr superseded;
-                superseded_at := i
-              end
-            end
-          done;
-          retain_capped t lv b ~cap:bound fresh ~superseded:!superseded
-            ~superseded_at:!superseded_at
-      | Reservoir { seed; _ } ->
-          for i = 0 to b.top - 1 do
-            if conflicting t lv b i fresh then report t ~loc b i fresh
-          done;
-          retain_sampled t b ~seed ~k:bound ~loc fresh)
+      (* Scan newest first, counting summaries the access supersedes. *)
+      let superseded = ref 0 and superseded_at = ref 0 in
+      for i = b.top - 1 downto b.lo do
+        if not (dead b i) then begin
+          if conflicting t lv b i fresh then report t ~loc b i fresh;
+          if supersedes b i fresh then begin
+            incr superseded;
+            superseded_at := i
+          end
+        end
+      done;
+      retain t lv b ~cap:(bound_at t lv) fresh ~superseded:!superseded
+        ~superseded_at:!superseded_at
   | _ -> ()
 
 let races t = List.rev t.races
@@ -471,15 +414,3 @@ let race_count t = Site.Pair.Set.cardinal t.reported
 let truncations t = t.truncations
 let mem_events t = t.mem_events
 let state_entries t = t.entries_charged
-
-(* Max over live buckets of 1 - retained/seen; saturated to 1 when a
-   compaction shed a bucket wholesale (its misses are unbounded).  Max
-   is order-independent, so the raw hashtable fold is safe here. *)
-let miss_bound t =
-  if t.evicted_buckets > 0 then 1.0
-  else
-    Loc.Tbl.fold
-      (fun _ b acc ->
-        if b.seen <= b.live then acc
-        else max acc (1.0 -. (float_of_int b.live /. float_of_int b.seen)))
-      t.history 0.0

@@ -7,11 +7,7 @@
 open Rf_util
 open Rf_events
 
-type stats = {
-  st_entries : int;
-  st_mem_events : int;
-  st_miss_bound : float option;
-}
+type stats = { st_entries : int; st_mem_events : int }
 
 type t = {
   dname : string;
@@ -27,10 +23,10 @@ let races t = t.races ()
 let pairs t = t.pairs ()
 let race_count t = Site.Pair.Set.cardinal (t.pairs ())
 let stats t = t.stats ()
-let no_stats () = { st_entries = 0; st_mem_events = 0; st_miss_bound = None }
+let no_stats () = { st_entries = 0; st_mem_events = 0 }
 
 (* The access-history instances share one record shape. *)
-let of_history ?(miss_bound = false) d =
+let of_history d =
   {
     dname = Access_detector.name d;
     feed = Access_detector.feed d;
@@ -41,8 +37,6 @@ let of_history ?(miss_bound = false) d =
         {
           st_entries = Access_detector.state_entries d;
           st_mem_events = Access_detector.mem_events d;
-          st_miss_bound =
-            (if miss_bound then Some (Access_detector.miss_bound d) else None);
         });
   }
 
@@ -70,9 +64,6 @@ let eraser ?site_cap ?governor () =
     pairs = (fun () -> Eraser.pairs d);
     stats = no_stats;
   }
-
-let sampling ?k ?seed ?governor () =
-  of_history ~miss_bound:true (Sampling.create ?k ?seed ?governor ())
 
 (** Feed a recorded trace through a detector (offline analysis). *)
 let run_on_trace t trace =

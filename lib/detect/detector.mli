@@ -8,14 +8,8 @@ open Rf_events
 (** End-of-run accounting, for journals, reports and benches.
     [st_entries] is the live logical state (retained summaries) and
     [st_mem_events] the memory events analyzed; detectors without that
-    accounting (fasttrack, eraser) report zeros.  [st_miss_bound] is
-    [Some] only for {!sampling}: an upper bound on the probability that
-    any particular racing pair went unobserved. *)
-type stats = {
-  st_entries : int;
-  st_mem_events : int;
-  st_miss_bound : float option;
-}
+    accounting (fasttrack, eraser) report zeros. *)
+type stats = { st_entries : int; st_mem_events : int }
 
 type t = {
   dname : string;
@@ -48,18 +42,9 @@ val fasttrack : ?governor:Rf_resource.Governor.t -> unit -> t
 
 val eraser : ?site_cap:int -> ?governor:Rf_resource.Governor.t -> unit -> t
 (** Eraser lockset discipline checking [43]: no happens-before at all, the
-    noisiest baseline. *)
+    noisiest baseline.
 
-val sampling :
-  ?k:int -> ?seed:int -> ?governor:Rf_resource.Governor.t -> unit -> t
-(** O(1)-sample hybrid detection ({!Sampling}): [k] (default 4)
-    reservoir-sampled summaries per dynamic location, reservoir
-    decisions a pure function of [(seed, location, access index)] —
-    deterministic and invariant across domains, shards and
-    inline/offline modes.  Reported pairs are a subset of {!hybrid}'s;
-    [stats] carries the run's miss-probability bound.
-
-    All five constructors accept a {!Rf_resource.Governor}: detector
+    All four constructors accept a {!Rf_resource.Governor}: detector
     state (access summaries, clock tables, location cells) is then
     metered against the trial's entry budget and shed down the
     degradation ladder instead of growing without bound.  Degradation is

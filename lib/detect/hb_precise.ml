@@ -12,7 +12,7 @@ type t = Access_detector.t
 
 let create ?(cap = 128) ?governor () =
   Access_detector.create ?governor ~name:"happens-before" ~lock_edges:true
-    ~require_disjoint_locksets:false ~retention:(Access_detector.Cap cap) ()
+    ~require_disjoint_locksets:false ~cap ()
 
 let feed = Access_detector.feed
 let races = Access_detector.races

@@ -21,7 +21,7 @@ type t = Access_detector.t
 
 let create ?(cap = 128) ?governor () =
   Access_detector.create ?governor ~name:"hybrid" ~lock_edges:false
-    ~require_disjoint_locksets:true ~retention:(Access_detector.Cap cap) ()
+    ~require_disjoint_locksets:true ~cap ()
 
 let feed = Access_detector.feed
 let races = Access_detector.races

@@ -36,20 +36,15 @@ let merge per_shard =
          Site.Pair.compare a.Race.pair b.Race.pair)
 
 (* Shard stats aggregate exactly: locations partition across shards, so
-   entries and memory events sum to the inline totals, and a sampling
-   miss bound — a max over locations — is the max over shard bounds. *)
+   entries and memory events sum to the inline totals. *)
 let merge_stats per_shard =
   List.fold_left
     (fun acc (s : Detector.stats) ->
       {
         Detector.st_entries = acc.Detector.st_entries + s.Detector.st_entries;
         st_mem_events = acc.Detector.st_mem_events + s.Detector.st_mem_events;
-        st_miss_bound =
-          (match (acc.Detector.st_miss_bound, s.Detector.st_miss_bound) with
-          | None, b | b, None -> b
-          | Some a, Some b -> Some (Float.max a b));
       })
-    { Detector.st_entries = 0; st_mem_events = 0; st_miss_bound = None }
+    { Detector.st_entries = 0; st_mem_events = 0 }
     per_shard
 
 let detect_stats ?(shards = 1) ?(parallel = false) ~make recordings =

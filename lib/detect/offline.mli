@@ -70,6 +70,5 @@ val detect_stats :
   Race.t list * Detector.stats
 (** {!detect}, plus the detectors' merged end-of-run accounting.
     Locations partition across shards, so entries and memory events sum
-    to the inline totals and a sampling miss bound — a max over
-    locations — is the max over the shards' bounds: the merged stats
-    equal the inline detector's, shard-count-independently. *)
+    to the inline totals: the merged stats equal the inline detector's,
+    shard-count-independently. *)

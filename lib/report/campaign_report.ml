@@ -26,14 +26,6 @@ let render ppf (s : C.stats) =
   if s.C.s_degraded > 0 then
     Fmt.pf ppf "DEGRADED: %d trial(s) completed at reduced precision (resource budget)@."
       s.C.s_degraded;
-  (* the detector line only appears for a non-default phase-1 detector,
-     so an ordinary hybrid campaign's report is unchanged *)
-  if s.C.s_p1_detector <> "hybrid" then
-    Fmt.pf ppf "sampled:  phase 1 detector %s, %d state entrie(s)%s@."
-      s.C.s_p1_detector s.C.s_p1_entries
-      (match s.C.s_p1_miss_bound with
-      | Some b -> Printf.sprintf ", miss bound <= %.6f" b
-      | None -> "");
   (match s.C.s_p1_recording with
   | Some r ->
       Fmt.pf ppf

@@ -30,8 +30,9 @@
 type level =
   | Full  (** every detector at its configured precision *)
   | Sampled
-      (** reservoir-sampled access histories, epoch-compacted clock and
-          cell state: bounded, still happens-before-aware *)
+      (** access histories capped at a few summaries with hash-picked
+          victims, epoch-compacted clock and cell state: bounded, still
+          happens-before-aware *)
   | Lockset_only
       (** vector clocks abandoned; detectors fall back to pure lockset
           reasoning (or freeze, for detectors with no lockset mode) *)

@@ -11,8 +11,8 @@
     [workers] components per round (the hybrid detector draws
     happens-before from fork/join and notify/wait only), so retained
     access-history entries get more expensive round over round —
-    exactly the state-growth axis the sampling detector's O(1)-sample
-    buckets bound.
+    exactly the state-growth axis an entry budget ([--detector-budget])
+    bounds.
 
     Race inventory (independent of the size parameters):
     - session table: unsynchronized read/write from every worker — real
@@ -27,9 +27,10 @@
     - handshake farm: [hs] lock-guarded flag handshakes — hybrid false
       positives that phase 2 must refute.
 
-    The big [stress-serve] instance is sized so that ungoverned full
-    tracking blows through a CI-sized address-space limit while
-    [--detector sampling] finishes comfortably inside it;
+    The big [stress-serve] instance is sized against a CI-sized
+    address-space limit (450MB): ungoverned full tracking peaks at
+    ~400MB of VA and completes under it, and [--detector-budget] bounds
+    it further at an explicitly labeled degraded precision;
     [stress-serve-small] keeps the same shape (and the same pair
     inventory) at test speed. *)
 
@@ -187,7 +188,7 @@ let workloads =
     Workload.make ~name:"stress-serve"
       ~descr:
         "server stress: 64 workers x 2 rounds over a 32k-slot session table; \
-         full phase-1 tracking OOMs where sampling completes"
+         full phase-1 tracking peaks near 400MB of address space"
       ~sloc:90
       ~static:(Some (static_model ~hs:8))
       (serve ~workers:64 ~rounds:2 ~slots:32768 ~reqs:8192 ~cache_lines:64 ~hs:8);

@@ -11,13 +11,19 @@
       inflate the happens-before message table (one entry per release).
     - {b stress-hotloc}: many threads hammering one location from
       distinct sites grow a single access-history bucket to its cap,
-      exercising per-bucket reservoir sampling.
-    - {b stress-sweep}: two threads sweeping a ~1.2M-element shared
-      array create one access-history bucket, one clock and one lockset
-      {e per element} — several hundred bytes each, comfortably past a
-      256MB address-space limit when ungoverned.  Under an entry budget
-      the governor compacts the history to a bounded working set and the
-      sweep completes degraded in tens of MB.
+      exercising the Sampled rung's hash-picked victims.
+    - {b stress-sweep}: two threads sweep a 1.2M-element shared array
+      (one access-history bucket per element, ~25 words each), then the
+      main thread forks and joins a chain of 10k empty threads.  Each
+      join widens the main thread's clock by one component, so chain
+      thread [i] holds a clock of ~2i words and leaves a fork and a
+      death message of ~i words each, none ever reclaimed: ~2·chain²
+      words for only 3·chain engine steps.  {!sweep_estimate_mb} adds
+      both up — about 1.7GB ungoverned, past the 768MB address-space
+      ceiling of the CI memory gate on its own, runtime reservation
+      aside.  Under an entry budget the sweep drives the governor to the
+      lockset-only rung, which stops clock feeding, so the chain adds no
+      detector state and the run completes degraded with ~5MB of it.
 
     All four are deterministic programs of the usual kind — state growth
     is a pure function of the schedule, so governed runs fingerprint
@@ -127,6 +133,25 @@ let address_sweep ?(locs = 1_200_000) ?(overlap = 256) () =
   Api.join h2
 
 (* ------------------------------------------------------------------ *)
+(* Fork chain: clock state quadratic in the thread count.              *)
+
+(* Each join widens the forking thread's clock by one component, so the
+   [i]-th thread's clock and its fork and death messages are ~i words
+   each, and the hybrid detector keeps all of them. *)
+let fork_chain ?(threads = 10_000) () =
+  for _ = 1 to threads do
+    Api.join (Api.fork ~name:"chain" ignore)
+  done
+
+(* Ungoverned hybrid detector state of an address sweep over [locs]
+   locations followed by a [chain]-thread fork chain, in MB: ~25 words
+   per history bucket (29.9M live words measured at 1.2M locations) plus
+   ~2·chain² words of chain clocks and messages (32.2M measured at a 4k
+   chain). *)
+let sweep_estimate_mb ~locs ~chain =
+  ((25 * locs) + (2 * chain * chain)) * 8 / (1024 * 1024)
+
+(* ------------------------------------------------------------------ *)
 (* Static models.
 
    Coarse but sound: the storm's per-thread [mine] cells share one site,
@@ -203,9 +228,15 @@ let workloads =
       ~static:(Some (hotloc_model ~threads:16))
       (hot_location ?threads:None ?rounds:None);
     Workload.make ~name:"stress-sweep"
-      ~descr:"address sweep: per-element detector state, OOMs ungoverned (1.2M locations)"
+      ~descr:
+        (Printf.sprintf
+           "address sweep + fork chain (1.2M locations, 10k threads): ~%dMB \
+            of detector state ungoverned, past a 768MB ceiling"
+           (sweep_estimate_mb ~locs:1_200_000 ~chain:10_000))
       ~sloc:25 ~static:(Some sweep_model)
-      (address_sweep ?locs:None ?overlap:None);
+      (fun () ->
+        address_sweep ?locs:None ?overlap:None ();
+        fork_chain ?threads:None ());
   ]
 
 (* Small variants for tests: same shapes, budgets of a few hundred still

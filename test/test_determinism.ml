@@ -170,6 +170,49 @@ let test_late_trial_lowers_cut () =
         (List.length r.Fuzzer.trials)
   | _ -> Alcotest.fail "one pair in, one result out"
 
+let test_late_crash_lowers_quarantine () =
+  (* A pair is quarantined at its Nth-smallest crash index.  A chaos plan
+     whose lowest crash index also stalls (and nothing else up to the
+     (N+1)th crash does) lets the second domain reach N crashes at higher
+     indices first; the stalled crash then finishes and lowers the bound
+     to the Nth crash.  The journal must end on the final bound. *)
+  let label = Site.Pair.to_string W.Figure1.real_pair in
+  let qn = Rf_campaign.Supervisor.default_policy.quarantine_crashes in
+  let trials = 12 in
+  let crash_idxs plan =
+    List.filter (fun seed -> Chaos.crashes plan ~label ~seed) (seeds trials)
+  in
+  let stalls plan seed = Chaos.stalls plan ~label ~seed in
+  let chaos =
+    List.init 512 (fun seed ->
+        Chaos.plan ~crash_rate:0.5 ~stall_rate:0.5 ~stall_seconds:0.3 seed)
+    |> List.find (fun plan ->
+           match crash_idxs plan with
+           | c0 :: rest when List.length rest >= qn ->
+               let last = List.nth rest (qn - 1) in
+               stalls plan c0
+               && List.for_all
+                    (fun i -> i = c0 || not (stalls plan i))
+                    (seeds (last + 1))
+           | _ -> false)
+  in
+  let log = Event_log.memory () in
+  let _ =
+    Campaign.fuzz_pairs ~domains:2 ~cutoff:false ~seeds:(seeds trials) ~chaos
+      ~log ~program:W.Figure1.program [ W.Figure1.real_pair ]
+  in
+  let bounds =
+    List.filter_map
+      (function
+        | Event_log.Pair_quarantined { pair; at_trial; _ } when pair = label ->
+            Some at_trial
+        | _ -> None)
+      (Event_log.events log)
+  in
+  Alcotest.(check (option int)) "last journaled bound"
+    (List.nth_opt (crash_idxs chaos) (qn - 1))
+    (List.nth_opt (List.rev bounds) 0)
+
 let test_event_log_jsonl_shape () =
   (* every event renders as one JSON object per line with seq/t/ev keys *)
   let path = Filename.temp_file "campaign" ".jsonl" in
@@ -240,6 +283,8 @@ let () =
           Alcotest.test_case "budget reallocation" `Quick test_budget_reallocation;
           Alcotest.test_case "late trial lowers journaled cut" `Quick
             test_late_trial_lowers_cut;
+          Alcotest.test_case "late crash lowers journaled quarantine" `Quick
+            test_late_crash_lowers_quarantine;
         ] );
       ( "observability",
         [

@@ -5,15 +5,15 @@
    textbook construction instead: every event gets a full vector clock
    snapshot, summaries keep those snapshots, and two accesses are
    concurrent iff neither clock is [leq] the other.  Its retention
-   (drop-oldest cap with supersession, the governor's hash reservoir
-   rung, algorithm R sampling), accounting and compaction are written
-   out independently, as plain lists.
+   (drop-oldest cap with supersession, the governor's hash-picked victim
+   at the lower rungs), accounting and compaction are written out
+   independently, as plain lists.
 
-   On traces of generated RFL programs the hybrid, hb-precise and
-   sampling instances must agree with the reference on race lists
-   (witnesses included), pair sets, retained-entry counts, miss bounds
-   and the governor's final rung — ungoverned, and under small budgets
-   that force the Sampled and Lockset-only rungs. *)
+   On traces of generated RFL programs the hybrid and hb-precise
+   instances must agree with the reference on race lists (witnesses
+   included), pair sets, retained-entry counts, truncations and the
+   governor's final rung — ungoverned, and under small budgets that force
+   the Sampled and Lockset-only rungs. *)
 
 open Rf_util
 open Rf_events
@@ -83,8 +83,6 @@ module Ref_hb = struct
     c
 end
 
-type retention = Cap of int | Reservoir of int * int
-
 module Ref = struct
   type entry = {
     tid : int;
@@ -95,8 +93,7 @@ module Ref = struct
   }
 
   type bucket = {
-    mutable entries : entry list;  (* Cap: newest first; Reservoir: slot order *)
-    mutable seen : int;
+    mutable entries : entry list;  (* newest first *)
     mutable last : int;
     id : int;
   }
@@ -105,14 +102,13 @@ module Ref = struct
     hb : Ref_hb.t;
     governor : Governor.t option;
     disjoint : bool;
-    retention : retention;
+    cap : int;
     history : bucket Loc.Tbl.t;
     mutable races : D.Race.t list;
     mutable reported : Site.Pair.Set.t;
     mutable charged : int;
     mutable mem_events : int;
     mutable next_id : int;
-    mutable shed_buckets : int;
     mutable truncations : int;
   }
 
@@ -142,24 +138,22 @@ module Ref = struct
     |> List.iter (fun (loc, b) ->
            if t.charged > target then begin
              Loc.Tbl.remove t.history loc;
-             release t ~dropped:true (List.length b.entries);
-             t.shed_buckets <- t.shed_buckets + 1
+             release t ~dropped:true (List.length b.entries)
            end)
 
-  let create ?governor ~lock_edges ~disjoint retention =
+  let create ?governor ~lock_edges ~disjoint cap =
     let t =
       {
         hb = Ref_hb.create ?governor ~lock_edges ();
         governor;
         disjoint;
-        retention;
+        cap;
         history = Loc.Tbl.create 16;
         races = [];
         reported = Site.Pair.Set.empty;
         charged = 0;
         mem_events = 0;
         next_id = 0;
-        shed_buckets = 0;
         truncations = 0;
       }
     in
@@ -188,13 +182,12 @@ module Ref = struct
           match Loc.Tbl.find_opt t.history loc with
           | Some b -> b
           | None ->
-              let b = { entries = []; seen = 0; last = 0; id = t.next_id } in
+              let b = { entries = []; last = 0; id = t.next_id } in
               t.next_id <- t.next_id + 1;
               Loc.Tbl.add t.history loc b;
               b
         in
         b.last <- t.mem_events;
-        b.seen <- b.seen + 1;
         List.iter
           (fun old ->
             if conflicting t lv old fresh then begin
@@ -207,51 +200,26 @@ module Ref = struct
               end
             end)
           b.entries;
-        (match t.retention with
-        | Cap cap ->
-            let cap = match lv with Governor.Full -> cap | Governor.Sampled -> min cap 8 | Governor.Lockset_only -> 2 in
-            let rest =
-              List.filter
-                (fun o -> not (o.tid = tid && Site.equal o.site site && o.access = access && Lockset.equal o.lockset lockset))
-                b.entries
-            in
-            release t ~dropped:false (List.length b.entries - List.length rest);
-            release t ~dropped:true (List.length rest - cap);
-            let rest = take cap rest in
-            let updated =
-              if List.length rest < cap then fresh :: rest
-              else begin
-                release t ~dropped:true 1;
-                if lv = Governor.Full then fresh :: take (cap - 1) rest
-                else replace_nth (Fnv.(mask63 (fold_int63 basis63 t.mem_events)) mod cap) fresh rest
-              end
-            in
-            charge t;
-            b.entries <- updated
-        | Reservoir (k, seed) ->
-            let k = match lv with Governor.Full -> k | Governor.Sampled -> max 1 (k / 2) | Governor.Lockset_only -> 1 in
-            release t ~dropped:true (List.length b.entries - k);
-            let slots = take k b.entries in
-            if List.length slots < k then begin
-              charge t;
-              b.entries <- slots @ [ fresh ]
-            end
-            else begin
-              t.truncations <- t.truncations + 1;
-              let key = Fnv.(mask63 (fold_int63 (fold_int63 (fold_int63 basis63 seed) (Loc.hash loc)) b.seen)) in
-              let r = Prng.int (Prng.create key) b.seen in
-              b.entries <- (if r < k then replace_nth r fresh slots else slots)
-            end)
+        let cap = match lv with Governor.Full -> t.cap | Governor.Sampled -> min t.cap 8 | Governor.Lockset_only -> 2 in
+        let rest =
+          List.filter
+            (fun o -> not (o.tid = tid && Site.equal o.site site && o.access = access && Lockset.equal o.lockset lockset))
+            b.entries
+        in
+        release t ~dropped:false (List.length b.entries - List.length rest);
+        release t ~dropped:true (List.length rest - cap);
+        let rest = take cap rest in
+        let updated =
+          if List.length rest < cap then fresh :: rest
+          else begin
+            release t ~dropped:true 1;
+            if lv = Governor.Full then fresh :: take (cap - 1) rest
+            else replace_nth (Fnv.(mask63 (fold_int63 basis63 t.mem_events)) mod cap) fresh rest
+          end
+        in
+        charge t;
+        b.entries <- updated
     | _ -> ()
-
-  let miss_bound t =
-    if t.shed_buckets > 0 then 1.0
-    else
-      Loc.Tbl.fold
-        (fun _ b acc ->
-          let live = List.length b.entries in
-          if b.seen <= live then acc else max acc (1.0 -. (float_of_int live /. float_of_int b.seen)))
-        t.history 0.0
 end
 
 (* ------------------------------------------------------------------ *)
@@ -267,34 +235,25 @@ let record ~seed prog =
        (Rf_lang.Lang.program ~print:ignore prog));
   List.rev !evs
 
-type instance = { iname : string; lock_edges : bool; disjoint : bool; retention : retention }
+type instance = { iname : string; lock_edges : bool; disjoint : bool }
 
-let instances ~cap =
+let instances =
   [
-    { iname = "hybrid"; lock_edges = false; disjoint = true; retention = Cap cap };
-    { iname = "hb-precise"; lock_edges = true; disjoint = false; retention = Cap cap };
-    { iname = "sampling"; lock_edges = false; disjoint = true; retention = Reservoir (2, 11) };
+    { iname = "hybrid"; lock_edges = false; disjoint = true };
+    { iname = "hb-precise"; lock_edges = true; disjoint = false };
   ]
 
-let make_new ?governor i =
-  let d =
-    D.Access_detector.create ?governor ~name:i.iname ~lock_edges:i.lock_edges
-      ~require_disjoint_locksets:i.disjoint
-      ~retention:
-        (match i.retention with
-        | Cap n -> D.Access_detector.Cap n
-        | Reservoir (k, seed) -> D.Access_detector.Reservoir { k; seed })
-      ()
-  in
-  d
+let make_new ?governor ~cap i =
+  D.Access_detector.create ?governor ~name:i.iname ~lock_edges:i.lock_edges
+    ~require_disjoint_locksets:i.disjoint ~cap ()
 
 let governor budget = Option.map (fun b -> Governor.create ~max_entries:b ()) budget
 
 (* Feed [evs] to both sides; [None] when they agree, else what differed. *)
-let disagreement ?budget i evs =
+let disagreement ?budget ~cap i evs =
   let gn = governor budget and gr = governor budget in
-  let d = make_new ?governor:gn i in
-  let r = Ref.create ?governor:gr ~lock_edges:i.lock_edges ~disjoint:i.disjoint i.retention in
+  let d = make_new ?governor:gn ~cap i in
+  let r = Ref.create ?governor:gr ~lock_edges:i.lock_edges ~disjoint:i.disjoint cap in
   List.iter
     (fun ev ->
       D.Access_detector.feed d ev;
@@ -309,7 +268,6 @@ let disagreement ?budget i evs =
       ("entries", D.Access_detector.state_entries d = r.Ref.charged);
       ("mem events", D.Access_detector.mem_events d = r.Ref.mem_events);
       ("truncations", D.Access_detector.truncations d = r.Ref.truncations);
-      ("miss bound", D.Access_detector.miss_bound d = Ref.miss_bound r);
       ("rung", level gn = level gr);
     ]
   in
@@ -318,7 +276,7 @@ let disagreement ?budget i evs =
     checks
 
 let agree ?budget ~cap evs =
-  match List.find_map (fun i -> disagreement ?budget i evs) (instances ~cap) with
+  match List.find_map (fun i -> disagreement ?budget ~cap i evs) instances with
   | None -> true
   | Some msg -> QCheck.Test.fail_report msg
 
@@ -383,15 +341,15 @@ let test_ladder_bottom () =
   List.iter
     (fun i ->
       let g = Governor.create ~max_entries:6 () in
-      let d = make_new ~governor:g i in
+      let d = make_new ~governor:g ~cap:12 i in
       List.iter (D.Access_detector.feed d) evs;
       Alcotest.(check string)
         (i.iname ^ " reaches the bottom rung")
         "lockset-only"
         (Governor.level_to_string (Governor.level g));
       Alcotest.(check (option string)) (i.iname ^ " agrees") None
-        (disagreement ~budget:6 i evs))
-    (instances ~cap:12)
+        (disagreement ~budget:6 ~cap:12 i evs))
+    instances
 
 let () =
   Alcotest.run "epoch_histories"

@@ -1,0 +1,131 @@
+(* Golden campaign rows: each row runs one campaign configuration
+   in-process through Campaign.run and pins its fingerprint, confirmed
+   fingerprint, phase-1 potential-pair count and phase 1's detector
+   counters (live state entries, memory events) against
+   test/golden_campaigns.txt.  A change that moves any of them fails
+   here, so the behavioural contract of a refactor is a reviewed diff of
+   that one file.
+
+   Check (also part of dune runtest):
+     dune build @golden
+   Regenerate (from the repository root):
+     dune exec test/test_golden.exe -- --write-golden test/golden_campaigns.txt *)
+
+open Rf_util
+module Fuzzer = Racefuzzer.Fuzzer
+module Campaign = Rf_campaign.Campaign
+module Governor = Rf_resource.Governor
+module W = Rf_workloads
+
+let seeds n = List.init n Fun.id
+
+(* Relative to the test's build directory when checking; the writer is
+   run from the repository root. *)
+let examples = ref "../examples/programs"
+
+(* A target resolves as on the command line: a built-in workload with its
+   static model, or an RFL file under examples/programs with the model
+   derived from its source. *)
+let target name =
+  match W.Registry.find name with
+  | Some w -> (w.W.Workload.program, w.W.Workload.static)
+  | None ->
+      let prog = Rf_lang.Lang.load_file (Filename.concat !examples name) in
+      (Rf_lang.Lang.program ~print:ignore prog, Some (Rf_static.Static.of_program prog))
+
+(* Each row mirrors a `campaign TARGET` command line: cutoff on, five
+   phase-1 seeds and the target's static model unless the row says
+   otherwise. *)
+let campaign ?(domains = 2) ?(phase1_seeds = seeds 5) ~trials ?detector_budget
+    ?no_degrade ?static_filter ?offline_detect ?chaos name () =
+  let program, static = target name in
+  Campaign.run ~domains ~cutoff:true ~phase1_seeds
+    ~seeds_per_pair:(seeds trials) ?detector_budget ?no_degrade ?static
+    ?static_filter ?offline_detect ?chaos program
+
+let rows : (string * (unit -> Campaign.result)) list =
+  [
+    ("figure1-d1", campaign ~domains:1 ~trials:100 "figure1");
+    ("figure1-d2", campaign ~trials:100 "figure1");
+    ("figure2-k50-budget50", campaign ~trials:30 ~detector_budget:50 "figure2[k=50]");
+    ("cache4j-static-filter", campaign ~trials:50 ~static_filter:true "cache4j");
+    ("serve-small-inline", campaign ~trials:10 "stress-serve-small");
+    ( "serve-small-offline2",
+      campaign ~trials:10 ~offline_detect:2 "stress-serve-small" );
+    ( "serve-small-budget40",
+      campaign ~trials:3 ~detector_budget:40 "stress-serve-small" );
+    ( "serve-small-budget40-nodegrade",
+      campaign ~trials:3 ~detector_budget:40 ~no_degrade:true
+        "stress-serve-small" );
+    ( "serve-small-budget40-offline2",
+      campaign ~trials:3 ~detector_budget:40 ~offline_detect:2
+        "stress-serve-small" );
+    ( "figure1-chaos7",
+      campaign ~trials:100 ~chaos:(Rf_campaign.Chaos.default 7) "figure1" );
+    ("deadlock-rfl", campaign ~trials:50 "deadlock.rfl");
+    ( "fork-heavy-phase1",
+      campaign ~domains:1 ~phase1_seeds:[ 0 ] ~trials:0 "fork_heavy.rfl" );
+  ]
+
+(* One row's pinned values, as one line of the golden file. *)
+let measure run =
+  match run () with
+  | exception Governor.Budget_stop trigger ->
+      "budget-stop " ^ Governor.trigger_to_string trigger
+  | (r : Campaign.result) ->
+      let a = r.Campaign.analysis in
+      let p1 = a.Fuzzer.a_phase1 in
+      let st = p1.Fuzzer.p1_stats in
+      Printf.sprintf "%s %s %d %d %d" (Campaign.fingerprint a)
+        (Campaign.confirmed_fingerprint a)
+        (Site.Pair.Set.cardinal (Fuzzer.potential_pairs p1))
+        st.Rf_detect.Detector.st_entries st.Rf_detect.Detector.st_mem_events
+
+let write_golden path =
+  let oc = open_out path in
+  output_string oc
+    "# Golden campaign rows: <row> <fingerprint> <confirmed> <potential> \
+     <p1 entries> <p1 mem events>\n\
+     # (or <row> budget-stop <trigger>).  Rows are defined in test_golden.ml.\n";
+  Printf.fprintf oc
+    "# Regenerate with: dune exec test/test_golden.exe -- --write-golden %s\n"
+    path;
+  List.iter (fun (name, run) -> Printf.fprintf oc "%s %s\n" name (measure run)) rows;
+  close_out oc
+
+let read_golden path =
+  let ic = open_in path in
+  let tbl = Hashtbl.create 16 in
+  (try
+     while true do
+       let line = String.trim (input_line ic) in
+       if line <> "" && line.[0] <> '#' then
+         match String.index_opt line ' ' with
+         | Some i ->
+             Hashtbl.replace tbl (String.sub line 0 i)
+               (String.sub line (i + 1) (String.length line - i - 1))
+         | None -> ()
+     done
+   with End_of_file -> ());
+  close_in ic;
+  tbl
+
+let () =
+  match Array.to_list Sys.argv with
+  | _ :: "--write-golden" :: path :: _ ->
+      examples := "examples/programs";
+      write_golden path;
+      Printf.printf "wrote %d golden campaign rows to %s\n" (List.length rows) path
+  | _ ->
+      let golden = read_golden "golden_campaigns.txt" in
+      Alcotest.run "golden_campaigns"
+        [
+          ( "rows",
+            List.map
+              (fun (name, run) ->
+                Alcotest.test_case name `Quick (fun () ->
+                    match Hashtbl.find_opt golden name with
+                    | None -> Alcotest.failf "row %s missing from the golden file" name
+                    | Some pinned -> Alcotest.(check string) name pinned (measure run)))
+              rows );
+        ]

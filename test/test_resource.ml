@@ -155,6 +155,31 @@ let prop_no_degrade_stops =
       | _ -> not trips  (* must only complete when the budget never trips *)
       | exception Governor.Budget_stop _ -> trips)
 
+(* The stress-sweep shape: a sweep that walks the ladder down to its
+   bottom rung, then a fork chain.  Ungoverned, the chain's clocks grow
+   with the square of its length; at the lockset-only rung clocks are no
+   longer fed, so the governed detector charges exactly what the sweep
+   alone charges — which is why a budget fits stress-sweep under the CI
+   memory ceiling. *)
+let test_fork_chain_free_at_bottom () =
+  let sweep = W.Stress.address_sweep ~locs:4096 ~overlap:64 in
+  let governed program =
+    let g = Governor.create ~max_entries:256 () in
+    let p1 = Fuzzer.phase1 ~seeds:[ 0 ] ~governor:g program in
+    (Governor.snapshot g, Site.Pair.Set.cardinal (Fuzzer.potential_pairs p1))
+  in
+  let s0, n0 = governed sweep in
+  let s1, n1 =
+    governed (fun () ->
+        sweep ();
+        W.Stress.fork_chain ~threads:200 ())
+  in
+  Alcotest.(check string) "sweep reaches the bottom rung" "lockset-only"
+    (Governor.level_to_string s0.Governor.g_level);
+  Alcotest.(check (list int)) "entries, peak, evictions, pairs unchanged"
+    [ s0.Governor.g_entries; s0.Governor.g_peak; s0.Governor.g_evicted; n0 ]
+    [ s1.Governor.g_entries; s1.Governor.g_peak; s1.Governor.g_evicted; n1 ]
+
 (* Campaign-level: governed end-to-end runs fingerprint identically on
    any domain count, and degraded trials (from chaos budget trips) are
    counted and preserved across the comparison. *)
@@ -384,6 +409,10 @@ let () =
             prop_budget_respected;
             prop_degraded_deterministic;
             prop_no_degrade_stops;
+          ]
+        @ [
+            Alcotest.test_case "fork chain adds nothing at the bottom rung"
+              `Quick test_fork_chain_free_at_bottom;
           ] );
       ( "campaign",
         [

@@ -115,8 +115,6 @@ let sample_events =
           wall = 0.25;
           degraded = false;
           level = "full";
-          detector = "hybrid";
-          miss_bound = None;
         };
       Wave_started { wave = 0; tasks = 20 };
       Trial_started { pair = "(a, b)"; seed = 7; domain = 1 };

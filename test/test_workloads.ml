@@ -200,6 +200,29 @@ let test_philosophers_deadlock () =
   Alcotest.(check bool) "a cycle realizes" true
     (List.exists Racefuzzer.Deadlock_fuzzer.is_real results)
 
+(* ------------------------------------------------------------------ *)
+(* The stress-serve family: fixed pair inventory and phase-1
+   determinism at test scale.                                           *)
+
+let serve_phase1 () =
+  match W.Registry.find "stress-serve-small" with
+  | Some w -> Fuzzer.phase1 ~seeds:(seeds 3) w.W.Workload.program
+  | None -> Alcotest.fail "stress-serve-small not registered"
+
+let test_serve_golden_inventory () =
+  (* the golden inventory: 2 session + 2 hit-counter + 1 config + 3
+     backlog check-then-act + 3 handshake false alarms *)
+  Alcotest.(check int) "11 potential pairs" 11
+    (Site.Pair.Set.cardinal (Fuzzer.potential_pairs (serve_phase1 ())))
+
+let test_serve_phase1_deterministic () =
+  let r1 = serve_phase1 () and r2 = serve_phase1 () in
+  Alcotest.(check (list string)) "same race list"
+    (List.map Rf_detect.Race.to_string r1.Fuzzer.potential)
+    (List.map Rf_detect.Race.to_string r2.Fuzzer.potential);
+  Alcotest.(check bool) "same detector accounting" true
+    (r1.Fuzzer.p1_stats = r2.Fuzzer.p1_stats)
+
 let all_cases =
   let generic =
     List.concat_map
@@ -245,4 +268,15 @@ let all_cases =
         (test_real_subset_of_potential W.Extras.elevator);
     ]
 
-let () = Alcotest.run "rf_workloads" [ ("workloads", all_cases) ]
+let () =
+  Alcotest.run "rf_workloads"
+    [
+      ("workloads", all_cases);
+      ( "stress-serve",
+        [
+          Alcotest.test_case "golden pair inventory" `Quick
+            test_serve_golden_inventory;
+          Alcotest.test_case "phase 1 deterministic" `Quick
+            test_serve_phase1_deterministic;
+        ] );
+    ]
