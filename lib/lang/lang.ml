@@ -36,7 +36,7 @@ let load_file path =
 
 (** The [unit -> unit] main suitable for {!Rf_runtime.Engine.run} and
     {!Racefuzzer.Fuzzer}. *)
-let program ?print (prog : Ast.program) : unit -> unit = Interp.main_of ?print prog
+let program ?print (prog : Ast.program) : unit -> unit = Interp.compile ?print prog
 
 (** Convenience: source text straight to a runnable main. *)
 let program_of_string ?file ?print src = program ?print (load_string ?file src)

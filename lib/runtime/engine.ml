@@ -50,7 +50,10 @@
       loop never re-runs the enabledness predicate over all threads;
     - events are only constructed when someone observes them (a recorded
       trace, a listener, or verbose mode): with no sink attached, [emit]
-      costs nothing — no event record, no lockset snapshot. *)
+      costs nothing — no event record, no lockset snapshot;
+    - the strategy view is cached: each thread's row lives as long as the
+      thread and its [pend] is updated in place, and the list of enabled
+      rows is rebuilt only after some enabled flag flips. *)
 
 open Rf_util
 open Rf_events
@@ -123,9 +126,9 @@ type thread = {
   mutable lockset_id : int;  (* [lockset] interned in the binary writer *)
   mutable enabled_flag : bool;  (* maintained at enabledness transitions *)
   mutable joiners : int list;  (* live threads parked joining this one *)
-  mutable entry : Strategy.entry;
-      (* strategy-view row for this thread, rebuilt when it parks; sharing
-         it across consultations keeps [view_of] allocation-free per row *)
+  entry : Strategy.entry;
+      (* strategy-view row for this thread; its [pend] is updated in place
+         whenever the thread parks, so the cached view list stays valid *)
 }
 
 type lock_state = {
@@ -148,6 +151,8 @@ type t = {
   mutable n_threads : int;
   mutable lock_states : lock_state option array;  (* index = lock id *)
   mutable enabled_count : int;
+  mutable view : Strategy.entry list;  (* rows of the enabled threads, by tid *)
+  mutable view_stale : bool;  (* some enabled flag flipped since [view] *)
   mutable steps : int;
   mutable switches : int;
   mutable next_msg : int;
@@ -266,7 +271,8 @@ let alive th = not (is_dead th)
 let set_enabled eng th v =
   if th.enabled_flag <> v then begin
     th.enabled_flag <- v;
-    eng.enabled_count <- eng.enabled_count + (if v then 1 else -1)
+    eng.enabled_count <- eng.enabled_count + (if v then 1 else -1);
+    eng.view_stale <- true
   end
 
 let compute_enabled eng th =
@@ -399,7 +405,7 @@ let handler eng th =
             Some
               (fun (k : (a, _) Effect.Deep.continuation) ->
                 th.fiber <- Pending (op, k);
-                th.entry <- { th.entry with pend = Op.pend_of op };
+                th.entry.pend <- Op.pend_of op;
                 on_park eng th op)
         | _ -> None);
   }
@@ -564,11 +570,8 @@ let exec_op (eng : t) (th : thread) : unit =
                         wth.pending_rcv <- Some (g, Event.Notify);
                         wth.fiber <-
                           Pending (Op.Reacquire (wlock, wdepth, false, wsite), wk);
-                        wth.entry <-
-                          {
-                            wth.entry with
-                            pend = Op.P_reacquire { lock = Lock.id wlock; site = wsite };
-                          };
+                        wth.entry.pend <-
+                          Op.P_reacquire { lock = Lock.id wlock; site = wsite };
                         ls.contenders <- wtid :: ls.contenders;
                         refresh_enabled eng wth
                     | _ ->
@@ -615,11 +618,8 @@ let exec_op (eng : t) (th : thread) : unit =
                  ls.waiters <- List.filter (fun tid -> tid <> target.tid) ls.waiters;
                  target.fiber <-
                    Pending (Op.Reacquire (wlock, wdepth, true, wsite), wk);
-                 target.entry <-
-                   {
-                     target.entry with
-                     pend = Op.P_reacquire { lock = Lock.id wlock; site = wsite };
-                   };
+                 target.entry.pend <-
+                   Op.P_reacquire { lock = Lock.id wlock; site = wsite };
                  ls.contenders <- target.tid :: ls.contenders
              | _ -> ());
              if target.tid <> th.tid then refresh_enabled eng target
@@ -654,13 +654,20 @@ let rec drain_fast eng th =
     drain_fast eng th
   end
 
+(* The enabled rows are rebuilt only after some thread's enabledness
+   flipped; a thread that parks at a new operation while staying enabled
+   keeps its row, whose [pend] the handler updated in place. *)
 let view_of eng =
-  let entries = ref [] in
-  for i = eng.n_threads - 1 downto 0 do
-    let th = eng.threads.(i) in
-    if th.enabled_flag then entries := th.entry :: !entries
-  done;
-  { Strategy.step = eng.steps; enabled = !entries; prng = eng.prng }
+  if eng.view_stale then begin
+    let entries = ref [] in
+    for i = eng.n_threads - 1 downto 0 do
+      let th = eng.threads.(i) in
+      if th.enabled_flag then entries := th.entry :: !entries
+    done;
+    eng.view <- !entries;
+    eng.view_stale <- false
+  end;
+  { Strategy.step = eng.steps; enabled = eng.view; prng = eng.prng }
 
 (* The watchdog: consulted at every switch point.  The step cap is exact
    (to switch granularity); the wall clock and heap watermark are polled
@@ -741,6 +748,8 @@ let run ?(config = default_config) ?(listeners = []) ?btrace ~strategy
       n_threads = 0;
       lock_states = [||];
       enabled_count = 0;
+      view = [];
+      view_stale = true;
       steps = 0;
       switches = 0;
       next_msg = 0;

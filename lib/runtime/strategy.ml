@@ -11,7 +11,7 @@
 
 open Rf_util
 
-type entry = { tid : int; tname : string; pend : Op.pend }
+type entry = { tid : int; tname : string; mutable pend : Op.pend }
 
 type view = {
   step : int;  (** executed-ops counter *)

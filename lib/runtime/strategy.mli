@@ -8,11 +8,19 @@
 
 open Rf_util
 
-type entry = { tid : int; tname : string; pend : Op.pend }
+type entry = { tid : int; tname : string; mutable pend : Op.pend }
+(** One thread's row.  The engine keeps one row per thread for the
+    thread's whole life and updates [pend] in place whenever the thread
+    parks at a new operation. *)
 
 type view = {
   step : int;  (** operations executed so far *)
-  enabled : entry list;  (** never empty; ascending tid order *)
+  enabled : entry list;
+      (** never empty; ascending tid order.  The engine rebuilds the list
+          only when some thread's enabledness changes, so consecutive
+          consultations may see the same list, with rows updated in place.
+          A strategy must read the entries inside [choose] and must not
+          keep an entry (or the list) past the call. *)
   prng : Prng.t;
 }
 

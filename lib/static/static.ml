@@ -59,18 +59,23 @@ type site_facts = {
   sf_locks : SS.t;  (** under-approx: locks held whenever this site runs *)
 }
 
-type t = {
-  facts : site_facts Site.Map.t;
-  ordered : (string * string) list;
-      (** transitively closed: [(a, b)] means thread [a] is dead before
-          thread [b] is forked *)
+(** Fork/join order over thread indices. *)
+type order = {
+  thread_ix : (string, int) Hashtbl.t;  (** thread name -> row of [before] *)
+  before : bool array array;
+      (** transitively closed: [before.(a).(b)] means thread [a] is dead
+          before thread [b] is forked *)
 }
+
+type t = { facts : site_facts Site.Map.t; order : order }
 
 let facts_of t site = Site.Map.find_opt site t.facts
 let sites t = List.map fst (Site.Map.bindings t.facts)
 
 let is_ordered t a b =
-  List.exists (fun (x, y) -> String.equal x a && String.equal y b) t.ordered
+  match (Hashtbl.find_opt t.order.thread_ix a, Hashtbl.find_opt t.order.thread_ix b) with
+  | Some i, Some j -> t.order.before.(i).(j)
+  | _ -> false
 
 (* Two distinct threads may run concurrently unless fork/join order
    separates them; a thread never runs concurrently with itself. *)
@@ -148,23 +153,28 @@ let universe_counts t = count t (universe t)
 (* ------------------------------------------------------------------ *)
 (* Transitive closure over thread-order edges                          *)
 
+(* Index the thread names, then Floyd-Warshall on a bool matrix: one
+   row OR per (k, i) pair that reaches k. *)
 let close_order names edges =
-  let reach = Hashtbl.create 16 in
-  List.iter (fun (a, b) -> Hashtbl.replace reach (a, b) ()) edges;
-  (* Floyd-Warshall on the (small) thread set *)
+  let thread_ix = Hashtbl.create 16 in
+  let index name =
+    if not (Hashtbl.mem thread_ix name) then
+      Hashtbl.add thread_ix name (Hashtbl.length thread_ix)
+  in
+  List.iter index names;
+  List.iter (fun (a, b) -> index a; index b) edges;
+  let n = Hashtbl.length thread_ix in
+  let before = Array.make_matrix n n false in
   List.iter
-    (fun k ->
-      List.iter
-        (fun i ->
-          List.iter
-            (fun j ->
-              if Hashtbl.mem reach (i, k) && Hashtbl.mem reach (k, j) then
-                Hashtbl.replace reach (i, j) ())
-            names)
-        names)
-    names;
-  Hashtbl.fold (fun (a, b) () acc -> (a, b) :: acc) reach []
-  |> List.sort_uniq compare
+    (fun (a, b) -> before.(Hashtbl.find thread_ix a).(Hashtbl.find thread_ix b) <- true)
+    edges;
+  for k = 0 to n - 1 do
+    let via = before.(k) in
+    Array.iter
+      (fun row -> if row.(k) then Array.iteri (fun j r -> if r then row.(j) <- true) via)
+      before
+  done;
+  { thread_ix; before }
 
 (* ------------------------------------------------------------------ *)
 (* Hand-declared models for embedded (OCaml) workloads                 *)
@@ -225,7 +235,7 @@ module Model = struct
           Site.Map.add a.m_site merged m)
         Site.Map.empty (List.rev b.accesses)
     in
-    { facts; ordered = close_order (SS.elements b.threads) b.orders }
+    { facts; order = close_order (SS.elements b.threads) b.orders }
 end
 
 (* ------------------------------------------------------------------ *)
@@ -493,4 +503,4 @@ let of_program (prog : A.program) : t =
     prog.A.threads;
   let names = List.map (fun (t : A.thread_decl) -> t.A.tname) prog.A.threads in
   let facts = Hashtbl.fold Site.Map.add tbl Site.Map.empty in
-  { facts; ordered = close_order names !edges }
+  { facts; order = close_order names !edges }

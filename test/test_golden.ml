@@ -22,6 +22,7 @@ let seeds n = List.init n Fun.id
 (* Relative to the test's build directory when checking; the writer is
    run from the repository root. *)
 let examples = ref "../examples/programs"
+let fixtures = ref "fixtures"
 
 (* A target resolves as on the command line: a built-in workload with its
    static model, or an RFL file under examples/programs with the model
@@ -42,6 +43,19 @@ let campaign ?(domains = 2) ?(phase1_seeds = seeds 5) ~trials ?detector_budget
   Campaign.run ~domains ~cutoff:true ~phase1_seeds
     ~seeds_per_pair:(seeds trials) ?detector_budget ?no_degrade ?static
     ?static_filter ?offline_detect ?chaos program
+
+(* Site-interning order: campaign fingerprints print and sort pairs by
+   site id, and ids are handed out in first-interned order.  This row
+   compiles the serve-offline fixture before its static model is built,
+   as the CLI does, so the ids come from the order in which phase 1 first
+   executes each site, not from the order of the source.  No other row
+   may touch this fixture's sites, or the ids would already be fixed. *)
+let serve_compiled_first () =
+  let prog = Rf_lang.Lang.load_file (Filename.concat !fixtures "serve-offline.rfl") in
+  let program = Rf_lang.Lang.program ~print:ignore prog in
+  let static = Rf_static.Static.of_program prog in
+  Campaign.run ~domains:1 ~cutoff:false ~phase1_seeds:(seeds 5)
+    ~seeds_per_pair:(seeds 5) ~static ~static_filter:true ~offline_detect:2 program
 
 let rows : (string * (unit -> Campaign.result)) list =
   [
@@ -65,6 +79,7 @@ let rows : (string * (unit -> Campaign.result)) list =
     ("deadlock-rfl", campaign ~trials:50 "deadlock.rfl");
     ( "fork-heavy-phase1",
       campaign ~domains:1 ~phase1_seeds:[ 0 ] ~trials:0 "fork_heavy.rfl" );
+    ("serve-fixture-compiled-first", serve_compiled_first);
   ]
 
 (* One row's pinned values, as one line of the golden file. *)
@@ -114,6 +129,7 @@ let () =
   match Array.to_list Sys.argv with
   | _ :: "--write-golden" :: path :: _ ->
       examples := "examples/programs";
+      fixtures := "test/fixtures";
       write_golden path;
       Printf.printf "wrote %d golden campaign rows to %s\n" (List.length rows) path
   | _ ->

@@ -284,6 +284,121 @@ let test_interp_wait_notify () =
   in
   Alcotest.(check (list string)) "handshake value" [ "42" ] out
 
+let test_interp_return_releases_sync () =
+  (* [find] returns from inside [sync] inside a [for], recursively, so the
+     return unwinds several reentrant holds of L.  [u] can only set [done]
+     once L is free again; if any hold leaked, [t] would spin on [done]
+     until the step bound. *)
+  let o, out =
+    run_collect
+      {| shared int n; shared bool done; lock L;
+         def find(int d) -> int {
+           for (let i = 0; i < 10; i = i + 1) {
+             sync (L) {
+               n = n + 1;
+               if (i == 2) { if (d > 0) { return find(d - 1) + 1; } return 0; }
+             }
+           }
+           return 100;
+         }
+         thread t { print find(3); while (!done) { skip; } print n; }
+         thread u { let k = 0; while (k < 50) { k = k + 1; }
+                    sync (L) { done = true; } } |}
+  in
+  Alcotest.(check bool) "ok" true (Rf_runtime.Outcome.ok o);
+  Alcotest.(check (list string)) "result, then every increment" [ "3"; "12" ] out
+
+let test_interp_let_fresh_per_iteration () =
+  (* Before the body's [let x] runs, [x] names the global again on every
+     iteration: the previous iteration's local does not survive. *)
+  let _, out =
+    run_collect
+      {| shared int x = 7;
+         thread t {
+           let i = 0;
+           while (i < 3) {
+             print x;
+             let x = i * 10;
+             print x;
+             i = i + 1;
+           }
+           for (let j = 0; j < 2; j = j + 1) { print x; let x = j + 1; print x; }
+         } |}
+  in
+  Alcotest.(check (list string)) "fresh locals"
+    [ "7"; "0"; "7"; "10"; "7"; "20"; "7"; "1"; "7"; "2" ]
+    out
+
+let test_interp_for_step_let () =
+  (* A [let] used as a [for] step is in scope in the body, but the body
+     runs before the step first does: until then [j] still names the
+     global, for reads and writes alike, on every entry to the loop. *)
+  let _, out =
+    run_collect
+      {| shared int j = 7;
+         thread t {
+           let r = 0;
+           while (r < 2) {
+             for (let i = 0; i < 3; let j = i * 10) { print j; j = j + 1; i = i + 1; }
+             print j;
+             r = r + 1;
+           }
+         } |}
+  in
+  Alcotest.(check (list string)) "global until the step runs"
+    [ "7"; "10"; "20"; "8"; "8"; "10"; "20"; "9" ]
+    out
+
+let test_interp_nested_shadowing () =
+  let _, out =
+    run_collect
+      {| shared int v = 1;
+         def f(int v) -> int {
+           let r = v;
+           if (true) {
+             let v = v + 100;
+             r = r + v;
+             if (true) { let v = 1000; r = r + v; }
+             r = r + v;
+           }
+           return r + v;
+         }
+         thread t {
+           print f(5);
+           print v;
+           let v = 2;
+           if (true) { let v = 3; print v; v = 4; print v; }
+           print v;
+         } |}
+  in
+  Alcotest.(check (list string)) "innermost binding wins"
+    [ "1220"; "1"; "3"; "4"; "2" ]
+    out
+
+(* The exact text of each run-time model error: error fingerprints and
+   repro files contain it. *)
+let test_interp_error_texts () =
+  let error_of src =
+    let o, _ = run_collect src in
+    match o.Rf_runtime.Outcome.exceptions with
+    | [ { Rf_runtime.Outcome.exn_ = Rf_runtime.Api.Model_error m; _ } ] -> m
+    | _ -> Alcotest.failf "expected exactly one model error from %s" src
+  in
+  Alcotest.(check string) "division" "division by zero at 1:32"
+    (error_of "shared int x; thread t { x = 1 / x; }");
+  Alcotest.(check string) "modulo" "modulo by zero at 1:32"
+    (error_of "shared int x; thread t { x = 1 % x; }");
+  Alcotest.(check string) "bounds" "array index 5 out of bounds [0,2)"
+    (error_of "shared int[2] a; thread t { a[5] = 1; }");
+  Alcotest.(check string) "read bounds" "array index -1 out of bounds [0,2)"
+    (error_of "shared int[2] a; thread t { let i = a[0 - 1]; }");
+  Alcotest.(check string) "assert" "assertion failed at 1:26"
+    (error_of "shared int x; thread t { assert x == 1; }");
+  Alcotest.(check string) "missing return"
+    "function f ended without returning a value"
+    (error_of
+       "def f(int n) -> int { if (n > 0) { return 1; } } thread t { print f(0); }")
+
 let test_interp_deadlock_detected () =
   let main =
     Lang.program_of_string
@@ -394,6 +509,13 @@ let () =
           Alcotest.test_case "sync mutex" `Quick test_interp_sync_mutex;
           Alcotest.test_case "wait/notify" `Quick test_interp_wait_notify;
           Alcotest.test_case "deadlock" `Quick test_interp_deadlock_detected;
+          Alcotest.test_case "return releases sync" `Quick
+            test_interp_return_releases_sync;
+          Alcotest.test_case "let fresh per iteration" `Quick
+            test_interp_let_fresh_per_iteration;
+          Alcotest.test_case "for-step let" `Quick test_interp_for_step_let;
+          Alcotest.test_case "nested shadowing" `Quick test_interp_nested_shadowing;
+          Alcotest.test_case "error texts" `Quick test_interp_error_texts;
         ] );
       ( "end-to-end",
         [

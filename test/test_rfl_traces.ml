@@ -1,0 +1,219 @@
+(* Golden RFL trace rows: each row runs one RFL program under one
+   strategy and pins the run's structural trace fingerprint, step and
+   switch counts, uncaught exceptions (text @ site) and a digest of what
+   the program printed, against test/golden_rfl_traces.txt.  Programs:
+   every examples/programs/*.rfl, the three benchmark-shaped fixtures
+   under test/fixtures, and 40 rfl_gen programs drawn from a fixed
+   random state.  Strategies: random at seeds 0, 1 and 7, and one
+   RaceFuzzer trial (seed 0) on the first phase-1 pair (seed 0; first by
+   site text, so the row does not depend on interning order), which also
+   pins the trial's hit events and postponements.
+
+   Trace fingerprints hash sites by key, not registry id, so the rows do
+   not depend on which program ran first in the process.
+
+   The "alloc" group pins minor-heap words per engine step on two
+   fork-heavy programs (see [alloc_bounds]).
+
+   Check (also part of dune runtest):
+     dune build @golden
+   Regenerate (from the repository root):
+     dune exec test/test_rfl_traces.exe -- --write-golden test/golden_rfl_traces.txt
+   Print the measured words per step:
+     dune exec test/test_rfl_traces.exe -- --words-per-step *)
+
+open Rf_util
+open Rf_runtime
+module Fuzzer = Racefuzzer.Fuzzer
+
+(* Relative to the test's build directory when checking; the writer is
+   run from the repository root. *)
+let examples = ref "../examples/programs"
+let fixtures = ref "fixtures"
+
+let example_names =
+  [ "bank.rfl"; "chain.rfl"; "deadlock.rfl"; "figure1.rfl"; "fork_heavy.rfl" ]
+
+let fixture_names = [ "serve-offline.rfl"; "long-trials.rfl"; "fork-rounds.rfl" ]
+
+let generated =
+  lazy
+    (let rand = Random.State.make [| 19; 2008 |] in
+     List.init 40 (fun i ->
+         (Printf.sprintf "gen%02d" i, QCheck.Gen.generate1 ~rand Rfl_gen.gen_program)))
+
+(* (row name, program) pairs, in row order. *)
+let programs () =
+  List.map
+    (fun n -> (n, Rf_lang.Lang.load_file (Filename.concat !examples n)))
+    example_names
+  @ List.map
+      (fun n -> (n, Rf_lang.Lang.load_file (Filename.concat !fixtures n)))
+      fixture_names
+  @ Lazy.force generated
+
+(* A main that prints into [buf], one line per print statement. *)
+let main_of prog buf =
+  Rf_lang.Lang.program
+    ~print:(fun s ->
+      Buffer.add_string buf s;
+      Buffer.add_char buf '\n')
+    prog
+
+let exns (o : Outcome.t) =
+  match o.Outcome.exceptions with
+  | [] -> "-"
+  | xs ->
+      String.concat ";"
+        (List.map
+           (fun (x : Outcome.exn_report) ->
+             Printf.sprintf "%s@%s" (Printexc.to_string x.Outcome.exn_)
+               (match x.Outcome.raised_at with
+               | Some s -> Site.to_string s
+               | None -> "-"))
+           xs)
+
+let summary (o : Outcome.t) tr buf =
+  Printf.sprintf "%d %d %d %s %s" (Rf_events.Trace.fingerprint tr) o.Outcome.steps
+    o.Outcome.switches (exns o)
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let random_row prog seed () =
+  let buf = Buffer.create 64 in
+  let o =
+    Engine.run
+      ~config:{ Engine.default_config with seed; record_trace = true }
+      ~strategy:(Strategy.random ()) (main_of prog buf)
+  in
+  match o.Outcome.trace with
+  | Some tr -> summary o tr buf
+  | None -> assert false
+
+let first_pair prog =
+  let p1 = Fuzzer.phase1 ~seeds:[ 0 ] (Rf_lang.Lang.program ~print:ignore prog) in
+  Site.Pair.Set.elements (Fuzzer.potential_pairs p1)
+  |> List.map (fun p -> (Site.Pair.to_string p, p))
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> function
+  | [] -> None
+  | (_, p) :: _ -> Some p
+
+let racefuzzer_row prog () =
+  match first_pair prog with
+  | None -> "no-pair"
+  | Some pair -> (
+      let buf = Buffer.create 64 in
+      let tr = Rf_events.Trace.create () in
+      match
+        Fuzzer.run_trial ~listeners:[ Rf_events.Trace.add tr ]
+          ~max_steps:Engine.default_config.max_steps ~program:(main_of prog buf) pair 0
+      with
+      | Fuzzer.Completed t ->
+          let r = t.Fuzzer.t_report in
+          Printf.sprintf "%s %s hits=%d postponements=%d" (Site.Pair.to_string pair)
+            (summary t.Fuzzer.t_outcome tr buf)
+            r.Racefuzzer.Algo.hit_events r.Racefuzzer.Algo.postponements
+      | Fuzzer.Harness_crash (e, _) -> "crash " ^ Printexc.to_string e
+      | Fuzzer.Budget_exhausted _ -> "budget-exhausted")
+
+(* Row key "<program> <seed> <strategy>" and its measurement. *)
+let rows () =
+  List.concat_map
+    (fun (name, prog) ->
+      List.map
+        (fun seed -> (Printf.sprintf "%s %d random" name seed, random_row prog seed))
+        [ 0; 1; 7 ]
+      @ [ (Printf.sprintf "%s 0 racefuzzer" name, racefuzzer_row prog) ])
+    (programs ())
+
+let write_golden path =
+  let oc = open_out path in
+  output_string oc
+    "# Golden RFL trace rows: <program> <seed> <strategy> <trace fingerprint> \
+     <steps> <switches> <exceptions as text@site> <digest of printed output>;\n\
+     # racefuzzer rows lead with the fuzzed pair and end with hit events and \
+     postponements.\n";
+  Printf.fprintf oc
+    "# Regenerate with: dune exec test/test_rfl_traces.exe -- --write-golden %s\n"
+    path;
+  let rows = rows () in
+  List.iter (fun (key, run) -> Printf.fprintf oc "%s %s\n" key (run ())) rows;
+  close_out oc;
+  List.length rows
+
+(* Key = the first three fields, value = the rest of the line. *)
+let read_golden path =
+  let tbl = Hashtbl.create 256 in
+  In_channel.with_open_text path (fun ic ->
+      let rec go () =
+        match In_channel.input_line ic with
+        | None -> ()
+        | Some line ->
+            let line = String.trim line in
+            (if line <> "" && line.[0] <> '#' then
+               match String.split_on_char ' ' line with
+               | a :: b :: c :: rest ->
+                   Hashtbl.replace tbl (String.concat " " [ a; b; c ]) (String.concat " " rest)
+               | _ -> ());
+            go ()
+      in
+      go ());
+  tbl
+
+(* ------------------------------------------------------------------ *)
+(* Words per engine step                                               *)
+
+(* Minor-heap words per engine step under the random strategy on one
+   domain, seeds 0-4, after one warm-up run.  Single-domain allocation is
+   deterministic for a fixed binary.  Each bound is about 1.5x what the
+   compiled interpreter with the engine's cached strategy view measured,
+   and at most half of what the tree-walking interpreter allocated (379
+   and 260 words per step), so a return to per-step environment tables or
+   per-switch view lists fails here. *)
+let alloc_bounds = [ ("fork_heavy.rfl", 63.); ("fork-rounds.rfl", 67.) ]
+
+let words_per_step name =
+  let dir = if name = "fork_heavy.rfl" then !examples else !fixtures in
+  let main = Rf_lang.Lang.program ~print:ignore (Rf_lang.Lang.load_file (Filename.concat dir name)) in
+  let run seed =
+    (Engine.run ~config:{ Engine.default_config with seed } ~strategy:(Strategy.random ()) main)
+      .Outcome.steps
+  in
+  ignore (run 0);
+  let w0 = Gc.minor_words () in
+  let steps = List.fold_left (fun acc seed -> acc + run seed) 0 [ 0; 1; 2; 3; 4 ] in
+  (Gc.minor_words () -. w0) /. float_of_int steps
+
+let alloc_case (name, bound) =
+  Alcotest.test_case name `Quick (fun () ->
+      let w = words_per_step name in
+      if w > bound then
+        Alcotest.failf "%s allocates %.1f minor words per step (bound %.0f)" name w bound)
+
+let () =
+  match Array.to_list Sys.argv with
+  | _ :: "--write-golden" :: path :: _ ->
+      examples := "examples/programs";
+      fixtures := "test/fixtures";
+      let n = write_golden path in
+      Printf.printf "wrote %d golden RFL trace rows to %s\n" n path
+  | _ :: "--words-per-step" :: _ ->
+      examples := "examples/programs";
+      fixtures := "test/fixtures";
+      List.iter
+        (fun (name, _) -> Printf.printf "%s %.1f\n" name (words_per_step name))
+        alloc_bounds
+  | _ ->
+      let golden = read_golden "golden_rfl_traces.txt" in
+      Alcotest.run "golden_rfl_traces"
+        [
+          ( "rows",
+            List.map
+              (fun (key, run) ->
+                Alcotest.test_case key `Quick (fun () ->
+                    match Hashtbl.find_opt golden key with
+                    | None -> Alcotest.failf "row %s missing from the golden file" key
+                    | Some pinned -> Alcotest.(check string) key pinned (run ())))
+              (rows ()) );
+          ("alloc", List.map alloc_case alloc_bounds);
+        ]
