@@ -41,6 +41,38 @@ let bank ?(atomic = false) ?(amount = 80) () =
   let final = Api.Cell.unsafe_peek balance in
   if final < 0 then Api.error (Printf.sprintf "overdraft: balance = %d" final)
 
+(* Four withdrawers of 30 from a balance of 100 beside a depositor that
+   also takes the account lock: more threads and steps than [bank], so
+   postponement, relief and eviction all have work to do. *)
+let busy_bank () =
+  let balance = Api.Cell.make ~name:"balance" 100 in
+  let l = Lock.create ~name:"account" () in
+  let withdraw () =
+    for _ = 1 to 2 do
+      let enough =
+        Api.sync ~site:site_chk_sync l (fun () ->
+            Api.Cell.read ~site:site_chk_read balance >= 30)
+      in
+      if enough then
+        Api.sync ~site:site_wd_sync l (fun () ->
+            Api.Cell.write ~site:site_wd_write balance
+              (Api.Cell.read ~site:site_wd_read balance - 30))
+    done
+  in
+  let deposit () =
+    for _ = 1 to 3 do
+      Api.sync ~site:(Api.site "busy:sync(deposit)") l (fun () ->
+          Api.Cell.write ~site:(Api.site "busy:write balance (deposit)") balance
+            (Api.Cell.read ~site:(Api.site "busy:read balance (deposit)") balance + 5))
+    done
+  in
+  let hs = List.init 4 (fun i -> Api.fork ~name:(Printf.sprintf "w%d" i) withdraw) in
+  let d = Api.fork ~name:"depositor" deposit in
+  List.iter Api.join hs;
+  Api.join d;
+  let final = Api.Cell.unsafe_peek balance in
+  if final < 0 then Api.error (Printf.sprintf "overdraft: balance = %d" final)
+
 (* ------------------------------------------------------------------ *)
 (* Phase 1                                                             *)
 
@@ -144,6 +176,112 @@ let test_violation_seed_replays () =
           Alcotest.(check int) "replayed violation" 1
             again.Racefuzzer.Atom_fuzzer.ac_violation_trials)
 
+(* Exact per-seed outcomes, pinned: for each candidate (named by its
+   second acquire and interfering write; candidates that share both
+   drive the same strategy and print one line) and seeds 0-19, what [fuzz_candidate] credits the seed with ("V"
+   violation, "E" violation with the overdraft, "-" neither), then the
+   strategy's hits, [apostponed] and [aevictions] and the run's steps.
+   Without a timeout argument the default postpone timeout applies; a
+   timeout of 2 steps makes livelock relief fire.  Any change to the
+   postponement bookkeeping or to the PRNG draws it makes shows up here. *)
+let atomicity_outcomes ?postpone_timeout program =
+  let module A = Racefuzzer.Atom_fuzzer in
+  List.map
+    (fun (c : Rf_detect.Atomicity.candidate) ->
+      let watch =
+        Site.Set.of_list
+          [ c.Rf_detect.Atomicity.second_acquire; c.Rf_detect.Atomicity.interferer_site ]
+      in
+      let seeds =
+        List.init 20 (fun seed ->
+            let r = A.fuzz_candidate ~seeds:[ seed ] ~program c in
+            let report = A.fresh_report () in
+            let o =
+              Engine.run
+                ~config:{ Engine.default_config with seed; policy = Engine.Sync_and watch }
+                ~strategy:(A.strategy ?postpone_timeout ~candidate:c ~report ())
+                program
+            in
+            Printf.sprintf "%s%d/%d/%d/%d"
+              (if r.A.ac_error_trials = 1 then "E"
+               else if r.A.ac_violation_trials = 1 then "V"
+               else "-")
+              (List.length report.A.ahits) report.A.apostponed report.A.aevictions
+              o.Outcome.steps)
+      in
+      Printf.sprintf "%s -> %s %s"
+        (Site.label c.Rf_detect.Atomicity.second_acquire)
+        (Site.label c.Rf_detect.Atomicity.interferer_site)
+        (String.concat " " seeds))
+    (A.phase1 ~seeds:(List.init 10 Fun.id) program)
+  |> List.sort_uniq compare
+
+let test_pinned_outcomes () =
+  let check name ?postpone_timeout program expected =
+    Alcotest.(check (list string)) name expected
+      (atomicity_outcomes ?postpone_timeout program)
+  in
+  check "bank" (fun () -> bank ())
+    [
+      "bank:sync(withdraw) -> bank:write balance (withdraw) E1/2/2/21 E1/2/2/21 E1/2/2/21 E1/2/2/21 E1/2/2/21 \
+       E1/2/2/21 E1/2/2/21 E1/2/2/21 E1/2/2/21 E1/2/2/21 \
+       E1/2/2/21 E1/2/2/21 E1/2/2/21 E1/2/2/21 E1/2/2/21 \
+       E1/2/2/21 E1/2/2/21 E1/2/2/21 E1/2/2/21 E1/2/2/21";
+    ];
+  check "bank, timeout 2" ~postpone_timeout:(Some 2) (fun () -> bank ())
+    [
+      "bank:sync(withdraw) -> bank:write balance (withdraw) E1/4/2/21 E1/4/2/21 E1/4/2/21 E1/4/2/21 E1/3/2/21 \
+       E1/3/2/21 E1/4/2/21 E1/3/2/21 E1/4/2/21 E1/3/2/21 \
+       E1/3/2/21 E1/4/2/21 E1/3/2/21 E1/3/2/21 E1/4/2/21 \
+       E1/3/2/21 E1/3/2/21 E1/3/2/21 E1/4/2/21 E1/4/2/21";
+    ];
+  check "busy bank" busy_bank
+    [
+      "bank:sync(check) -> bank:write balance (withdraw) V3/8/8/64 V3/8/8/64 V3/8/8/64 V3/8/8/64 V3/8/8/64 \
+       V3/8/8/64 V3/8/8/64 V3/8/8/64 V3/8/8/64 V3/8/8/64 \
+       V3/8/8/64 V3/8/8/64 V3/8/8/64 V3/8/8/64 V3/8/8/64 \
+       V3/8/8/64 V3/8/8/64 V3/8/8/64 V3/8/8/64 V3/8/8/64";
+      "bank:sync(check) -> busy:write balance (deposit) V3/8/8/64 V3/8/8/64 V3/8/8/64 V3/8/8/64 V3/8/8/64 \
+       V3/8/8/64 V3/8/8/64 V3/8/8/64 V3/8/8/64 V3/8/8/64 \
+       V3/8/8/64 V3/8/8/64 V3/8/8/64 V3/8/8/64 V3/8/8/64 \
+       V3/8/8/64 V3/8/8/64 V3/8/8/64 V3/8/8/64 V3/8/8/64";
+      "bank:sync(withdraw) -> bank:write balance (withdraw) E5/6/6/76 E5/6/6/76 E5/6/6/76 E5/6/6/76 E5/6/6/76 \
+       E5/6/6/76 E5/6/6/76 E5/6/6/76 E5/6/6/76 E5/6/6/76 \
+       E5/6/6/76 E5/6/6/76 E4/5/5/72 E5/6/6/76 E4/5/5/72 \
+       E5/6/6/76 E5/6/6/76 E5/6/6/76 E4/5/5/72 E5/6/6/76";
+      "bank:sync(withdraw) -> busy:write balance (deposit) E3/6/6/76 E3/5/5/72 E3/6/6/76 E2/6/6/76 E3/6/6/76 \
+       E3/5/5/72 E3/6/6/76 E3/6/6/76 E3/6/6/76 E3/5/5/72 \
+       E3/6/6/76 E3/6/6/76 E3/6/6/76 E2/5/5/72 E3/6/6/76 \
+       -0/6/6/76 E3/6/6/76 E3/6/6/76 E3/6/6/76 E3/5/5/72";
+      "busy:sync(deposit) -> bank:write balance (withdraw) -0/3/3/64 E2/3/3/68 E4/3/3/72 V3/3/3/64 E3/3/3/68 \
+       E5/3/3/76 E2/3/3/72 E4/3/3/72 V2/3/3/64 -0/3/3/64 \
+       E3/3/3/72 E1/3/3/68 E4/3/3/72 E4/3/3/68 E3/3/3/72 \
+       E4/3/3/68 -0/3/3/72 E3/3/3/68 E3/3/3/72 -0/3/3/72";
+    ];
+  check "busy bank, timeout 5" ~postpone_timeout:(Some 5) busy_bank
+    [
+      "bank:sync(check) -> bank:write balance (withdraw) V2/20/8/64 V3/26/8/64 V2/25/8/64 V3/25/8/64 V3/26/8/64 \
+       V3/20/8/64 V3/23/8/64 V3/26/8/64 V3/24/8/64 V3/25/8/64 \
+       V3/24/8/64 V3/27/8/64 V3/26/8/64 V3/24/8/64 V3/24/8/64 \
+       V3/25/8/64 V3/23/8/64 V3/20/8/64 V3/25/8/64 V3/26/8/64";
+      "bank:sync(check) -> busy:write balance (deposit) V1/25/8/64 V2/26/8/64 V2/23/8/64 V3/21/8/64 V3/25/8/64 \
+       V0/20/8/64 V3/26/8/64 V2/25/8/64 V3/27/8/64 V2/23/8/64 \
+       V2/27/8/64 V3/26/8/64 V2/24/8/64 V1/23/8/64 V2/24/8/64 \
+       V2/24/8/64 V2/24/8/64 V1/22/8/64 V2/23/8/64 V3/25/8/64";
+      "bank:sync(withdraw) -> bank:write balance (withdraw) E4/25/6/76 E4/19/6/76 E4/20/6/76 E4/12/5/72 E5/20/6/76 \
+       E5/27/6/76 E4/22/6/76 E4/19/6/76 E4/21/6/76 E2/14/5/72 \
+       E3/17/5/72 E4/22/6/76 E3/15/5/72 E4/15/5/72 E4/24/6/76 \
+       E4/20/6/76 E5/21/6/76 E4/18/6/76 E3/13/5/72 E4/20/6/76";
+      "bank:sync(withdraw) -> busy:write balance (deposit) E1/23/6/76 E2/20/6/76 E2/21/6/76 E1/19/6/76 E1/23/6/76 \
+       E3/21/6/76 E3/24/6/76 E1/18/6/76 E3/16/5/72 E2/20/6/76 \
+       E2/25/6/76 E3/20/6/76 E3/21/6/76 E2/18/6/76 E2/20/6/76 \
+       -0/15/6/76 E2/17/6/76 E1/21/6/76 E2/13/5/72 E2/22/6/76";
+      "busy:sync(deposit) -> bank:write balance (withdraw) -0/3/3/64 E0/5/3/68 E3/6/3/72 V2/5/3/68 E1/4/3/68 \
+       E2/7/3/68 E1/5/3/72 E1/5/3/76 V1/6/3/64 -0/4/3/64 \
+       E1/4/3/72 E1/4/3/68 E1/5/3/76 E3/7/3/72 E0/4/3/72 \
+       E2/5/3/68 -0/4/3/72 E1/6/3/68 E2/5/3/72 -0/4/3/72";
+    ]
+
 let () =
   Alcotest.run "rf_atomicity"
     [
@@ -165,5 +303,6 @@ let () =
           Alcotest.test_case "rejects atomic version" `Quick
             test_fuzzer_rejects_atomic_version;
           Alcotest.test_case "seed replays" `Quick test_violation_seed_replays;
+          Alcotest.test_case "pinned per-seed outcomes" `Quick test_pinned_outcomes;
         ] );
     ]

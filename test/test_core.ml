@@ -346,6 +346,80 @@ let test_rapos_weaker_than_racefuzzer_on_fig2 () =
     true
     (b.Fuzzer.b_error_trials < 20)
 
+(* ------------------------------------------------------------------ *)
+(* Listener failures escape the engine                                  *)
+
+(* The main thread writes four fresh cells at an unwatched site, then
+   two workers race on [x] at the watched sites. *)
+let unwatched_first_program () =
+  let open Rf_runtime.Api in
+  let pre = site "uf-pre" in
+  for _ = 1 to 4 do
+    Cell.write ~site:pre (Cell.make 0) 1
+  done;
+  let x = Cell.make ~name:"x" 0 in
+  let h1 = fork ~name:"w1" (fun () -> Cell.write ~site:(site "uf-w1") x 1) in
+  let h2 = fork ~name:"w2" (fun () -> Cell.write ~site:(site "uf-w2") x 2) in
+  join h1;
+  join h2
+
+let unwatched_first_pair () = Site.Pair.make (Site.make "uf-w1") (Site.make "uf-w2")
+
+exception Listener_failed
+
+(* A listener that raises at an unwatched access under [`Sync_and] makes
+   [Engine.run] raise: the failure belongs to the harness, not to the
+   model thread whose access was being reported.  Afterwards a memory
+   operation outside any engine is unhandled again. *)
+let test_listener_exception_escapes_run () =
+  let open Rf_runtime in
+  let pair = unwatched_first_pair () in
+  let watch = Site.Set.of_list [ Site.Pair.fst pair; Site.Pair.snd pair ] in
+  let listener = function
+    | Rf_events.Event.Mem { site; _ } when not (Site.Set.mem site watch) ->
+        raise Listener_failed
+    | _ -> ()
+  in
+  Alcotest.check_raises "Engine.run raises the listener's exception" Listener_failed
+    (fun () ->
+      ignore
+        (Engine.run
+           ~config:{ Engine.default_config with policy = Engine.Sync_and watch }
+           ~listeners:[ listener ]
+           ~strategy:(Algo.strategy ~pair ~report:(Algo.fresh_report ()) ())
+           unwatched_first_program));
+  let o =
+    Engine.run
+      ~config:{ Engine.default_config with policy = Engine.Sync_and watch }
+      ~strategy:(Strategy.random ()) unwatched_first_program
+  in
+  Alcotest.(check int) "a clean run afterwards raises nothing" 0
+    (List.length o.Outcome.exceptions);
+  match Api.Cell.read ~site:(Site.make "uf-outside") (Api.Cell.make 0) with
+  | _ -> Alcotest.fail "a memory read outside an engine must be unhandled"
+  | exception Effect.Unhandled _ -> ()
+
+(* The same through the trial sandbox: a no-degrade governed detector
+   passed as a listener stops the trial as budget-exhausted, instead of
+   the trial completing with the stop recorded as the main thread's
+   exception. *)
+let test_no_degrade_listener_stops_trial () =
+  let g = Rf_resource.Governor.create ~max_entries:2 ~no_degrade:true () in
+  let d = Rf_detect.Detector.hybrid ~governor:g () in
+  match
+    Fuzzer.run_trial
+      ~listeners:[ Rf_detect.Detector.feed d ]
+      ~max_steps:Rf_runtime.Engine.default_config.max_steps
+      ~program:unwatched_first_program (unwatched_first_pair ()) 0
+  with
+  | Fuzzer.Budget_exhausted { bx_reason; _ } ->
+      Alcotest.(check bool) "detector budget" true
+        (bx_reason = Rf_runtime.Outcome.Detector_budget)
+  | Fuzzer.Completed t ->
+      Alcotest.failf "trial completed with %d exception(s)"
+        (List.length t.Fuzzer.t_outcome.Rf_runtime.Outcome.exceptions)
+  | Fuzzer.Harness_crash (e, _) -> Alcotest.failf "harness crash %s" (Printexc.to_string e)
+
 let () =
   Alcotest.run "racefuzzer_core"
     [
@@ -386,6 +460,13 @@ let () =
             test_timeout_unit_is_engine_steps;
           Alcotest.test_case "terminates without relief" `Quick
             test_no_timeout_still_terminates;
+        ] );
+      ( "listeners",
+        [
+          Alcotest.test_case "exception escapes the run" `Quick
+            test_listener_exception_escapes_run;
+          Alcotest.test_case "no-degrade detector stops the trial" `Quick
+            test_no_degrade_listener_stops_trial;
         ] );
       ( "rapos",
         [

@@ -57,6 +57,39 @@ let philosophers () =
   in
   List.iter Api.join hs
 
+(* Four philosophers that eat three times each, taking a side lock and
+   touching shared counters between meals, beside a thread that only
+   reads and writes: longer runs, so postponement, relief and eviction
+   all have work to do. *)
+let busy_philosophers () =
+  let n = 4 in
+  let forks = Array.init n (fun i -> Lock.create ~name:(Printf.sprintf "fork%d" i) ()) in
+  let side = Lock.create ~name:"side" () in
+  let meals = Api.Cell.make ~name:"meals" 0 in
+  let noise = Api.Cell.make ~name:"noise" 0 in
+  let hs =
+    List.init n (fun i ->
+        Api.fork ~name:(Printf.sprintf "phil%d" i) (fun () ->
+            for _ = 1 to 3 do
+              Api.sync ~site:(s "busy:side") side (fun () ->
+                  Api.Cell.update ~rsite:(s "busy:read meals") ~wsite:(s "busy:write meals")
+                    meals succ);
+              Api.Cell.write ~site:(s "busy:noise") noise i;
+              let first = forks.(i) and second = forks.((i + 1) mod n) in
+              Api.sync ~site:(s (Printf.sprintf "busy%d:first" i)) first (fun () ->
+                  Api.sync ~site:(s (Printf.sprintf "busy%d:second" i)) second (fun () ->
+                      ignore (Api.Cell.read ~site:(s "busy:eat") noise)))
+            done))
+  in
+  let reader =
+    Api.fork ~name:"reader" (fun () ->
+        for _ = 1 to 10 do
+          Api.Cell.update ~rsite:(s "busy:read noise") ~wsite:(s "busy:write noise") noise succ
+        done)
+  in
+  List.iter Api.join hs;
+  Api.join reader
+
 (* ------------------------------------------------------------------ *)
 (* Goodlock (phase 1)                                                  *)
 
@@ -201,6 +234,94 @@ let test_deadlock_replay () =
           Alcotest.(check int) "seed replays the deadlock" 1
             again.Racefuzzer.Deadlock_fuzzer.dc_deadlock_trials)
 
+(* Exact per-seed outcomes, pinned: for each candidate (named by its
+   sorted site labels) and seeds 0-19, whether [fuzz_candidate] credits
+   the seed with the deadlock ("D" or "-"), then the strategy's
+   [postponed_total] and [evictions] and the run's steps.  Without a
+   timeout argument the default postpone timeout applies; a timeout of 2
+   steps makes livelock relief fire on these small programs.  Any change
+   to the postponement bookkeeping or to the PRNG draws it makes shows
+   up here. *)
+let deadlock_outcomes ?postpone_timeout program =
+  let module D = Racefuzzer.Deadlock_fuzzer in
+  List.map
+    (fun (c : Rf_detect.Goodlock.candidate) ->
+      let watch = Site.Set.of_list c.Rf_detect.Goodlock.sites in
+      let seeds =
+        List.init 20 (fun seed ->
+            let credited =
+              (D.fuzz_candidate ~seeds:[ seed ] ~program c).D.dc_deadlock_trials = 1
+            in
+            let report = D.fresh_report () in
+            let o =
+              Engine.run
+                ~config:{ Engine.default_config with seed; policy = Engine.Sync_and watch }
+                ~strategy:(D.strategy ?postpone_timeout ~sites:watch ~report ())
+                program
+            in
+            Printf.sprintf "%s%d/%d/%d"
+              (if credited then "D" else "-")
+              report.D.postponed_total report.D.evictions o.Outcome.steps)
+      in
+      String.concat "," (List.sort compare (List.map Site.label c.Rf_detect.Goodlock.sites))
+      ^ " " ^ String.concat " " seeds)
+    (D.phase1 ~seeds:(List.init 10 Fun.id) program)
+
+let test_deadlockfuzzer_pinned_outcomes () =
+  let check name ?postpone_timeout program expected =
+    Alcotest.(check (list string)) name expected
+      (deadlock_outcomes ?postpone_timeout program)
+  in
+  check "classic" classic_cycle
+    [
+      "t1:lock B,t2:lock A D0/0/7 D1/0/7 D0/0/7 D1/0/7 D0/0/7 \
+       D1/0/7 D1/0/7 D0/0/7 D1/0/7 D1/0/7 \
+       D1/0/7 D1/0/7 D0/0/7 D1/0/7 D0/0/7 \
+       D1/0/7 D1/0/7 D1/0/7 D1/0/7 D0/0/7";
+    ];
+  check "gated" gated_cycle
+    [
+      "g1:lock B,g2:lock A -2/2/19 -2/2/19 -2/2/19 -2/2/19 -2/2/19 \
+       -2/2/19 -2/2/19 -2/2/19 -2/2/19 -2/2/19 \
+       -2/2/19 -2/2/19 -2/2/19 -2/2/19 -2/2/19 \
+       -2/2/19 -2/2/19 -2/2/19 -2/2/19 -2/2/19";
+    ];
+  check "philosophers" philosophers
+    [
+      "phil0:second,phil1:second,phil2:second D1/0/10 D1/0/10 D1/0/10 D1/0/10 D0/0/10 \
+       D1/0/10 D1/0/10 D1/0/10 D1/0/10 D1/0/10 \
+       D2/0/10 D1/0/10 D1/0/10 D2/0/10 D1/0/10 \
+       D1/0/10 D1/0/10 D2/0/10 D1/0/10 D1/0/10";
+    ];
+  check "classic, timeout 2" ~postpone_timeout:(Some 2) classic_cycle
+    [
+      "t1:lock B,t2:lock A D0/0/7 D1/0/7 D0/0/7 D1/0/7 D0/0/7 \
+       D1/0/7 D1/0/7 D0/0/7 D1/0/7 D1/0/7 \
+       D1/0/7 D1/0/7 D0/0/7 D1/0/7 D0/0/7 \
+       D1/0/7 D1/0/7 D1/0/7 D1/0/7 D0/0/7";
+    ];
+  check "philosophers, timeout 2" ~postpone_timeout:(Some 2) philosophers
+    [
+      "phil0:second,phil1:second,phil2:second D1/0/10 D1/0/10 D1/0/10 D1/0/10 D0/0/10 \
+       D1/0/10 D1/0/10 D1/0/10 D1/0/10 D1/0/10 \
+       D2/0/10 D1/0/10 D2/0/10 D2/0/10 D1/0/10 \
+       D1/0/10 D1/0/10 D2/0/10 D1/0/10 D1/0/10";
+    ];
+  check "busy philosophers" busy_philosophers
+    [
+      "busy0:second,busy1:second,busy2:second,busy3:second D2/0/55 D1/0/55 D2/0/55 D2/0/55 D1/0/55 \
+       D1/0/55 D1/0/55 D2/0/55 D2/0/55 D1/0/55 \
+       D2/0/55 D2/0/55 D1/0/55 D3/0/55 D1/0/55 \
+       D2/0/55 D1/0/55 D2/0/55 D1/0/55 D3/0/55";
+    ];
+  check "busy philosophers, timeout 5" ~postpone_timeout:(Some 5) busy_philosophers
+    [
+      "busy0:second,busy1:second,busy2:second,busy3:second D3/0/55 D3/0/55 D3/0/55 D2/0/55 D4/0/55 \
+       D1/0/55 D3/0/55 D1/0/55 D3/0/55 D3/0/55 \
+       D4/0/55 D5/0/55 D2/0/55 D3/0/55 D2/0/55 \
+       D3/0/55 D1/0/55 D4/0/55 D2/0/55 D3/0/55";
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Parallel fuzzing equivalence (embarrassingly parallel claim)        *)
 
@@ -265,6 +386,8 @@ let () =
             test_deadlockfuzzer_beats_random_on_classic;
           Alcotest.test_case "philosophers" `Quick test_deadlockfuzzer_philosophers;
           Alcotest.test_case "replay" `Quick test_deadlock_replay;
+          Alcotest.test_case "pinned per-seed outcomes" `Quick
+            test_deadlockfuzzer_pinned_outcomes;
         ] );
       ( "parallel",
         [

@@ -95,6 +95,50 @@ let test_prng_rough_uniformity () =
         (abs (c - (n / 4)) < n / 10))
     counts
 
+(* Known answers: SplitMix64's first outputs (seed 0 is the reference
+   generator's published first value) and one int/bool draw sequence.
+   Every recorded schedule and golden fingerprint depends on this exact
+   stream, so any change to the generator's representation must keep it. *)
+let test_prng_known_answers () =
+  List.iter
+    (fun (seed, expected) ->
+      let p = Prng.create seed in
+      List.iter
+        (fun x -> Alcotest.(check int64) (Printf.sprintf "seed %d" seed) x (Prng.next_int64 p))
+        expected)
+    [
+      (0, [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL ]);
+      (1, [ 0x910A2DEC89025CC1L; 0xBEEB8DA1658EEC67L; 0xF893A2EEFB32555EL ]);
+      (42, [ 0xBDD732262FEB6E95L; 0x28EFE333B266F103L; 0x47526757130F9F52L ]);
+    ];
+  let p = Prng.create 7 in
+  let ints = List.init 8 (fun i -> Prng.int p (i + 2)) in
+  let bools = List.init 8 (fun _ -> Prng.bool p) in
+  Alcotest.(check (list int)) "int draws" [ 1; 0; 2; 0; 0; 6; 6; 8 ] ints;
+  Alcotest.(check (list bool)) "bool draws"
+    [ true; true; true; false; false; false; false; false ]
+    bools;
+  Alcotest.(check int64) "state after 16 draws" 0xE3779B97F4A7C157L (Prng.state p)
+
+(* [state] / [of_int64] / [set_state] round trips; [state] hands back the
+   very box it was given until the next draw (the schedule recorder
+   shares it with the replayer instead of copying it). *)
+let test_prng_state_roundtrip () =
+  let p = Prng.create 42 in
+  ignore (Prng.next_int64 p);
+  let s = Prng.state p in
+  let q = Prng.of_int64 s in
+  Alcotest.(check int64) "of_int64 continues the stream" (Prng.next_int64 p)
+    (Prng.next_int64 q);
+  Alcotest.(check bool) "of_int64 keeps the box" true (Prng.state (Prng.of_int64 s) == s);
+  let r = Prng.create 0 in
+  Prng.set_state r s;
+  Alcotest.(check bool) "set_state keeps the box" true (Prng.state r == s);
+  Alcotest.(check int64) "set_state rewinds" 0x28EFE333B266F103L (Prng.next_int64 r);
+  Alcotest.(check int64) "state after a draw" (Prng.state q) (Prng.state r);
+  let again = Prng.state r in
+  Alcotest.(check bool) "state is stable between draws" true (Prng.state r == again)
+
 (* ------------------------------------------------------------------ *)
 (* Site                                                                *)
 
@@ -217,6 +261,8 @@ let () =
           Alcotest.test_case "pick" `Quick test_prng_pick;
           Alcotest.test_case "shuffle permutation" `Quick test_prng_shuffle_permutation;
           Alcotest.test_case "rough uniformity" `Quick test_prng_rough_uniformity;
+          Alcotest.test_case "known answers" `Quick test_prng_known_answers;
+          Alcotest.test_case "state roundtrip" `Quick test_prng_state_roundtrip;
           QCheck_alcotest.to_alcotest prop_prng_int_in_range;
         ] );
       ( "site",
