@@ -75,179 +75,151 @@ let hits r = List.rev r.hits
 (** Default bound (in scheduler steps) a thread may stay postponed. *)
 let default_postpone_timeout = 2_000
 
+(* The racing partners found by the last [Racing] scan, as tids in
+   enabled (tid) order, in a buffer reused across consultations.  After a
+   race is resolved toward the postponed side, partners [next, n) are
+   the threads that must run next (Algorithm 1 line 16: execute all
+   threads of R); otherwise [next = n]. *)
+type partners = {
+  mutable tids : int array;
+  mutable n : int;
+  mutable next : int;
+  mutable first_site : Site.t;  (* the first partner's pending site *)
+}
+
+let push r tid =
+  if r.n = Array.length r.tids then begin
+    let a = Array.make (2 * r.n) 0 in
+    Array.blit r.tids 0 a 0 r.n;
+    r.tids <- a
+  end;
+  r.tids.(r.n) <- tid;
+  r.n <- r.n + 1
+
 (** [Racing (s, t, postponed)] — Algorithm 2: the postponed threads whose
     pending access conflicts with [m] (same dynamic location, at least one
     write).  Postponed threads are always parked at a [RaceSet] memory
     operation, so no site check is needed here, mirroring the paper. *)
-let racing (m : Op.mem) is_postponed (enabled : Strategy.entry list) =
-  List.filter
-    (fun (e : Strategy.entry) ->
-      is_postponed e.Strategy.tid
-      &&
-      match Op.pend_mem e.Strategy.pend with
-      | Some m' ->
-          Loc.equal m.Op.loc m'.Op.loc
-          && (m.Op.access = Rf_events.Event.Write
-             || m'.Op.access = Rf_events.Event.Write)
-      | None -> false)
-    enabled
+let rec racing p (m : Op.mem) r = function
+  | [] -> ()
+  | (e : Strategy.entry) :: rest ->
+      (if Postpone.mem p e.tid then
+         match e.pend with
+         | Op.P_mem m'
+           when Loc.equal m.loc m'.loc
+                && (m.access = Rf_events.Event.Write || m'.access = Rf_events.Event.Write)
+           ->
+             if r.n = 0 then r.first_site <- m'.site;
+             push r e.tid
+         | _ -> ());
+      racing p m r rest
+
+(* Threads queued to run next are skipped once they stop being enabled. *)
+let rec is_enabled tid = function
+  | [] -> false
+  | (e : Strategy.entry) :: rest -> e.tid = tid || is_enabled tid rest
+
+let rec from_queue r enabled =
+  if r.next >= r.n then -1
+  else begin
+    let tid = r.tids.(r.next) in
+    r.next <- r.next + 1;
+    if is_enabled tid enabled then tid else from_queue r enabled
+  end
+
+(* Locations already recorded as hits, one table per (postponed site id,
+   arriving site id): only the first creation of a distinct race conses a
+   hit record. *)
+type recorded = { post_id : int; arr_id : int; locs : unit Loc.Tbl.t }
+
+let rec find_recorded post_id arr_id = function
+  | [] -> raise Not_found
+  | r :: rest ->
+      if r.post_id = post_id && r.arr_id = arr_id then r
+      else find_recorded post_id arr_id rest
 
 (** Build the strategy for one run.
 
     [pair] is the RaceSet; [report] collects hits; [postpone_timeout]
     bounds how long (in engine steps, the [view.step] clock — not strategy
-    consultations, which advance more slowly under [`Sync_and] fast paths)
-    a thread may stay postponed, [None] disabling relief (ablation). *)
+    consultations, which advance more slowly under [`Sync_and], where
+    unwatched accesses never consult the strategy) a thread may stay
+    postponed, [None] disabling relief (ablation). *)
 let strategy ?(postpone_timeout = Some default_postpone_timeout) ~pair ~report () :
     Strategy.t =
-  (* tid -> step at which it was postponed; -1 = not postponed.  A flat
-     array (plus a live count) instead of a hashtable: the [Racing] scan
-     probes membership for every enabled thread on every consultation of
-     the racing hot loop, so membership must be an array read. *)
-  let p_since = ref (Array.make 16 (-1)) in
-  let p_count = ref 0 in
-  let ensure tid =
-    let n = Array.length !p_since in
-    if tid >= n then begin
-      let a = Array.make (max (tid + 1) (2 * n)) (-1) in
-      Array.blit !p_since 0 a 0 n;
-      p_since := a
-    end
-  in
-  let is_postponed tid = tid < Array.length !p_since && !p_since.(tid) >= 0 in
-  let postpone tid step =
-    ensure tid;
-    if !p_since.(tid) < 0 then incr p_count;
-    !p_since.(tid) <- step
-  in
-  let release tid =
-    if is_postponed tid then begin
-      !p_since.(tid) <- -1;
-      decr p_count
-    end
-  in
-  (* (postponed site id, arriving site id) -> locations already recorded:
-     only the first creation of a distinct race conses a hit.  The
-     location list is scanned with [Loc.equal] so the per-creation check
-     never polymorphic-hashes a location. *)
-  let recorded : (int * int, Loc.t list ref) Hashtbl.t = Hashtbl.create 8 in
-  (* threads that must execute next (race resolved toward them, or evicted
-     to break an all-postponed deadlock) *)
-  let queue : int list ref = ref [] in
-  let choose (view : Strategy.view) =
-    (* Livelock relief: free threads postponed for too long.  The array
-       scan runs in tid order — the same order the hashtable version
-       produced by sorting — so any future PRNG consumption stays a
-       function of the run state alone. *)
-    (match postpone_timeout with
-    | None -> ()
-    | Some bound ->
-        if !p_count > 0 then
-          Array.iteri
-            (fun tid since ->
-              if since >= 0 && view.step - since > bound then begin
-                release tid;
-                report.timeout_releases <- report.timeout_releases + 1
-              end)
-            !p_since);
-    (* Serve the must-run queue first (Algorithm 1 line 16: execute all
-       threads of R). *)
-    let rec from_queue () =
-      match !queue with
-      | [] -> None
-      | tid :: rest ->
-          queue := rest;
-          if List.exists (fun (e : Strategy.entry) -> e.tid = tid) view.enabled then
-            Some tid
-          else from_queue ()
+  let p = Postpone.create ~timeout:postpone_timeout () in
+  let r = { tids = Array.make 8 0; n = 0; next = 0; first_site = Site.Pair.fst pair } in
+  let recorded = ref [] in
+  let record_hit (view : Strategy.view) (e : Strategy.entry) (m : Op.mem) toward_arriving =
+    let post_id = Site.id r.first_site and arr_id = Site.id m.site in
+    let seen =
+      try find_recorded post_id arr_id !recorded
+      with Not_found ->
+        let seen = { post_id; arr_id; locs = Loc.Tbl.create 8 } in
+        recorded := seen :: !recorded;
+        seen
     in
-    match from_queue () with
-    | Some tid -> tid
-    | None ->
-        let rec pick_loop () =
-          let avail =
-            (* nothing postponed (the common case off the racing loop):
-               the filter would copy [enabled] verbatim — skip it *)
-            if !p_count = 0 then view.enabled
-            else
-              List.filter
-                (fun (e : Strategy.entry) -> not (is_postponed e.tid))
-                view.enabled
-          in
-          match avail with
-          | [] ->
-              (* Everyone enabled is postponed: break the scheduler deadlock
-                 by releasing and *executing* a random postponed thread. *)
-              let victims =
-                List.filter
-                  (fun (e : Strategy.entry) -> is_postponed e.tid)
-                  view.enabled
-              in
-              let v = Prng.pick view.prng victims in
-              release v.Strategy.tid;
-              report.evictions <- report.evictions + 1;
-              v.Strategy.tid
-          | _ -> (
-              let e = Prng.pick view.prng avail in
-              match Op.pend_mem e.Strategy.pend with
-              | Some m when Site.Pair.mem m.Op.site pair -> (
-                  match racing m is_postponed view.enabled with
-                  | [] ->
-                      (* No racing partner parked yet: wait for one. *)
-                      postpone e.Strategy.tid view.step;
-                      report.postponements <- report.postponements + 1;
-                      pick_loop ()
-                  | r ->
-                      (* Real race created. Record and resolve randomly. *)
-                      let first = List.hd r in
-                      let postponed_site =
-                        match Op.pend_mem first.Strategy.pend with
-                        | Some m' -> m'.Op.site
-                        | None -> m.Op.site
-                      in
-                      let toward_arriving = Prng.bool view.prng in
-                      report.hit_events <- report.hit_events + 1;
-                      let key = (Site.id postponed_site, Site.id m.Op.site) in
-                      let locs =
-                        match Hashtbl.find_opt recorded key with
-                        | Some l -> l
-                        | None ->
-                            let l = ref [] in
-                            Hashtbl.add recorded key l;
-                            l
-                      in
-                      if not (List.exists (Loc.equal m.Op.loc) !locs) then begin
-                        locs := m.Op.loc :: !locs;
-                        report.hits <-
-                          {
-                            hit_pair = pair;
-                            hit_sites = (postponed_site, m.Op.site);
-                            hit_loc = m.Op.loc;
-                            hit_arriving = e.Strategy.tid;
-                            hit_postponed =
-                              List.map (fun (x : Strategy.entry) -> x.tid) r;
-                            hit_step = view.step;
-                            resolved_arriving = toward_arriving;
-                          }
-                          :: report.hits
-                      end;
-                      if toward_arriving then
-                        (* arriving thread executes; R stays postponed *)
-                        e.Strategy.tid
-                      else begin
-                        (* postponed side executes (all of R); arriving
-                           thread is postponed in its place *)
-                        postpone e.Strategy.tid view.step;
-                        report.postponements <- report.postponements + 1;
-                        List.iter
-                          (fun (x : Strategy.entry) -> release x.tid)
-                          r;
-                        let tids = List.map (fun (x : Strategy.entry) -> x.tid) r in
-                        queue := List.tl tids;
-                        List.hd tids
-                      end)
-              | _ -> e.Strategy.tid)
-        in
-        pick_loop ()
+    if not (Loc.Tbl.mem seen.locs m.loc) then begin
+      Loc.Tbl.add seen.locs m.loc ();
+      report.hits <-
+        {
+          hit_pair = pair;
+          hit_sites = (r.first_site, m.site);
+          hit_loc = m.loc;
+          hit_arriving = e.tid;
+          hit_postponed = List.init r.n (fun i -> r.tids.(i));
+          hit_step = view.step;
+          resolved_arriving = toward_arriving;
+        }
+        :: report.hits
+    end
+  in
+  let decide (view : Strategy.view) (e : Strategy.entry) =
+    match e.pend with
+    | Op.P_mem m when Site.Pair.mem m.site pair ->
+        r.n <- 0;
+        r.next <- 0;
+        racing p m r view.enabled;
+        if r.n = 0 then begin
+          (* No racing partner parked yet: wait for one. *)
+          Postpone.add p e.tid ~step:view.step;
+          report.postponements <- report.postponements + 1;
+          Postpone.retry
+        end
+        else begin
+          (* Real race created. Record and resolve randomly. *)
+          let toward_arriving = Prng.bool view.prng in
+          report.hit_events <- report.hit_events + 1;
+          record_hit view e m toward_arriving;
+          if toward_arriving then begin
+            (* arriving thread executes; R stays postponed *)
+            r.next <- r.n;
+            e.tid
+          end
+          else begin
+            (* postponed side executes (all of R); arriving thread is
+               postponed in its place *)
+            Postpone.add p e.tid ~step:view.step;
+            report.postponements <- report.postponements + 1;
+            for i = 0 to r.n - 1 do
+              Postpone.remove p r.tids.(i)
+            done;
+            r.next <- 1;
+            r.tids.(0)
+          end
+        end
+    | _ -> e.tid
+  in
+  let choose (view : Strategy.view) =
+    (* Livelock relief first, then the must-run queue, then a draw. *)
+    report.timeout_releases <-
+      report.timeout_releases + Postpone.relieve p ~step:view.step;
+    let queued = from_queue r view.enabled in
+    if queued >= 0 then queued
+    else begin
+      let tid = Postpone.pick p view decide in
+      if Postpone.evicted p then report.evictions <- report.evictions + 1;
+      tid
+    end
   in
   Strategy.make ~name:"racefuzzer" choose

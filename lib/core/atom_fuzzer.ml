@@ -35,7 +35,7 @@ let violation_created r = r.ahits <> []
 
 let strategy ?(postpone_timeout = Some Algo.default_postpone_timeout)
     ~(candidate : Rf_detect.Atomicity.candidate) ~(report : report) () : Strategy.t =
-  let postponed : (int, int) Hashtbl.t = Hashtbl.create 4 in
+  let p = Postpone.create ~timeout:postpone_timeout () in
   let is_second_acquire (e : Strategy.entry) =
     match e.Strategy.pend with
     | Op.P_acquire { site; _ } ->
@@ -43,75 +43,43 @@ let strategy ?(postpone_timeout = Some Algo.default_postpone_timeout)
     | _ -> false
   in
   let is_interfering_write (e : Strategy.entry) =
-    match Op.pend_mem e.Strategy.pend with
-    | Some m ->
+    match e.Strategy.pend with
+    | Op.P_mem m ->
         Site.equal m.Op.site candidate.Rf_detect.Atomicity.interferer_site
         && m.Op.access = Rf_events.Event.Write
-    | None -> false
+    | _ -> false
   in
-  let choose (view : Strategy.view) =
-    (match postpone_timeout with
-    | None -> ()
-    | Some bound ->
-        (* sorted so release order never depends on hash-table internals *)
-        Hashtbl.fold
-          (fun tid since acc ->
-            if view.Strategy.step - since > bound then tid :: acc else acc)
-          postponed []
-        |> List.sort compare
-        |> List.iter (Hashtbl.remove postponed));
-    let rec pick_loop () =
-      let avail =
-        List.filter
-          (fun (e : Strategy.entry) -> not (Hashtbl.mem postponed e.Strategy.tid))
-          view.Strategy.enabled
-      in
-      match avail with
-      | [] ->
-          let victims =
-            List.filter
-              (fun (e : Strategy.entry) -> Hashtbl.mem postponed e.Strategy.tid)
-              view.Strategy.enabled
-          in
-          let v = Prng.pick view.Strategy.prng victims in
-          Hashtbl.remove postponed v.Strategy.tid;
-          report.aevictions <- report.aevictions + 1;
-          v.Strategy.tid
-      | _ -> (
-          let e = Prng.pick view.Strategy.prng avail in
-          let someone_parked_in_gap =
-            Hashtbl.fold
-              (fun tid _ acc -> acc || tid <> e.Strategy.tid)
-              postponed false
-          in
-          if is_interfering_write e && someone_parked_in_gap then begin
-            (* a transaction thread stands between its two sections and the
-               conflicting write is about to land in the gap: violation *)
-            report.ahits <-
-              { ah_candidate = candidate; ah_step = view.Strategy.step }
-              :: report.ahits;
-            e.Strategy.tid
-          end
-          else if is_second_acquire e then begin
-            match List.find_opt is_interfering_write view.Strategy.enabled with
-            | Some interferer when interferer.Strategy.tid <> e.Strategy.tid ->
-                report.ahits <-
-                  { ah_candidate = candidate; ah_step = view.Strategy.step }
-                  :: report.ahits;
-                Hashtbl.replace postponed e.Strategy.tid view.Strategy.step;
-                report.apostponed <- report.apostponed + 1;
-                interferer.Strategy.tid
-            | _ ->
-                (* hold the transaction open, wait for the interferer *)
-                Hashtbl.replace postponed e.Strategy.tid view.Strategy.step;
-                report.apostponed <- report.apostponed + 1;
-                pick_loop ()
-          end
-          else e.Strategy.tid)
-    in
-    pick_loop ()
+  let hit (view : Strategy.view) =
+    report.ahits <- { ah_candidate = candidate; ah_step = view.step } :: report.ahits
   in
-  Strategy.make ~name:"atomfuzzer" choose
+  let decide (view : Strategy.view) (e : Strategy.entry) =
+    (* [e] was drawn among the threads that are not postponed, so any
+       postponed thread is parked in the gap *)
+    if is_interfering_write e && Postpone.count p > 0 then begin
+      (* a transaction thread stands between its two sections and the
+         conflicting write is about to land in the gap: violation *)
+      hit view;
+      e.tid
+    end
+    else if is_second_acquire e then begin
+      let interferer = List.find_opt is_interfering_write view.enabled in
+      (* hold the transaction open, then run the interferer if it is
+         already pending, else wait for it *)
+      Postpone.add p e.tid ~step:view.step;
+      report.apostponed <- report.apostponed + 1;
+      match interferer with
+      | Some i when i.Strategy.tid <> e.tid ->
+          hit view;
+          i.Strategy.tid
+      | _ -> Postpone.retry
+    end
+    else e.tid
+  in
+  Strategy.make ~name:"atomfuzzer" (fun view ->
+      ignore (Postpone.relieve p ~step:view.step);
+      let tid = Postpone.pick p view decide in
+      if Postpone.evicted p then report.aevictions <- report.aevictions + 1;
+      tid)
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)

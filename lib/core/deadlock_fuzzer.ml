@@ -23,54 +23,23 @@ let fresh_report () = { postponed_total = 0; evictions = 0 }
 (** The postponement strategy for one candidate cycle. *)
 let strategy ?(postpone_timeout = Some Algo.default_postpone_timeout) ~sites
     ~(report : report) () : Strategy.t =
-  let postponed : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let target_site = function
-    | Op.P_acquire { site; _ } -> Site.Set.mem site sites
-    | _ -> false
+  let p = Postpone.create ~timeout:postpone_timeout () in
+  let decide (view : Strategy.view) (e : Strategy.entry) =
+    match e.pend with
+    | Op.P_acquire { site; _ } when Site.Set.mem site sites ->
+        (* Hold this thread at the inner acquire; if a partner thread
+           then takes the other lock of the cycle, both end up blocked
+           and the engine reports the real deadlock. *)
+        Postpone.add p e.tid ~step:view.step;
+        report.postponed_total <- report.postponed_total + 1;
+        Postpone.retry
+    | _ -> e.tid
   in
-  let choose (view : Strategy.view) =
-    (match postpone_timeout with
-    | None -> ()
-    | Some bound ->
-        (* sorted so release order never depends on hash-table internals *)
-        Hashtbl.fold
-          (fun tid since acc ->
-            if view.Strategy.step - since > bound then tid :: acc else acc)
-          postponed []
-        |> List.sort compare
-        |> List.iter (Hashtbl.remove postponed));
-    let rec pick_loop () =
-      let avail =
-        List.filter
-          (fun (e : Strategy.entry) -> not (Hashtbl.mem postponed e.Strategy.tid))
-          view.Strategy.enabled
-      in
-      match avail with
-      | [] ->
-          let victims =
-            List.filter
-              (fun (e : Strategy.entry) -> Hashtbl.mem postponed e.Strategy.tid)
-              view.Strategy.enabled
-          in
-          let v = Prng.pick view.Strategy.prng victims in
-          Hashtbl.remove postponed v.Strategy.tid;
-          report.evictions <- report.evictions + 1;
-          v.Strategy.tid
-      | _ ->
-          let e = Prng.pick view.Strategy.prng avail in
-          if target_site e.Strategy.pend then begin
-            (* Hold this thread at the inner acquire; if a partner thread
-               then takes the other lock of the cycle, both end up blocked
-               and the engine reports the real deadlock. *)
-            Hashtbl.replace postponed e.Strategy.tid view.Strategy.step;
-            report.postponed_total <- report.postponed_total + 1;
-            pick_loop ()
-          end
-          else e.Strategy.tid
-    in
-    pick_loop ()
-  in
-  Strategy.make ~name:"deadlockfuzzer" choose
+  Strategy.make ~name:"deadlockfuzzer" (fun view ->
+      ignore (Postpone.relieve p ~step:view.step);
+      let tid = Postpone.pick p view decide in
+      if Postpone.evicted p then report.evictions <- report.evictions + 1;
+      tid)
 
 (* ------------------------------------------------------------------ *)
 (* Two-phase driver                                                    *)

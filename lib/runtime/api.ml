@@ -69,11 +69,11 @@ module Cell = struct
   let loc c = c.loc
 
   let read ~site c =
-    Op.perform (Op.Mem { site; loc = c.loc; access = Rf_events.Event.Read });
+    Op.mem site c.loc Rf_events.Event.Read;
     !(c.r)
 
   let write ~site c v =
-    Op.perform (Op.Mem { site; loc = c.loc; access = Rf_events.Event.Write });
+    Op.mem site c.loc Rf_events.Event.Write;
     c.r := v
 
   (** Unsynchronized read-modify-write (two separate accesses, as a model
@@ -90,12 +90,13 @@ module Cell = struct
 end
 
 module Sarray = struct
-  type 'a t = { cells : 'a ref array; aid : int }
+  (* Elements live in one flat array, not a [ref] per cell: a 4096-cell
+     table is then one block for the major heap to scan. *)
+  type 'a t = { cells : 'a array; aid : int }
 
-  let make n v =
-    { cells = Array.init n (fun _ -> ref v); aid = Loc.fresh_obj () }
+  let make n v = { cells = Array.make n v; aid = Loc.fresh_obj () }
 
-  let init n f = { cells = Array.init n (fun i -> ref (f i)); aid = Loc.fresh_obj () }
+  let init n f = { cells = Array.init n f; aid = Loc.fresh_obj () }
 
   let length a = Array.length a.cells
 
@@ -104,16 +105,16 @@ module Sarray = struct
   let get ~site a i =
     if i < 0 || i >= Array.length a.cells then
       raise (Model_error (Fmt.str "array index %d out of bounds [0,%d)" i (Array.length a.cells)));
-    Op.perform (Op.Mem { site; loc = loc a i; access = Rf_events.Event.Read });
-    !(a.cells.(i))
+    Op.mem site (loc a i) Rf_events.Event.Read;
+    a.cells.(i)
 
   let set ~site a i v =
     if i < 0 || i >= Array.length a.cells then
       raise (Model_error (Fmt.str "array index %d out of bounds [0,%d)" i (Array.length a.cells)));
-    Op.perform (Op.Mem { site; loc = loc a i; access = Rf_events.Event.Write });
-    a.cells.(i) := v
+    Op.mem site (loc a i) Rf_events.Event.Write;
+    a.cells.(i) <- v
 
-  let unsafe_peek a i = !(a.cells.(i))
+  let unsafe_peek a i = a.cells.(i)
 end
 
 (** Convenience: raise a model assertion failure (the paper's ERROR

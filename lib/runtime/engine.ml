@@ -28,7 +28,12 @@
     thread.  This implements the paper's optimization (§4, citing [31]) that
     makes RaceFuzzer's overhead far smaller than hybrid race detection's:
     RaceFuzzer passes the racing pair as [sites], while detectors that need
-    every access use [`Every_op].
+    every access use [`Every_op].  Such an unwatched access does not even
+    leave the thread's fiber: {!Op.mem} asks a domain-local hook, which
+    [run] installs for the run (and restores afterwards, also when an
+    exception escapes), and the hook executes the access in place — step
+    count, last site, owed RCV, emission — where an effect would have cost
+    a continuation, a parked operation and a trip through the loop.
 
     {2 Hot-path data structures (amortized O(1) per step)}
 
@@ -53,7 +58,11 @@
       costs nothing — no event record, no lockset snapshot;
     - the strategy view is cached: each thread's row lives as long as the
       thread and its [pend] is updated in place, and the list of enabled
-      rows is rebuilt only after some enabled flag flips. *)
+      rows is rebuilt only after some enabled flag flips;
+    - an unwatched access under [`Sync_and] costs no effect, continuation
+      or parked operation ([mem_in_fiber] allocates only its [last_site]
+      option), and the PRNG draw at each switch allocates nothing
+      ({!Rf_util.Prng} keeps its state unboxed). *)
 
 open Rf_util
 open Rf_events
@@ -151,6 +160,7 @@ type t = {
   mutable n_threads : int;
   mutable lock_states : lock_state option array;  (* index = lock id *)
   mutable enabled_count : int;
+  mutable running : int;  (* tid of the thread whose fiber runs, if any *)
   mutable view : Strategy.entry list;  (* rows of the enabled threads, by tid *)
   mutable view_stale : bool;  (* some enabled flag flipped since [view] *)
   mutable steps : int;
@@ -391,6 +401,13 @@ let on_thread_done eng th (failure : exn option) =
 (* ------------------------------------------------------------------ *)
 (* Fiber plumbing                                                      *)
 
+(* Raised inside a fiber by an observer (listener, trace, binary writer)
+   while an access runs in place ([mem_in_fiber]): the handler re-raises
+   it on the engine's side, so it escapes [run] exactly as when the
+   engine loop itself emitted the event, instead of unwinding the model
+   thread as the thread's own exception. *)
+type _ Effect.t += Escape : exn * Printexc.raw_backtrace -> unit Effect.t
+
 (* The effect handler merely parks the continuation on the thread record
    and returns; control then falls back to the engine loop (trampoline
    style — no stack growth across context switches). *)
@@ -407,21 +424,24 @@ let handler eng th =
                 th.fiber <- Pending (op, k);
                 th.entry.pend <- Op.pend_of op;
                 on_park eng th op)
+        | Escape (e, bt) -> Some (fun _ -> Printexc.raise_with_backtrace e bt)
         | _ -> None);
   }
 
 let start_fiber eng th body =
   th.fiber <- Running;
+  eng.running <- th.tid;
   Effect.Deep.match_with body () (handler eng th)
 
 let resume : type a. t -> thread -> (a, unit) Effect.Deep.continuation -> a -> unit =
- fun _eng th k v ->
+ fun eng th k v ->
   th.fiber <- Running;
+  eng.running <- th.tid;
   Effect.Deep.continue k v
 
 let resume_exn eng th k e =
-  ignore eng;
   th.fiber <- Running;
+  eng.running <- th.tid;
   Effect.Deep.discontinue k e
 
 (* Deliver the RCV event a thread owes from the sync action that unblocked
@@ -635,24 +655,31 @@ let exec_op (eng : t) (th : thread) : unit =
   | Running | In_waitset _ | Finished | Killed _ ->
       invariant_fail "exec_op: thread t%d not executable" th.tid
 
+(* Under [Sync_and sites], a memory access at an unwatched site is
+   executed where the running thread issues it ({!Op.mem}), with no
+   effect, no continuation and no strategy consultation: the step is
+   counted against [max_steps], the site recorded, the owed RCV
+   delivered and the access emitted, exactly as [exec_op] would.  At the
+   step cap it declines, so the access parks and the loop stops the run
+   there.  Observer failures leave through [Escape]. *)
+let mem_in_fiber eng sites site loc access =
+  (not (Site.Set.mem site sites))
+  && eng.steps < eng.cfg.max_steps
+  && begin
+       let th = eng.threads.(eng.running) in
+       eng.steps <- eng.steps + 1;
+       th.last_site <- Some site;
+       (if eng.sink then
+          try
+            flush_rcv eng th;
+            emit_mem eng th site loc access
+          with e -> Effect.perform (Escape (e, Printexc.get_raw_backtrace ()))
+        else th.pending_rcv <- None);
+       true
+     end
+
 (* ------------------------------------------------------------------ *)
 (* Main loop                                                           *)
-
-let fast_path eng th =
-  (* Under [Sync_and sites], a pending memory access whose site is not
-     watched executes immediately, with no strategy consultation. *)
-  match eng.cfg.policy with
-  | Every_op -> false
-  | Sync_and sites -> (
-      match th.fiber with
-      | Pending (Op.Mem { site; _ }, _) -> not (Site.Set.mem site sites)
-      | _ -> false)
-
-let rec drain_fast eng th =
-  if eng.steps < eng.cfg.max_steps && fast_path eng th then begin
-    exec_op eng th;
-    drain_fast eng th
-  end
 
 (* The enabled rows are rebuilt only after some thread's enabledness
    flipped; a thread that parks at a new operation while staying enabled
@@ -724,7 +751,6 @@ let rec loop eng =
           eng.strategy.Strategy.sname tid
     in
     exec_op eng th;
-    drain_fast eng th;
     loop eng
   end
 
@@ -748,6 +774,7 @@ let run ?(config = default_config) ?(listeners = []) ?btrace ~strategy
       n_threads = 0;
       lock_states = [||];
       enabled_count = 0;
+      running = 0;
       view = [];
       view_stale = true;
       steps = 0;
@@ -762,7 +789,14 @@ let run ?(config = default_config) ?(listeners = []) ?btrace ~strategy
     }
   in
   let (_ : thread) = new_thread eng ~name:"main" main in
-  loop eng;
+  let outer = Domain.DLS.get Op.mem_hook in
+  Domain.DLS.set Op.mem_hook
+    (match config.policy with
+    | Every_op -> Op.no_hook
+    | Sync_and sites -> fun site loc access -> mem_in_fiber eng sites site loc access);
+  Fun.protect
+    ~finally:(fun () -> Domain.DLS.set Op.mem_hook outer)
+    (fun () -> loop eng);
   let wall = Unix.gettimeofday () -. t0 in
   let blocked =
     if eng.timed_out || eng.cancelled <> None then []

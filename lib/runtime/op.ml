@@ -52,6 +52,19 @@ type _ Effect.t += Eff : 'a t -> 'a Effect.t
 
 let perform (op : 'a t) : 'a = Effect.perform (Eff op)
 
+(* A memory access that needs no scheduling decision (under
+   [Engine.Sync_and], one at an unwatched site) runs inside the thread's
+   fiber: the engine installs, per domain, a hook that executes such an
+   access in place and answers [true]; any other access is performed as
+   an effect and parks the thread.  Outside an engine the hook answers
+   [false], so the effect is unhandled as before. *)
+let no_hook (_ : Site.t) (_ : Loc.t) (_ : Rf_events.Event.access) = false
+let mem_hook = Domain.DLS.new_key (fun () -> no_hook)
+
+let mem site loc access =
+  if not ((Domain.DLS.get mem_hook) site loc access) then
+    perform (Mem { site; loc; access })
+
 (** Type-erased view of a pending operation, exposed to strategies. *)
 type pend =
   | P_start

@@ -3,8 +3,12 @@
     At every switch point the engine shows the strategy the *enabled*
     threads with their pending operations and the run's PRNG; the strategy
     answers with the tid to execute.  Implementations carry state in their
-    closures (RaceFuzzer keeps its postponed set this way).  All randomness
-    must come from the view's PRNG to preserve seed-replayability. *)
+    closures: the three phase-2 strategies (races, deadlocks, atomicity)
+    keep their postponed sets in one shared core, [Racefuzzer.Postpone].
+    All randomness must come from the view's PRNG to preserve
+    seed-replayability.  [choose] runs at every switch, so the built-in
+    strategies draw by counting and indexing [enabled] rather than by
+    building filtered copies of it. *)
 
 open Rf_util
 
@@ -14,7 +18,9 @@ type entry = { tid : int; tname : string; mutable pend : Op.pend }
     parks at a new operation. *)
 
 type view = {
-  step : int;  (** operations executed so far *)
+  step : int;
+      (** operations executed so far, including memory accesses that ran
+          without a consultation (unwatched sites under [Sync_and]) *)
   enabled : entry list;
       (** never empty; ascending tid order.  The engine rebuilds the list
           only when some thread's enabledness changes, so consecutive

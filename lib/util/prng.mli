@@ -17,7 +17,10 @@ val copy : t -> t
 (** An independent generator that continues the same stream. *)
 
 val state : t -> int64
-(** Current internal state, for checkpointing. *)
+(** Current internal state, for checkpointing.  Until the next draw it
+    returns the very value {!of_int64} or {!set_state} was given (or that
+    it returned last), so a checkpoint taken right after a restore shares
+    the restored box. *)
 
 val set_state : t -> int64 -> unit
 (** Rewind/forward the generator to a saved {!state} in place.  Schedule
@@ -26,7 +29,8 @@ val set_state : t -> int64 -> unit
     consume exactly the stream the recorded run consumed. *)
 
 val next_int64 : t -> int64
-(** Next raw 64-bit output; advances the state. *)
+(** Next raw 64-bit output; advances the state.  [int], [bool] and
+    [float] draw without allocating. *)
 
 val split : t -> t
 (** A statistically independent child generator seeded from [t]. *)

@@ -271,9 +271,10 @@ let test_timeout_heavy_replay_deterministic () =
 let test_timeout_unit_is_engine_steps () =
   (* The postpone timeout is measured on the engine-step clock
      ([view.step]), not in strategy consultations, so livelock relief
-     fires under [`Every_op] and under the paper's [`Sync_and] fast-path
-     configuration alike: fast-pathed memory accesses advance the clock
-     even though they never consult the strategy. *)
+     fires under [`Every_op] and under the paper's [`Sync_and]
+     configuration alike: unwatched memory accesses advance the clock
+     even though they run inside the thread and never consult the
+     strategy. *)
   let open Rf_runtime in
   let pair = timeout_heavy_pair () in
   let watch =

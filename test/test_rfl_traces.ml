@@ -12,15 +12,20 @@
    Trace fingerprints hash sites by key, not registry id, so the rows do
    not depend on which program ran first in the process.
 
-   The "alloc" group pins minor-heap words per engine step on two
-   fork-heavy programs (see [alloc_bounds]).
+   The "alloc" group pins minor-heap words per engine step: random runs
+   of two fork-heavy programs (see [alloc_bounds]) and RaceFuzzer trials
+   on the long-trials and fork-rounds fixtures (see
+   [racefuzzer_alloc_bounds]).
 
    Check (also part of dune runtest):
      dune build @golden
    Regenerate (from the repository root):
      dune exec test/test_rfl_traces.exe -- --write-golden test/golden_rfl_traces.txt
    Print the measured words per step:
-     dune exec test/test_rfl_traces.exe -- --words-per-step *)
+     dune exec test/test_rfl_traces.exe -- --words-per-step
+   Print words and nanoseconds (fastest of 5 passes) per step of random
+   and RaceFuzzer runs on the three fixtures:
+     dune exec test/test_rfl_traces.exe -- --per-step *)
 
 open Rf_util
 open Rf_runtime
@@ -184,11 +189,67 @@ let words_per_step name =
   let steps = List.fold_left (fun acc seed -> acc + run seed) 0 [ 0; 1; 2; 3; 4 ] in
   (Gc.minor_words () -. w0) /. float_of_int steps
 
-let alloc_case (name, bound) =
-  Alcotest.test_case name `Quick (fun () ->
-      let w = words_per_step name in
+(* Minor-heap words and wall nanoseconds per engine step of [run main pair
+   seed] over every phase-1 pair (seed 0) of a fixture and seeds 0-7,
+   after one warm-up run. *)
+let per_step name run =
+  let main =
+    Rf_lang.Lang.program ~print:ignore
+      (Rf_lang.Lang.load_file (Filename.concat !fixtures name))
+  in
+  let pairs = Site.Pair.Set.elements (Fuzzer.potential_pairs (Fuzzer.phase1 ~seeds:[ 0 ] main)) in
+  ignore (run main (List.hd pairs) 0);
+  let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+  let steps =
+    List.fold_left
+      (fun acc pair ->
+        List.fold_left (fun acc seed -> acc + run main pair seed) acc (List.init 8 Fun.id))
+      0 pairs
+  in
+  let steps = float_of_int steps in
+  ((Gc.minor_words () -. w0) /. steps, (Unix.gettimeofday () -. t0) *. 1e9 /. steps)
+
+(* The three ways a fixture runs per pair: random scheduling consulted at
+   every operation (phase 1's policy), random scheduling consulted only at
+   synchronization and the pair's sites (a RaceFuzzer trial's policy
+   without its strategy), and the RaceFuzzer trial itself. *)
+let random_run policy main pair seed =
+  (Engine.run
+     ~config:{ Engine.default_config with seed; policy = policy pair }
+     ~strategy:(Strategy.random ()) main)
+    .Outcome.steps
+
+let step_modes =
+  [
+    ("random Every_op", random_run (fun _ -> Engine.Every_op));
+    ( "random Sync_and",
+      random_run (fun pair ->
+          Engine.Sync_and (Site.Set.of_list [ Site.Pair.fst pair; Site.Pair.snd pair ])) );
+    ( "racefuzzer",
+      fun main pair seed ->
+        match
+          Fuzzer.run_trial ~max_steps:Engine.default_config.max_steps ~program:main pair seed
+        with
+        | Fuzzer.Completed t -> t.Fuzzer.t_outcome.Outcome.steps
+        | Fuzzer.Harness_crash (e, _) -> failwith ("harness crash " ^ Printexc.to_string e)
+        | Fuzzer.Budget_exhausted _ -> failwith "budget exhausted" );
+  ]
+
+(* Minor-heap words per engine step of RaceFuzzer trials, measured as
+   above.  Each bound is about 1.5x what the allocation-free phase-2 path
+   (unboxed PRNG state, one postponement core, unwatched accesses run
+   inside the fiber) measures; the effect-per-access path before it
+   allocated 74 and 81 words per step, so it fails here. *)
+let racefuzzer_alloc_bounds = [ ("long-trials.rfl", 52.); ("fork-rounds.rfl", 40.) ]
+
+let racefuzzer_words_per_step name = fst (per_step name (List.assoc "racefuzzer" step_modes))
+
+let alloc_case ?(label = "") measure (name, bound) =
+  Alcotest.test_case (label ^ name) `Quick (fun () ->
+      let w = measure name in
       if w > bound then
-        Alcotest.failf "%s allocates %.1f minor words per step (bound %.0f)" name w bound)
+        Alcotest.failf "%s%s allocates %.1f minor words per step (bound %.0f)" label name w
+          bound)
 
 let () =
   match Array.to_list Sys.argv with
@@ -202,7 +263,26 @@ let () =
       fixtures := "test/fixtures";
       List.iter
         (fun (name, _) -> Printf.printf "%s %.1f\n" name (words_per_step name))
-        alloc_bounds
+        alloc_bounds;
+      List.iter
+        (fun (name, _) ->
+          Printf.printf "racefuzzer %s %.1f\n" name (racefuzzer_words_per_step name))
+        racefuzzer_alloc_bounds
+  | _ :: "--per-step" :: _ ->
+      fixtures := "test/fixtures";
+      Printf.printf "%-18s %-16s %8s %8s\n" "fixture" "run" "words" "ns";
+      List.iter
+        (fun name ->
+          List.iter
+            (fun (mode, run) ->
+              (* words are deterministic; time keeps the fastest of 5 *)
+              let words, ns = per_step name run in
+              let ns =
+                List.fold_left (fun acc _ -> min acc (snd (per_step name run))) ns [ 2; 3; 4; 5 ]
+              in
+              Printf.printf "%-18s %-16s %8.1f %8.0f\n" name mode words ns)
+            step_modes)
+        fixture_names
   | _ ->
       let golden = read_golden "golden_rfl_traces.txt" in
       Alcotest.run "golden_rfl_traces"
@@ -215,5 +295,9 @@ let () =
                     | None -> Alcotest.failf "row %s missing from the golden file" key
                     | Some pinned -> Alcotest.(check string) key pinned (run ())))
               (rows ()) );
-          ("alloc", List.map alloc_case alloc_bounds);
+          ( "alloc",
+            List.map (alloc_case words_per_step) alloc_bounds
+            @ List.map
+                (alloc_case ~label:"racefuzzer " racefuzzer_words_per_step)
+                racefuzzer_alloc_bounds );
         ]

@@ -139,6 +139,18 @@ let test_prng_state_roundtrip () =
   let again = Prng.state r in
   Alcotest.(check bool) "state is stable between draws" true (Prng.state r == again)
 
+(* The scheduler draws at every switch, so a draw must not allocate. *)
+let test_prng_draws_allocate_nothing () =
+  let p = Prng.create 3 in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    acc := !acc + Prng.int p (1 + (i land 63));
+    if Prng.bool p then incr acc
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) (Printf.sprintf "%.0f words for 20000 draws" words) true (words < 100.)
+
 (* ------------------------------------------------------------------ *)
 (* Site                                                                *)
 
@@ -263,6 +275,7 @@ let () =
           Alcotest.test_case "rough uniformity" `Quick test_prng_rough_uniformity;
           Alcotest.test_case "known answers" `Quick test_prng_known_answers;
           Alcotest.test_case "state roundtrip" `Quick test_prng_state_roundtrip;
+          Alcotest.test_case "draws allocate nothing" `Quick test_prng_draws_allocate_nothing;
           QCheck_alcotest.to_alcotest prop_prng_int_in_range;
         ] );
       ( "site",
