@@ -7,12 +7,12 @@
     (Steele, Lea & Flood, OOPSLA 2014), a small, fast, well-distributed
     generator with a trivially serializable 64-bit state.
 
-    The state lives unboxed in 8 bytes, so a draw ([int], [bool],
-    [next_int64] when its result is consumed locally) allocates nothing;
-    the scheduler draws at every switch.  [saved] caches the boxed state
-    that [of_int64] or [set_state] was given, or that [state] last
-    produced, until the next draw: the schedule recorder then stores the
-    very box the replayer restored instead of a fresh copy. *)
+    The state lives unboxed in 8 bytes, so [int], [bool] and [float]
+    draws allocate nothing; the scheduler draws at every switch.  [saved]
+    caches the boxed state that [of_int64] or [set_state] was given, or
+    that [state] last produced, until the next draw: the schedule
+    recorder then stores the very box the replayer restored instead of a
+    fresh copy. *)
 
 type t = {
   s : Bytes.t;  (* the 64-bit state, native byte order *)
@@ -48,7 +48,7 @@ let set_state t st =
   t.saved <- st;
   t.fresh <- true
 
-let[@inline] draw t =
+let[@inline] next_int64 t =
   let z = Int64.add (get64 t.s 0) golden in
   set64 t.s 0 z;
   t.fresh <- false;
@@ -60,20 +60,18 @@ let[@inline] draw t =
   in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let next_int64 t = draw t
-
 (* A fresh generator whose seed is drawn from [t]; streams are
    statistically independent. *)
-let split t = of_int64 (draw t)
+let split t = of_int64 (next_int64 t)
 
-let bool t = Int64.equal (Int64.logand (draw t) 1L) 1L
+let bool t = Int64.equal (Int64.logand (next_int64 t) 1L) 1L
 
 (* Uniform int in [0, bound).  Rejection sampling over the low 62 bits keeps
    the distribution exact for any bound representable as a positive int:
    [r] is in [0, 2^62); draws at or above [limit] are rejected to avoid
    modulo bias. *)
 let rec int_below t bound limit =
-  let r = Int64.to_int (Int64.logand (draw t) 0x3FFF_FFFF_FFFF_FFFFL) in
+  let r = Int64.to_int (Int64.logand (next_int64 t) 0x3FFF_FFFF_FFFF_FFFFL) in
   if r >= limit then int_below t bound limit else r mod bound
 
 let int t bound =
@@ -82,7 +80,7 @@ let int t bound =
 
 let float t =
   (* 53 random bits scaled to [0, 1). *)
-  let bits = Int64.to_int (Int64.shift_right_logical (draw t) 11) in
+  let bits = Int64.to_int (Int64.shift_right_logical (next_int64 t) 11) in
   float_of_int bits /. 9007199254740992.0
 
 let pick t = function
