@@ -57,6 +57,48 @@ let serve_compiled_first () =
   Campaign.run ~domains:1 ~cutoff:false ~phase1_seeds:(seeds 5)
     ~seeds_per_pair:(seeds 5) ~static ~static_filter:true ~offline_detect:2 program
 
+(* Site ids when phase 1 and phase 2 overlap: no static model interns
+   this program's sites, so each is interned by the first execution that
+   reaches it.  Who takes the lock first decides which branch writes, so
+   phase-1 seed 0 sees 5 of the 11 pairs and later seeds the rest.  The
+   pair on [a] is found first, and every thread then spins before the
+   branches, so phase-2 trials of that pair reach the branches long
+   before phase 1 does, often the other way round.  The ids, and with
+   them pair orientation and order, must still follow phase 1 alone. *)
+let late_pairs_src =
+  {|shared int a;
+shared int b;
+shared int c;
+shared int d;
+shared int turn;
+shared int s1;
+shared int s2;
+shared int s3;
+lock L;
+thread t1 {
+  a = 1;
+  for (let i = 0; i < 3000; i = i + 1) { s1 = s1 + 1; }
+  sync (L) { turn = turn + 1; if (turn == 1) { b = 1; } else { c = 1; } }
+  d = d + 1;
+}
+thread t2 {
+  a = 2;
+  for (let i = 0; i < 3000; i = i + 1) { s2 = s2 + 1; }
+  sync (L) { turn = turn + 1; if (turn == 1) { b = 2; } else { d = 1; } }
+  c = c + 1;
+}
+thread t3 {
+  for (let i = 0; i < 3000; i = i + 1) { s3 = s3 + 1; }
+  if (b == 1) { c = 2; }
+  if (b == 2) { d = 2; }
+}
+|}
+
+let late_pairs_unmodelled () =
+  let prog = Rf_lang.Lang.load_string ~file:"late-pairs.rfl" late_pairs_src in
+  Campaign.run ~domains:2 ~cutoff:false ~phase1_seeds:(seeds 5)
+    ~seeds_per_pair:(seeds 4) (Rf_lang.Lang.program ~print:ignore prog)
+
 let rows : (string * (unit -> Campaign.result)) list =
   [
     ("figure1-d1", campaign ~domains:1 ~trials:100 "figure1");
@@ -80,6 +122,7 @@ let rows : (string * (unit -> Campaign.result)) list =
     ( "fork-heavy-phase1",
       campaign ~domains:1 ~phase1_seeds:[ 0 ] ~trials:0 "fork_heavy.rfl" );
     ("serve-fixture-compiled-first", serve_compiled_first);
+    ("late-pairs-unmodelled-d2", late_pairs_unmodelled);
   ]
 
 (* One row's pinned values, as one line of the golden file. *)
