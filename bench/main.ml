@@ -198,8 +198,9 @@ let run_parallel ?(trials = 50) ?(domains = 4) () =
       in
       let seq = campaign 1 in
       let par = campaign domains in
-      let s = seq.Rf_campaign.Campaign.stats.Rf_campaign.Campaign.s_wall in
-      let p = par.Rf_campaign.Campaign.stats.Rf_campaign.Campaign.s_wall in
+      (* whole campaigns: with several domains phase 1 overlaps phase 2 *)
+      let s = seq.Rf_campaign.Campaign.stats.Rf_campaign.Campaign.s_campaign_wall in
+      let p = par.Rf_campaign.Campaign.stats.Rf_campaign.Campaign.s_campaign_wall in
       let same =
         Rf_campaign.Campaign.equal_verdicts seq.Rf_campaign.Campaign.analysis
           par.Rf_campaign.Campaign.analysis

@@ -82,7 +82,7 @@ let detector_arg =
         ~doc:"hybrid, hb (precise), fasttrack, or eraser.")
 
 let detector_maker = function
-  | "hybrid" -> Rf_detect.Detector.hybrid ~cap:128
+  | "hybrid" -> fun ?governor () -> Rf_detect.Detector.hybrid ~cap:128 ?governor ()
   | "hb" | "happens-before" -> Rf_detect.Detector.hb_precise ~cap:128
   | "fasttrack" -> Rf_detect.Detector.fasttrack
   | "eraser" -> Rf_detect.Detector.eraser ~site_cap:16

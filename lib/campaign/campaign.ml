@@ -24,6 +24,7 @@ type stats = {
   s_discarded : int;
   s_waves : int;
   s_wall : float;
+  s_campaign_wall : float;
   s_phase1_wall : float;
   s_throughput : float;
   s_domains : int;
@@ -221,25 +222,37 @@ let load_resume path =
   (tbl, skipped)
 
 (* ------------------------------------------------------------------ *)
+(* The trial scheduler.  [produce admit] supplies the candidate pairs,
+   calling [admit] once per pair, and returns with the order the pairs
+   are fuzzed in.  Wave 0 closes when [produce] returns, and from then on
+   — budget grants, reallocation waves, aggregation and the results —
+   the pairs are in that order, whatever order they arrived in.
 
-let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
+   Without [~stream], every pair is admitted before the first trial
+   starts.  With it, [produce] runs in the last slot of the first wave
+   and the other slots start trials as pairs arrive: that is how phase 1
+   feeds its pairs into phase 2 as the detector finds them.  The slot
+   turns to trials once [produce] returns, so no more than [domains]
+   domains step engines at once, and no domain sits idle beside them.
+   Streaming needs no [budget] — the initial grant divides the budget by
+   the final pair count — and at least two slots. *)
+
+let schedule ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
     ?budget ?postpone_timeout ?(max_steps = Engine.default_config.max_steps)
     ?(log = Event_log.null ()) ?(supervision = Supervisor.default_policy) ?chaos
     ?trial_deadline ?resume ?stop ?detector_budget ?mem_budget
-    ?(no_degrade = false) ?proc ~(program : Fuzzer.program)
-    (pairs : Site.Pair.t list) : Fuzzer.pair_result list * stats =
-  let t0 = Unix.gettimeofday () in
-  let npairs = List.length pairs in
+    ?(no_degrade = false) ?proc ~stream ~(program : Fuzzer.program) produce =
   let base_seeds = Array.of_list seeds in
   let nbase = Array.length base_seeds in
   (* Extra trials past the base list draw fresh seeds above its maximum,
      so reallocated budget never re-runs a base seed. *)
   let extra_seed_base = 1 + Array.fold_left max 0 base_seeds in
   let seed_of idx = if idx < nbase then base_seeds.(idx) else extra_seed_base + (idx - nbase) in
-  let total_budget =
-    match budget with Some b -> max 0 b | None -> npairs * nbase
-  in
   let stop = match stop with Some s -> s | None -> stop_switch () in
+  (* Set when [produce] raises: the pool stops as if interrupted, and the
+     exception then escapes [schedule]. *)
+  let aborted = stop_switch () in
+  let halted () = stop_requested stop || stop_requested aborted in
   let qn = supervision.Supervisor.quarantine_crashes in
   let resume_tbl, resume_skipped =
     match resume with
@@ -269,78 +282,96 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
       i_trial_wall = trial_wall;
     }
   in
-  (* Multi-process tier: spawn the worker fleet up front and gate on the
-     init handshake.  If no worker ever comes up (exec failure, target
-     unresolvable in the child, impossible rlimits) the campaign degrades
-     to the in-process domain pool at the same parallel width — results
-     are identical either way, only the isolation boundary moves. *)
-  let ppool =
-    match proc with
-    | None -> None
-    | Some _ when npairs = 0 || total_budget = 0 -> None
-    | Some sp ->
-        let p = Proc_pool.create sp ~init in
-        if Proc_pool.await_ready p ~timeout:15.0 then Some p
-        else begin
-          Proc_pool.kill_all p;
-          None
-        end
-  in
-  (* Fleet width actually achieved, for status reporting: a requested
-     proc tier that degraded to in-process shows up as 0 live workers. *)
-  let proc_active =
-    match ppool with Some p -> Proc_pool.alive p | None -> 0
-  in
   let ndomains =
     match proc with
     | Some sp -> max 1 sp.Proc_pool.sp_workers
     | None -> max 1 domains
   in
-  Event_log.emit log
-    (Event_log.Campaign_started
-       { domains = ndomains; base_trials = nbase; budget; cutoff });
-  (* Journal what --resume reused, and above all how many torn lines it
-     skipped: a long-lived resume chain must not eat corruption silently
-     (the final report repeats the warning from s_resume_skipped). *)
-  if resume <> None then
-    Event_log.emit log
-      (Event_log.Resume_loaded
-         { entries = Hashtbl.length resume_tbl; skipped = resume_skipped });
-  let states =
-    Array.of_list
-      (List.map
-         (fun pair ->
-           {
-             ps_pair = pair;
-             ps_label = Site.Pair.to_string pair;
-             ps_granted = 0;
-             ps_queued = 0;
-             ps_slots = Array.make (max nbase 1) None;
-             ps_first_race = max_int;
-             ps_first_error = max_int;
-             ps_cancelled = 0;
-             ps_settled = false;
-             ps_crash_idxs = [];
-             ps_q_skipped = 0;
-             ps_exhausted = 0;
-           })
-         pairs)
-  in
-  (* Initial grant: the first [total_budget] tasks in seed-major order,
-     i.e. pair i receives q + 1 trials if i < r else q, where
-     total_budget = q * npairs + r — capped at the base list length. *)
-  let pool = ref total_budget in
-  if npairs > 0 then begin
-    let q = total_budget / npairs and r = total_budget mod npairs in
-    Array.iteri
-      (fun i ps ->
-        let g = min nbase (q + if i < r then 1 else 0) in
-        grow ps g;
-        ps.ps_granted <- g;
-        pool := !pool - g)
-      states
-  end;
   let mutex = Mutex.create () in
+  (* ---------------------------------------------------------------- *)
+  (* Admission.  A task is (trial index, pair); queues rank it by its
+     index, so trial i of every pair admitted so far runs before trial
+     i+1 of any.  Without a budget every pair's grant is its base list,
+     known on arrival, so its trials join wave 0 at once.  Under a budget
+     the grants wait for the final pair count ([close_input]).        *)
+  let wave0 = Work_queue.create_open ~rank:fst () in
+  let admitted = ref [] in
+  let push_granted queue ps =
+    for idx = ps.ps_queued to ps.ps_granted - 1 do
+      Work_queue.push queue (idx, ps)
+    done;
+    ps.ps_queued <- ps.ps_granted
+  in
+  let admit pair =
+    let ps =
+      {
+        ps_pair = pair;
+        ps_label = Site.Pair.to_string pair;
+        ps_granted = (if budget = None then nbase else 0);
+        ps_queued = 0;
+        ps_slots = Array.make (max nbase 1) None;
+        ps_first_race = max_int;
+        ps_first_error = max_int;
+        ps_cancelled = 0;
+        ps_settled = false;
+        ps_crash_idxs = [];
+        ps_q_skipped = 0;
+        ps_exhausted = 0;
+      }
+    in
+    Mutex.protect mutex (fun () -> admitted := ps :: !admitted);
+    push_granted wave0 ps
+  in
+  let states = ref [||] in
+  (* Budget left to reallocate: the initial grant is the first
+     [budget] tasks in seed-major order, i.e. pair i receives q + 1
+     trials if i < r else q, where budget = q * pairs + r — capped at the
+     base list length. *)
+  let pool = ref 0 in
+  let close_input order =
+    let rank = Hashtbl.create 64 in
+    let key p = (Site.id (Site.Pair.fst p), Site.id (Site.Pair.snd p)) in
+    List.iteri (fun i p -> Hashtbl.replace rank (key p) i) order;
+    let rank_of ps = Option.value ~default:max_int (Hashtbl.find_opt rank (key ps.ps_pair)) in
+    let st = List.rev (Mutex.protect mutex (fun () -> !admitted)) in
+    let st = Array.of_list (List.stable_sort (fun a b -> Int.compare (rank_of a) (rank_of b)) st) in
+    states := st;
+    (match budget with
+    | None -> ()
+    | Some b when Array.length st > 0 ->
+        let b = max 0 b and n = Array.length st in
+        pool := b;
+        let q = b / n and r = b mod n in
+        Array.iteri
+          (fun i ps ->
+            ps.ps_granted <- min nbase (q + if i < r then 1 else 0);
+            pool := !pool - ps.ps_granted;
+            push_granted wave0 ps)
+          st
+    | Some _ -> ());
+    (* a streamed wave 0 learns its size only now, after its first trials *)
+    let tasks = Work_queue.total wave0 in
+    if stream && tasks > 0 then
+      Event_log.emit log (Event_log.Wave_started { wave = 0; tasks });
+    Work_queue.close_input wave0
+  in
+  (* A streamed [produce] runs once, in a worker slot; its outcome is
+     read after that slot is joined.  An exception must not reach the
+     supervisor, which would count it as a worker crash. *)
+  let produced = ref None in
+  let produce_once =
+    let started = Atomic.make false in
+    fun () ->
+      if not (Atomic.exchange started true) then
+        match produce admit with
+        | x, order ->
+            produced := Some (Ok x);
+            close_input order
+        | exception e ->
+            produced := Some (Error (e, Printexc.get_raw_backtrace ()));
+            request_stop aborted;
+            close_input []
+  in
   let domain_trials = Array.make ndomains 0 in
   let domain_busy = Array.make ndomains 0.0 in
   let executed_n = Atomic.make 0 in
@@ -509,8 +540,7 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
   in
   (* One in-process task: skip-check, then replay from the journal or
      execute through the trial body worker processes run too. *)
-  let process d (idx, p) =
-    let ps = states.(p) in
+  let process d (idx, ps) =
     if not (check_skip ps idx) then begin
       let seed = seed_of idx in
       if not (try_resume d ps idx seed) then begin
@@ -523,14 +553,20 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
       end
     end
   in
-  let run_wave wave tasks =
-    Event_log.emit log (Event_log.Wave_started { wave; tasks = List.length tasks });
-    let queue = Work_queue.create tasks in
-    let n = max 1 (min ndomains (List.length tasks)) in
+  let run_wave queue =
+    (* A streamed wave 0 sizes the pool before its tasks are known, and
+       its last slot produces them first: chaos deaths, which strike
+       after a pop, never hit phase 1. *)
+    let producing = stream && queue == wave0 in
+    let n =
+      if producing then ndomains
+      else max 1 (min ndomains (Work_queue.remaining queue))
+    in
     let inflight = Array.make n None in
     let worker ~allow_death ~domain =
+      if producing && domain = n - 1 then produce_once ();
       let rec loop () =
-        if stop_requested stop then ()
+        if halted () then ()
         else
           match Work_queue.pop queue with
           | None -> ()
@@ -573,9 +609,9 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
     in
     (* If every surviving worker exited but slots gave up mid-queue, finish
        the stragglers inline, immune to injected deaths. *)
-    if (not (stop_requested stop)) && Work_queue.remaining queue > 0 then
+    if (not (halted ())) && Work_queue.remaining queue > 0 then
       worker ~allow_death:false ~domain:0;
-    if stop_requested stop then
+    if halted () then
       interrupted_remaining :=
         !interrupted_remaining + List.length (Work_queue.drain queue)
   in
@@ -587,9 +623,8 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
      and a requeued task gets a fresh number, so a fault fires once
      rather than chasing its own retry forever. *)
   let assign_ctr = ref 0 in
-  let proc_inflight : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
-  let run_wave_proc pool wave tasks =
-    Event_log.emit log (Event_log.Wave_started { wave; tasks = List.length tasks });
+  let proc_inflight : (int, int * pair_state) Hashtbl.t = Hashtbl.create 64 in
+  let run_wave_proc pool tasks =
     let pending = Queue.create () in
     List.iter (fun t -> Queue.add t pending) tasks;
     (* Pop until a task actually ships: skipped and replayed tasks are
@@ -597,8 +632,7 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
     let rec dispatch worker =
       match Queue.take_opt pending with
       | None -> ()
-      | Some (idx, p) ->
-          let ps = states.(p) in
+      | Some (idx, ps) ->
           if check_skip ps idx then dispatch worker
           else begin
             let seed = seed_of idx in
@@ -624,7 +658,7 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
               Event_log.emit log
                 (Event_log.Trial_started
                    { pair = ps.ps_label; seed; domain = worker });
-              Hashtbl.replace proc_inflight id (idx, p);
+              Hashtbl.replace proc_inflight id (idx, ps);
               Proc_pool.assign pool ~worker a
             end
           end
@@ -636,7 +670,7 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
       | Proc_pool.Ev_result { ev_worker; ev_id; ev_result } -> (
           match Hashtbl.find_opt proc_inflight ev_id with
           | None -> ()  (* late result from a worker already declared dead *)
-          | Some (idx, p) ->
+          | Some (idx, ps) ->
               Hashtbl.remove proc_inflight ev_id;
               executed ev_worker
                 (match ev_result with
@@ -644,7 +678,7 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
                 | Proc_pool.T_exhausted { t_wall; _ } ->
                     t_wall
                 | Proc_pool.T_crashed _ -> 0.0);
-              settle ev_worker states.(p) idx (seed_of idx) ev_result)
+              settle ev_worker ps idx (seed_of idx) ev_result)
       | Proc_pool.Ev_died
           { ev_worker; ev_pid; ev_in_flight; ev_reason; ev_killed; _ } ->
           (match ev_in_flight with
@@ -679,7 +713,7 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
     in
     while
       (not (finished ()))
-      && (not (stop_requested stop))
+      && (not (halted ()))
       && not (Proc_pool.gone pool)
     do
       List.iter
@@ -688,7 +722,7 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
       if not (finished ()) then
         List.iter handle_event (Proc_pool.poll pool ~timeout:0.05)
     done;
-    if stop_requested stop then begin
+    if halted () then begin
       interrupted_remaining :=
         !interrupted_remaining + Queue.length pending
         + Hashtbl.length proc_inflight;
@@ -703,7 +737,7 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
       Hashtbl.iter (fun _ task -> Queue.add task pending) proc_inflight;
       Hashtbl.reset proc_inflight;
       let rec drain () =
-        if stop_requested stop then
+        if halted () then
           interrupted_remaining :=
             !interrupted_remaining + Queue.length pending
         else
@@ -716,6 +750,48 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
       drain ()
     end
   in
+  (* Unstreamed, phase 1 runs to the end before the campaign starts, and
+     its failure escapes at once. *)
+  let reraise_failure () =
+    match !produced with
+    | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+    | _ -> ()
+  in
+  if not stream then begin
+    produce_once ();
+    reraise_failure ()
+  end;
+  (* Phase 2's wall: a streamed phase 1 runs inside it. *)
+  let t0 = Unix.gettimeofday () in
+  (* Multi-process tier: spawn the worker fleet and gate on the init
+     handshake.  If no worker ever comes up (exec failure, target
+     unresolvable in the child, impossible rlimits) the campaign degrades
+     to the in-process domain pool at the same parallel width — results
+     are identical either way, only the isolation boundary moves. *)
+  let ppool =
+    match proc with
+    | Some sp when Work_queue.total wave0 > 0 ->
+        let p = Proc_pool.create sp ~init in
+        if Proc_pool.await_ready p ~timeout:15.0 then Some p
+        else begin
+          Proc_pool.kill_all p;
+          None
+        end
+    | _ -> None
+  in
+  (* Fleet width actually achieved, for status reporting: a requested
+     proc tier that degraded to in-process shows up as 0 live workers. *)
+  let proc_active = match ppool with Some p -> Proc_pool.alive p | None -> 0 in
+  Event_log.emit log
+    (Event_log.Campaign_started
+       { domains = ndomains; base_trials = nbase; budget; cutoff });
+  (* Journal what --resume reused, and above all how many torn lines it
+     skipped: a long-lived resume chain must not eat corruption silently
+     (the final report repeats the warning from s_resume_skipped). *)
+  if resume <> None then
+    Event_log.emit log
+      (Event_log.Resume_loaded
+         { entries = Hashtbl.length resume_tbl; skipped = resume_skipped });
   (* Wave loop.  Each wave queues every granted-but-unqueued trial in
      seed-major order (trial 0 of every pair, then trial 1, ...) so all
      pairs make progress toward their resolution points together.  Between
@@ -724,32 +800,20 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
      round-robin to unresolved pairs.  The refund is *logical*:
      granted - (bound + 1), a pure function of the bound, never of how
      many trials some worker happened to skip first — so reallocation is
-     as deterministic as the bounds themselves. *)
+     as deterministic as the bounds themselves.  Wave 0 is the admission
+     queue; a streamed one ends once its input is closed and drained. *)
   let waves = ref 0 in
-  let continue_ = ref (npairs > 0 && total_budget > 0 && not (stop_requested stop)) in
-  while !continue_ do
-    let tasks = ref [] in
-    Array.iteri
-      (fun p ps ->
-        for idx = ps.ps_queued to ps.ps_granted - 1 do
-          tasks := (idx, p) :: !tasks
-        done;
-        ps.ps_queued <- ps.ps_granted)
-      states;
-    let tasks =
-      List.sort
-        (fun (i1, p1) (i2, p2) ->
-          match Int.compare i1 i2 with 0 -> Int.compare p1 p2 | c -> c)
-        !tasks
-    in
-    if tasks <> [] then begin
+  let rec wave queue =
+    let tasks = Work_queue.total queue in
+    if tasks > 0 && not (stream && queue == wave0) then
+      Event_log.emit log (Event_log.Wave_started { wave = !waves; tasks });
+    if stream || tasks > 0 then begin
       (match ppool with
-      | Some pool -> run_wave_proc pool !waves tasks
-      | None -> run_wave !waves tasks);
-      incr waves
+      | Some pool -> run_wave_proc pool (Work_queue.drain queue)
+      | None -> run_wave queue);
+      if Work_queue.total queue > 0 then incr waves
     end;
-    if stop_requested stop then continue_ := false
-    else begin
+    if not (halted ()) then begin
       (* settle pairs that hit a bound: unused grants refill the pool *)
       Array.iter
         (fun ps ->
@@ -758,12 +822,11 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
               ps.ps_settled <- true;
               pool := !pool + max 0 (ps.ps_granted - (b + 1))
           | _ -> ())
-        states;
+        !states;
       let unresolved =
-        Array.to_list states |> List.filter (fun ps -> not ps.ps_settled)
+        Array.to_list !states |> List.filter (fun ps -> not ps.ps_settled)
       in
-      if (not cutoff) || !pool <= 0 || unresolved = [] then continue_ := false
-      else begin
+      if cutoff && !pool > 0 && unresolved <> [] then begin
         (* round-robin reallocation, at most one base-list worth per pair
            per wave so a single unresolved pair cannot absorb a huge pool
            in one indivisible chunk *)
@@ -786,12 +849,17 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
           (fun i ps ->
             if granted_now.(i) > 0 then
               Event_log.emit log
-                (Event_log.Budget_granted { pair = ps.ps_label; extra = granted_now.(i) }))
+                (Event_log.Budget_granted
+                   { pair = ps.ps_label; extra = granted_now.(i) }))
           unresolved;
-        continue_ := List.exists (fun ps -> ps.ps_queued < ps.ps_granted) unresolved
+        let next = Work_queue.create_open ~rank:fst () in
+        Array.iter (push_granted next) !states;
+        Work_queue.close_input next;
+        if Work_queue.total next > 0 then wave next
       end
     end
-  done;
+  in
+  wave wave0;
   (* Tear the fleet down before the final journal writes: on interrupt
      every child is SIGKILLed and reaped immediately (no orphans survive
      the campaign), otherwise workers get a grace period to exit on the
@@ -799,9 +867,9 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
   (match ppool with
   | None -> ()
   | Some pool ->
-      if stop_requested stop then Proc_pool.kill_all pool
+      if halted () then Proc_pool.kill_all pool
       else Proc_pool.shutdown pool ~grace:2.0);
-  let interrupted = stop_requested stop in
+  let interrupted = halted () in
   if interrupted then
     Event_log.emit log
       (Event_log.Campaign_interrupted
@@ -810,6 +878,7 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
   (* Deterministic aggregation: truncate each pair at its skip bound
      (cutoff resolution and/or quarantine), discarding speculative trials
      run past it.                                                       *)
+  let states = !states in
   let discarded = ref 0 in
   let results =
     Array.to_list
@@ -843,7 +912,7 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
   let cancelled = Array.fold_left (fun acc ps -> acc + ps.ps_cancelled) 0 states in
   let stats =
     {
-      s_pairs = npairs;
+      s_pairs = Array.length states;
       s_resolved =
         Array.fold_left (fun acc ps -> if resolution ps <> None then acc + 1 else acc) 0 states;
       s_trials = trials;
@@ -851,6 +920,7 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
       s_discarded = !discarded;
       s_waves = !waves;
       s_wall = wall;
+      s_campaign_wall = wall;
       s_phase1_wall = 0.0;
       s_throughput = (if wall > 0.0 then float_of_int trials /. wall else 0.0);
       s_domains = ndomains;
@@ -882,6 +952,22 @@ let fuzz_pairs ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
   Event_log.emit log
     (Event_log.Campaign_finished
        { wall; trials; cancelled; throughput = stats.s_throughput });
+  reraise_failure ();
+  match !produced with
+  | Some (Ok x) -> (x, results, stats)
+  | _ -> assert false (* produced by now: before the start, or by wave 0 *)
+
+let fuzz_pairs ?domains ?seeds ?cutoff ?budget ?postpone_timeout ?max_steps ?log
+    ?supervision ?chaos ?trial_deadline ?resume ?stop ?detector_budget
+    ?mem_budget ?no_degrade ?proc ~(program : Fuzzer.program)
+    (pairs : Site.Pair.t list) : Fuzzer.pair_result list * stats =
+  let (), results, stats =
+    schedule ?domains ?seeds ?cutoff ?budget ?postpone_timeout ?max_steps ?log
+      ?supervision ?chaos ?trial_deadline ?resume ?stop ?detector_budget
+      ?mem_budget ?no_degrade ?proc ~stream:false ~program (fun admit ->
+        List.iter admit pairs;
+        ((), pairs))
+  in
   (results, stats)
 
 (* ------------------------------------------------------------------ *)
@@ -892,6 +978,7 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
     ?detector_budget ?mem_budget ?(no_degrade = false) ?proc ?repro_dir
     ?(target = "") ?repro_fuel ?static ?(static_filter = false) ?offline_detect
     ?save_traces ?corpus ?phase1 (program : Fuzzer.program) : result =
+  let t_start = Unix.gettimeofday () in
   (* A corpus wants reproduction artifacts; without an explicit repro
      directory they are written inside the corpus itself (whose directory
      must then exist before the repro pass mkdirs beneath it). *)
@@ -918,6 +1005,14 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
            inline detection there is no recording to persist. *)
         Fuzzer.Recorded { shards = max 1 (Option.value ~default:1 shards) }
   in
+  (* Phase 1 feeds phase 2 as it finds pairs when it runs inline beside
+     an in-process pool of two or more slots and no budget waits for the
+     final pair count.  Otherwise phase 1 finishes first and its pairs
+     enter the same scheduler afterwards. *)
+  let stream =
+    phase1 = None && detect = Fuzzer.Inline && proc = None && domains >= 2
+    && budget = None
+  in
   let saved_traces = ref [] in
   let trace_sink =
     Option.map
@@ -931,116 +1026,135 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
             (seed, path, Rf_events.Btrace.byte_size recording) :: !saved_traces)
       save_traces
   in
-  (* A caller-supplied phase-1 result (serve mode re-analyzing cached
-     recordings) replaces the live pass entirely: no execution, no trace
-     sink — the recordings already live wherever the caller keeps them. *)
-  let p1 =
-    match phase1 with
-    | Some p1 -> p1
-    | None ->
-        Fuzzer.phase1 ~seeds:phase1_seeds ?max_steps ?deadline:p1_deadline
-          ?governor:p1_gov ~detect ?trace_sink program
-  in
-  (match (save_traces, !saved_traces) with
-  | Some dir, traces ->
-      Event_log.emit log
-        (Event_log.Traces_saved
-           {
-             dir;
-             count = List.length traces;
-             bytes = List.fold_left (fun acc (_, _, b) -> acc + b) 0 traces;
-           })
-  | None, _ -> ());
-  (match p1.Fuzzer.p1_recording with
-  | None -> ()
-  | Some r ->
-      Event_log.emit log
-        (Event_log.Phase1_recorded
-           {
-             events = r.Fuzzer.rec_events;
-             bytes = r.Fuzzer.rec_bytes;
-             shards = r.Fuzzer.rec_shards;
-             record_wall = r.Fuzzer.rec_wall;
-             detect_wall = r.Fuzzer.detect_wall;
-           }));
-  let p1_level =
-    Option.map
-      (fun s -> Governor.level_to_string s.Governor.g_level)
-      p1.Fuzzer.p1_degraded
-  in
-  let potential = Fuzzer.potential_pairs p1 in
-  Event_log.emit log
-    (Event_log.Phase1_finished
-       {
-         potential = Site.Pair.Set.cardinal potential;
-         wall = p1.Fuzzer.p1_wall;
-         degraded = p1_level <> None;
-         level = Option.value ~default:"full" p1_level;
-       });
-  let pairs = Site.Pair.Set.elements potential in
-  (* Static pre-filter: classify the frontier, journal every skipped pair
-     with its reason, order the survivors Likely-first.  The classification
-     is a pure function of the program's AST/model, so a resumed campaign
-     given the same summary recomputes the same filtered set and the same
-     wave order — journals and fingerprints stay deterministic. *)
-  let static_sum, pairs, filtered =
-    match static with
-    | None -> (None, pairs, [])
-    | Some st ->
-        let t0 = Unix.gettimeofday () in
-        let uni = Static.universe st in
-        let ucounts = Static.count st uni in
-        let fcounts =
-          List.fold_left
-            (fun c p -> Static.count_verdict c (Static.classify st p))
-            Static.no_counts pairs
-        in
-        let surviving, filtered =
-          if static_filter then Fuzzer.partition_frontier ~static:st pairs
-          else (pairs, [])
-        in
-        let ordered = Fuzzer.order_pairs ~static:st surviving in
-        let st_wall = Unix.gettimeofday () -. t0 in
-        List.iter
-          (fun (p, v) ->
-            Event_log.emit log
-              (Event_log.Pair_filtered
-                 {
-                   pair = Site.Pair.to_string p;
-                   reason = Static.verdict_to_string v;
-                 }))
-          filtered;
-        let sum =
-          {
-            st_universe = Site.Pair.Set.cardinal uni;
-            st_universe_impossible = ucounts.Static.n_impossible;
-            st_frontier = List.length pairs;
-            st_likely = fcounts.Static.n_likely;
-            st_unknown = fcounts.Static.n_unknown;
-            st_impossible = fcounts.Static.n_impossible;
-            st_filtered = List.length filtered;
-            st_wall;
-          }
-        in
+  (* The static pre-filter applies to each pair as it arrives: a pair
+     proved [Impossible] is journaled with its reason and never fuzzed.
+     The classification is a pure function of the program's AST/model,
+     so a resumed campaign recomputes the same filtered set. *)
+  let produce admit =
+    let tell pair =
+      match static with
+      | Some st when static_filter -> (
+          match Static.classify st pair with
+          | Static.Impossible _ as v ->
+              Event_log.emit log
+                (Event_log.Pair_filtered
+                   {
+                     pair = Site.Pair.to_string pair;
+                     reason = Static.verdict_to_string v;
+                   })
+          | Static.Likely | Static.Unknown _ -> admit pair)
+      | _ -> admit pair
+    in
+    (* A caller-supplied phase-1 result (serve mode re-analyzing cached
+       recordings) replaces the live pass entirely: no execution, no
+       trace sink — the recordings already live wherever the caller keeps
+       them.  A streamed phase 1 holds interning priority, so site ids
+       follow phase 1 alone even while trials run beside it. *)
+    let p1 =
+      match phase1 with
+      | Some p1 -> p1
+      | None ->
+          let observe ?on_pair () =
+            Fuzzer.phase1 ~seeds:phase1_seeds ?max_steps ?deadline:p1_deadline
+              ?governor:p1_gov ~detect ?trace_sink ?on_pair program
+          in
+          if stream then Site.with_priority (observe ~on_pair:tell) else observe ()
+    in
+    (match (save_traces, !saved_traces) with
+    | Some dir, traces ->
         Event_log.emit log
-          (Event_log.Static_classified
+          (Event_log.Traces_saved
              {
-               universe = sum.st_universe;
-               universe_impossible = sum.st_universe_impossible;
-               frontier = sum.st_frontier;
-               likely = sum.st_likely;
-               unknown = sum.st_unknown;
-               impossible = sum.st_impossible;
-               filtered = sum.st_filtered;
-               wall = st_wall;
-             });
-        (Some sum, ordered, filtered)
+               dir;
+               count = List.length traces;
+               bytes = List.fold_left (fun acc (_, _, b) -> acc + b) 0 traces;
+             })
+    | None, _ -> ());
+    (match p1.Fuzzer.p1_recording with
+    | None -> ()
+    | Some r ->
+        Event_log.emit log
+          (Event_log.Phase1_recorded
+             {
+               events = r.Fuzzer.rec_events;
+               bytes = r.Fuzzer.rec_bytes;
+               shards = r.Fuzzer.rec_shards;
+               record_wall = r.Fuzzer.rec_wall;
+               detect_wall = r.Fuzzer.detect_wall;
+             }));
+    let p1_level =
+      Option.map
+        (fun s -> Governor.level_to_string s.Governor.g_level)
+        p1.Fuzzer.p1_degraded
+    in
+    let potential = Fuzzer.potential_pairs p1 in
+    Event_log.emit log
+      (Event_log.Phase1_finished
+         {
+           potential = Site.Pair.Set.cardinal potential;
+           wall = p1.Fuzzer.p1_wall;
+           degraded = p1_level <> None;
+           level = Option.value ~default:"full" p1_level;
+         });
+    let pairs = Site.Pair.Set.elements potential in
+    (* The frontier in fuzzing order: Likely-first when a model exists.
+       Unstreamed pairs are admitted in this order, and streamed ones are
+       put back into it when wave 0 closes. *)
+    let ordered =
+      match static with Some st -> Fuzzer.order_pairs ~static:st pairs | None -> pairs
+    in
+    if not stream then List.iter tell ordered;
+    let static_sum, filtered =
+      match static with
+      | None -> (None, [])
+      | Some st ->
+          let t0 = Unix.gettimeofday () in
+          let uni = Static.universe st in
+          let ucounts = Static.count st uni in
+          let fcounts =
+            List.fold_left
+              (fun c p -> Static.count_verdict c (Static.classify st p))
+              Static.no_counts pairs
+          in
+          let filtered =
+            if static_filter then snd (Fuzzer.partition_frontier ~static:st pairs)
+            else []
+          in
+          let st_wall = Unix.gettimeofday () -. t0 in
+          let sum =
+            {
+              st_universe = Site.Pair.Set.cardinal uni;
+              st_universe_impossible = ucounts.Static.n_impossible;
+              st_frontier = List.length pairs;
+              st_likely = fcounts.Static.n_likely;
+              st_unknown = fcounts.Static.n_unknown;
+              st_impossible = fcounts.Static.n_impossible;
+              st_filtered = List.length filtered;
+              st_wall;
+            }
+          in
+          Event_log.emit log
+            (Event_log.Static_classified
+               {
+                 universe = sum.st_universe;
+                 universe_impossible = sum.st_universe_impossible;
+                 frontier = sum.st_frontier;
+                 likely = sum.st_likely;
+                 unknown = sum.st_unknown;
+                 impossible = sum.st_impossible;
+                 filtered = sum.st_filtered;
+                 wall = st_wall;
+               });
+          (Some sum, filtered)
+    in
+    ((p1, p1_level, static_sum, filtered), ordered)
   in
-  let results, stats =
-    fuzz_pairs ~domains ~seeds:seeds_per_pair ~cutoff ?budget ?postpone_timeout
+  let (p1, p1_level, static_sum, filtered), results, stats =
+    schedule ~domains ~seeds:seeds_per_pair ~cutoff ?budget ?postpone_timeout
       ?max_steps ~log ?supervision ?chaos ?trial_deadline ?resume ?stop
-      ?detector_budget ?mem_budget ~no_degrade ?proc ~program pairs
+      ?detector_budget ?mem_budget ~no_degrade ?proc ~stream ~program produce
   in
+  let campaign_wall = Unix.gettimeofday () -. t_start in
   let collect p =
     List.fold_left
       (fun acc (r : Fuzzer.pair_result) ->
@@ -1145,6 +1259,7 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
      stats =
        {
          stats with
+         s_campaign_wall = campaign_wall;
          s_phase1_wall = p1.Fuzzer.p1_wall;
          s_p1_level = p1_level;
          s_p1_recording = p1.Fuzzer.p1_recording;
@@ -1156,6 +1271,7 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
      repro;
    }
     : result)
+
 
 (* ------------------------------------------------------------------ *)
 (* Determinism fingerprint                                             *)

@@ -74,9 +74,15 @@ type stats = {
   s_cancelled : int;  (** queued trials skipped by cutoff *)
   s_discarded : int;  (** speculative trials run past a resolution point *)
   s_waves : int;
-  s_wall : float;  (** phase-2 wall-clock seconds *)
-  s_phase1_wall : float;
-  s_throughput : float;  (** executed trials per second of phase-2 wall *)
+  s_wall : float;
+      (** wall-clock seconds of the trial scheduler, from its first wave
+          to its last; when phase 1 streams into it ({!run}), this window
+          covers phase 1 too *)
+  s_campaign_wall : float;
+      (** wall-clock seconds from the start of phase 1 to the end of the
+          last wave ({!run}; equals [s_wall] for {!fuzz_pairs}) *)
+  s_phase1_wall : float;  (** phase 1's part of [s_campaign_wall] *)
+  s_throughput : float;  (** executed trials per second of [s_wall] *)
   s_domains : int;
   s_domain_trials : int array;  (** trials executed per domain *)
   s_domain_busy : float array;  (** busy seconds per domain *)
@@ -216,11 +222,27 @@ val run :
   Fuzzer.program ->
   result
 (** Whole-program campaign: phase 1 (sequential, like the paper's single
-    observed execution) followed by a campaign over all potential pairs.
+    observed execution) and a campaign over all potential pairs.
     With [~cutoff:false] (the default) and no faults, the analysis equals
     [Fuzzer.analyze ~phase1_seeds ~seeds_per_pair] exactly — see
     {!fingerprint}.  Phase 1 is deterministic and cheap, so a resumed run
     re-executes it and replays only phase-2 trials.
+
+    Phase 1 {e streams} into phase 2 when it runs inline on an in-process
+    pool of [domains >= 2] and no [budget] is set: each pair's trials
+    join the first wave the moment the hybrid detector first reports the
+    pair, seed-major among the pairs known so far, while phase 1 runs on
+    the calling domain and occupies one of the [domains] slots until it
+    returns.  Site ids still follow phase 1 alone
+    ({!Rf_util.Site.with_priority}), the pair set is the final frontier,
+    and results come back in the order an unstreamed run fuzzes them, so
+    the analysis, both fingerprints and the report are unchanged; only
+    the journal interleaves phase-1 lines with trial lines
+    ({!Event_log}).  Under [budget], [proc], [offline_detect],
+    [save_traces], a supplied [phase1] or one domain, phase 1 finishes
+    first and then feeds the same scheduler.  A [Budget_stop] (or any
+    exception) escaping a streamed phase 1 stops the pool, as an
+    interrupt would, before it escapes [run].
 
     [repro_dir] enables the {!Repro} pass: after aggregation, a
     minimized reproduction schedule is written per distinct error

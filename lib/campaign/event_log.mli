@@ -14,7 +14,19 @@
     header and can be {!load}ed back: [Trial_finished] / [Trial_crashed] /
     [Trial_exhausted] records carry everything deterministic aggregation
     needs, which is what makes checkpoint/resume
-    ([Campaign.fuzz_pairs ~resume]) possible. *)
+    ([Campaign.fuzz_pairs ~resume]) possible.
+
+    Line order.  [Journal_opened] comes first, [Campaign_started] precedes
+    every trial line, and exactly one [Phase1_finished] comes before
+    [Campaign_finished].  When phase 1 streams its pairs into phase 2
+    ([Campaign.run] on two or more in-process domains without a budget),
+    [Campaign_started] is written before phase 1 starts, trial lines
+    interleave with phase 1, each [Pair_filtered] is written when its pair
+    arrives, [Phase1_finished] and [Static_classified] when phase 1 ends,
+    and wave 0's [Wave_started] when its input closes — after its first
+    trial lines.  Otherwise phase 1's lines all precede
+    [Campaign_started].  Resume reads trial records only, so it accepts
+    either order. *)
 
 val schema_version : int
 (** Journal schema of this writer: 5.  One line per version bump:
@@ -54,6 +66,8 @@ type event =
           just before [Phase1_finished], whose [wall] covers both
           spans *)
   | Wave_started of { wave : int; tasks : int }
+      (** [tasks] trials queued; a streamed wave 0 counts every pair that
+          arrived *)
   | Trial_started of { pair : string; seed : int; domain : int }
   | Trial_finished of {
       pair : string;
@@ -95,7 +109,7 @@ type event =
   | Pair_filtered of { pair : string; reason : string }
       (** the static pre-filter proved the pair [Impossible] ([reason] is
           the {!Rf_static.Static.verdict} rendering); no phase-2 trial
-          will run for it *)
+          will run for it.  Written when the pair arrives from phase 1. *)
   | Static_classified of {
       universe : int;  (** same-variable site pairs in the whole program *)
       universe_impossible : int;
@@ -107,8 +121,8 @@ type event =
       wall : float;  (** classification time, seconds *)
     }
       (** summary of one {!Rf_static.Static.classify} pass over the
-          phase-1 frontier, emitted whether or not [--static-filter]
-          actually skips anything *)
+          phase-1 frontier, emitted when phase 1 ends whether or not
+          [--static-filter] actually skips anything *)
   | Pair_resolved of { pair : string; at_trial : int }
       (** the pair is classified real and harmful by its trial prefix
           [0..at_trial]; queued trials past that index will be cancelled.

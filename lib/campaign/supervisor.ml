@@ -2,11 +2,12 @@
    detect crashes, respawn with exponential backoff, give up after a
    budget.
 
-   Each worker slot gets one long-lived supervising domain; each *attempt*
-   runs on a freshly spawned child domain, so a respawned worker starts
-   with clean domain-local state exactly like the original.  A crash is an
-   exception escaping the worker body (in OCaml a domain cannot die any
-   other way short of taking the whole process with it). *)
+   Each worker slot gets one long-lived domain, which runs the first
+   attempt itself; each respawn runs on a freshly spawned child domain,
+   so a respawned worker starts with clean domain-local state exactly
+   like the original.  A crash is an exception escaping the worker body
+   (in OCaml a domain cannot die any other way short of taking the whole
+   process with it). *)
 
 type policy = {
   max_respawns : int;
@@ -36,14 +37,16 @@ let nothing_crash ~domain:_ ~attempt:_ _ = ()
 let nothing_respawn ~domain:_ ~attempt:_ ~backoff:_ = ()
 
 (* One attempt, on a fresh child domain (clean domain-local state) or
-   inline on the calling domain.  Inline attempts exist for the
-   single-worker fleet: with one slot there is no parallelism to win, and
-   on a single core the idle supervising/joining domains are pure
-   overhead — every minor collection becomes a cross-domain stop-the-world
-   synchronization, taxing allocation-heavy workers by double-digit
-   percentages.  Crash/respawn semantics are identical either way; the
-   engine resets all per-run domain-local state itself, so where an
-   attempt runs can never affect what it computes. *)
+   inline on the calling domain.  First attempts run inline on the slot's
+   own (fresh) domain, and so do all attempts of a single-worker fleet.
+   An idle domain is not free: every minor collection is a stop-the-world
+   synchronization of all domains, and a domain blocked in a join takes
+   part through its backup thread, which must be scheduled.  On a 2-vCPU
+   host four blocked domains beside a hybrid phase 1 slow it by ~22%, so
+   the fleet keeps no domain parked behind a working one.  Crash/respawn
+   semantics are identical either way; the engine resets all per-run
+   domain-local state itself, so where an attempt runs can never affect
+   what it computes. *)
 let spawned_attempt body ~domain =
   Domain.join
     (Domain.spawn (fun () ->
@@ -52,9 +55,9 @@ let spawned_attempt body ~domain =
 let inline_attempt body ~domain =
   match body ~domain with () -> Ok () | exception e -> Error e
 
-let run_slot ~run_attempt ~policy ~on_crash ~on_respawn ~on_give_up ~domain body
-    =
+let run_slot ~respawn ~policy ~on_crash ~on_respawn ~on_give_up ~domain body =
   let rec go attempt crashes =
+    let run_attempt = if attempt = 0 then inline_attempt else respawn in
     match (run_attempt body ~domain : (unit, exn) result) with
     | Ok () -> (crashes, false)
     | Error e ->
@@ -76,7 +79,7 @@ let supervise ?(policy = default_policy) ?(on_crash = nothing_crash)
     ?(on_respawn = nothing_respawn) ?(on_give_up = nothing1) ~domains body =
   if domains = 1 then begin
     let crashes, gave_up =
-      run_slot ~run_attempt:inline_attempt ~policy ~on_crash ~on_respawn
+      run_slot ~respawn:inline_attempt ~policy ~on_crash ~on_respawn
         ~on_give_up ~domain:0 body
     in
     { crashes; gave_up = (if gave_up then 1 else 0) }
@@ -85,7 +88,7 @@ let supervise ?(policy = default_policy) ?(on_crash = nothing_crash)
     let slots =
       List.init domains (fun domain ->
           Domain.spawn (fun () ->
-              run_slot ~run_attempt:spawned_attempt ~policy ~on_crash
+              run_slot ~respawn:spawned_attempt ~policy ~on_crash
                 ~on_respawn ~on_give_up ~domain body))
     in
     let results = List.map Domain.join slots in

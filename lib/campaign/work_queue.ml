@@ -1,60 +1,112 @@
 type 'a t = {
   mutex : Mutex.t;
-  items : 'a array;  (* base tasks, fixed deterministic order *)
-  mutable next : int;
-  mutable requeued : 'a list;  (* recovered tasks; drained before [items] *)
+  changed : Condition.t;  (* an item arrived, or the input or queue closed *)
+  rank : 'a -> int;
+  mutable buckets : 'a Queue.t array;  (* unconsumed items, by rank *)
+  mutable low : int;  (* no unconsumed item ranks below this *)
+  mutable count : int;  (* items in [buckets] *)
+  mutable pushed : int;
+  mutable requeued : 'a list;  (* recovered tasks; drained before [buckets] *)
+  mutable input_open : bool;
   mutable closed : bool;
 }
 
-let create items =
+let make ~rank ~input_open =
   {
     mutex = Mutex.create ();
-    items = Array.of_list items;
-    next = 0;
+    changed = Condition.create ();
+    rank;
+    buckets = [| Queue.create () |];
+    low = 0;
+    count = 0;
+    pushed = 0;
     requeued = [];
+    input_open;
     closed = false;
   }
 
+(* Caller holds the mutex. *)
+let add t x =
+  let r = t.rank x in
+  if r < 0 then invalid_arg "Work_queue.push: negative rank";
+  let n = Array.length t.buckets in
+  if r >= n then
+    t.buckets <-
+      Array.init (max (r + 1) (2 * n)) (fun i ->
+          if i < n then t.buckets.(i) else Queue.create ());
+  Queue.add x t.buckets.(r);
+  if r < t.low then t.low <- r;
+  t.count <- t.count + 1;
+  t.pushed <- t.pushed + 1
+
+let create items =
+  let t = make ~rank:(fun _ -> 0) ~input_open:false in
+  List.iter (add t) items;
+  t
+
+let create_open ~rank () = make ~rank ~input_open:true
+
+let push t x =
+  Mutex.protect t.mutex (fun () ->
+      if not (t.input_open || t.closed) then
+        invalid_arg "Work_queue.push: input closed";
+      add t x;
+      Condition.signal t.changed)
+
+let close_input t =
+  Mutex.protect t.mutex (fun () ->
+      t.input_open <- false;
+      Condition.broadcast t.changed)
+
 let pop t =
   Mutex.protect t.mutex (fun () ->
-      if t.closed then None
-      else
-        match t.requeued with
-        | x :: rest ->
-            t.requeued <- rest;
-            Some x
-        | [] ->
-            if t.next >= Array.length t.items then None
-            else begin
-              let x = t.items.(t.next) in
-              t.next <- t.next + 1;
+      let rec take () =
+        if t.closed then None
+        else
+          match t.requeued with
+          | x :: rest ->
+              t.requeued <- rest;
               Some x
-            end)
+          | [] when t.count > 0 ->
+              while Queue.is_empty t.buckets.(t.low) do
+                t.low <- t.low + 1
+              done;
+              t.count <- t.count - 1;
+              Some (Queue.take t.buckets.(t.low))
+          | [] when t.input_open ->
+              Condition.wait t.changed t.mutex;
+              take ()
+          | [] -> None
+      in
+      take ())
 
-let requeue t x = Mutex.protect t.mutex (fun () -> t.requeued <- x :: t.requeued)
+let requeue t x =
+  Mutex.protect t.mutex (fun () ->
+      t.requeued <- x :: t.requeued;
+      Condition.signal t.changed)
 
-let close t = Mutex.protect t.mutex (fun () -> t.closed <- true)
+let close t =
+  Mutex.protect t.mutex (fun () ->
+      t.closed <- true;
+      Condition.broadcast t.changed)
+
 let is_closed t = Mutex.protect t.mutex (fun () -> t.closed)
-
-(* Unconsumed tasks in pop order: recovered tasks first, then the rest of
-   the base array.  Caller holds the mutex. *)
-let unconsumed t =
-  let tail = ref [] in
-  for i = Array.length t.items - 1 downto t.next do
-    tail := t.items.(i) :: !tail
-  done;
-  t.requeued @ !tail
 
 let drain t =
   Mutex.protect t.mutex (fun () ->
       t.closed <- true;
-      let rest = unconsumed t in
+      Condition.broadcast t.changed;
+      let rest = ref [] in
+      for r = Array.length t.buckets - 1 downto 0 do
+        rest := List.of_seq (Queue.to_seq t.buckets.(r)) @ !rest;
+        Queue.clear t.buckets.(r)
+      done;
+      t.count <- 0;
+      let requeued = t.requeued in
       t.requeued <- [];
-      t.next <- Array.length t.items;
-      rest)
+      requeued @ !rest)
 
-let total t = Array.length t.items
+let total t = Mutex.protect t.mutex (fun () -> t.pushed)
 
 let remaining t =
-  Mutex.protect t.mutex (fun () ->
-      List.length t.requeued + (Array.length t.items - t.next))
+  Mutex.protect t.mutex (fun () -> List.length t.requeued + t.count)

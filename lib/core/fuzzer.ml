@@ -128,7 +128,7 @@ let phase1_of_recordings ?(shards = 1) ?governor
     the caller — phase 1 has no sandbox, running out of budget there is a
     campaign-level failure. *)
 let phase1 ?(seeds = [ 0 ]) ?(max_steps = Engine.default_config.max_steps)
-    ?deadline ?governor ?(detect = Inline) ?trace_sink
+    ?deadline ?governor ?(detect = Inline) ?trace_sink ?on_pair
     (program : program) : phase1_result =
   let t0 = Unix.gettimeofday () in
   (match (trace_sink, detect) with
@@ -137,7 +137,7 @@ let phase1 ?(seeds = [ 0 ]) ?(max_steps = Engine.default_config.max_steps)
   | _ -> ());
   match detect with
   | Inline ->
-      let d = Rf_detect.Detector.hybrid ?governor () in
+      let d = Rf_detect.Detector.hybrid ?governor ?on_pair () in
       let outcomes =
         List.map
           (fun seed ->
@@ -182,6 +182,10 @@ let phase1 ?(seeds = [ 0 ]) ?(max_steps = Engine.default_config.max_steps)
       let t1 = Unix.gettimeofday () in
       (* Detect: the offline-only pass over the recordings just made. *)
       let p1 = phase1_of_recordings ~shards ?governor recordings in
+      Option.iter
+        (fun tell ->
+          List.iter (fun (r : Rf_detect.Race.t) -> tell r.Rf_detect.Race.pair) p1.potential)
+        on_pair;
       {
         p1 with
         p1_outcomes = outcomes;

@@ -78,6 +78,7 @@ val phase1 :
   ?governor:Rf_resource.Governor.t ->
   ?detect:detect_mode ->
   ?trace_sink:(seed:int -> Rf_events.Btrace.t -> unit) ->
+  ?on_pair:(Site.Pair.t -> unit) ->
   program ->
   phase1_result
 (** Default: one execution (seed 0), like the paper; more seeds widen the
@@ -98,7 +99,13 @@ val phase1 :
     [trace_sink] receives each seed's sealed binary recording before the
     offline pass replays it (persistence hook for [--save-traces]); it
     requires [Recorded] detection — with [Inline] there is no recording
-    to hand out, so the combination is an [Invalid_argument]. *)
+    to hand out, so the combination is an [Invalid_argument].
+
+    [on_pair] is told each candidate statement pair once, in discovery
+    order, and the pairs told are exactly {!potential_pairs} of the
+    result.  [Inline] detection tells a pair on the event that first
+    reports it, while later executions are still to run; [Recorded]
+    detection tells every pair after the offline pass. *)
 
 val phase1_of_recordings :
   ?shards:int ->

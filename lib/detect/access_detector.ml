@@ -108,6 +108,7 @@ type t = {
   mutable races : Race.t list;  (* newest first *)
   mutable reported : Site.Pair.Set.t;
   reported_ids : id_set;  (* [reported], as pair ids *)
+  on_pair : Site.Pair.t -> unit;  (* told of each pair as it is first reported *)
   mutable truncations : int;
   mutable mem_events : int;
   mutable next_bucket_id : int;
@@ -176,7 +177,8 @@ let compact t =
           buckets
       end
 
-let create ?governor ~name ~lock_edges ~require_disjoint_locksets ~cap () =
+let create ?governor ?(on_pair = ignore) ~name ~lock_edges
+    ~require_disjoint_locksets ~cap () =
   let t =
     {
       dname = name;
@@ -188,6 +190,7 @@ let create ?governor ~name ~lock_edges ~require_disjoint_locksets ~cap () =
       races = [];
       reported = Site.Pair.Set.empty;
       reported_ids = { slots = Array.make 64 (-1); count = 0 };
+      on_pair;
       truncations = 0;
       mem_events = 0;
       next_bucket_id = 0;
@@ -217,7 +220,8 @@ let report t ~loc b i f =
       Race.make ~pair ~loc
         ~tids:(m lsr 2, f.tid)
         ~accesses:(access_of_meta m, access_of_meta f.meta)
-      :: t.races
+      :: t.races;
+    t.on_pair pair
   end
 
 (* Locksets disjoint; free when either is empty. *)

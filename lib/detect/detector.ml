@@ -40,7 +40,8 @@ let of_history d =
         });
   }
 
-let hybrid ?cap ?governor () = of_history (Hybrid.create ?cap ?governor ())
+let hybrid ?cap ?governor ?on_pair () =
+  of_history (Hybrid.create ?cap ?governor ?on_pair ())
 
 let hb_precise ?cap ?governor () =
   of_history (Hb_precise.create ?cap ?governor ())

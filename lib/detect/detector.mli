@@ -26,10 +26,18 @@ val pairs : t -> Site.Pair.Set.t
 val race_count : t -> int
 val stats : t -> stats
 
-val hybrid : ?cap:int -> ?governor:Rf_resource.Governor.t -> unit -> t
+val hybrid :
+  ?cap:int ->
+  ?governor:Rf_resource.Governor.t ->
+  ?on_pair:(Site.Pair.t -> unit) ->
+  unit ->
+  t
 (** O'Callahan–Choi hybrid detection [37] — the paper's phase 1: disjoint
     locksets + weak happens-before.  Predictive, imprecise.  [cap] bounds
-    the per-location access history. *)
+    the per-location access history.  [on_pair] is called once per
+    statement pair, on the event that first reports it, so the calls
+    come in {!races} order.  The reported set only grows, on every rung
+    of the degradation ladder, so the pairs told are exactly {!pairs}. *)
 
 val hb_precise : ?cap:int -> ?governor:Rf_resource.Governor.t -> unit -> t
 (** Classical happens-before detection [44]: precise on the observed

@@ -19,8 +19,8 @@
 
 type t = Access_detector.t
 
-let create ?(cap = 128) ?governor () =
-  Access_detector.create ?governor ~name:"hybrid" ~lock_edges:false
+let create ?(cap = 128) ?governor ?on_pair () =
+  Access_detector.create ?governor ?on_pair ~name:"hybrid" ~lock_edges:false
     ~require_disjoint_locksets:true ~cap ()
 
 let feed = Access_detector.feed

@@ -62,8 +62,10 @@ let render ppf (s : C.stats) =
          else 0.0)
         st.C.st_wall
   | None -> ());
-  Fmt.pf ppf "wall:     %.3fs phase 2 (+ %.3fs phase 1), %.1f trials/s@."
-    s.C.s_wall s.C.s_phase1_wall s.C.s_throughput;
+  (* Phase 1 may overlap phase 2, so its wall is a part of the
+     campaign's, not an addition to it. *)
+  Fmt.pf ppf "wall:     %.3fs campaign, %.3fs of it phase 1, %.1f trials/s@."
+    s.C.s_campaign_wall s.C.s_phase1_wall s.C.s_throughput;
   Array.iteri
     (fun d trials ->
       let busy = s.C.s_domain_busy.(d) in

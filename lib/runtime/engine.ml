@@ -170,6 +170,7 @@ type t = {
   mutable timed_out : bool;
   mutable cancelled : Outcome.cancel_reason option;
   t_start : float;  (* wall-clock run start; anchor for dl_wall *)
+  stalled0 : float;  (* [Site.stalled] at run start *)
   mutable next_wall_check : int;  (* step count of the next dl_wall poll *)
   trace : Trace.t option;
 }
@@ -717,7 +718,11 @@ let deadline_hit eng =
             eng.next_wall_check <- eng.steps + dl.dl_poll;
             let wall_hit =
               match dl.dl_wall with
-              | Some budget -> Unix.gettimeofday () -. eng.t_start > budget
+              | Some budget ->
+                  (* time spent waiting for phase 1 to intern a site is
+                     not this run's work *)
+                  let stalled = Site.stalled () -. eng.stalled0 in
+                  Unix.gettimeofday () -. eng.t_start -. stalled > budget
               | None -> false
             in
             if wall_hit then Some Outcome.Wall_deadline
@@ -784,6 +789,7 @@ let run ?(config = default_config) ?(listeners = []) ?btrace ~strategy
       timed_out = false;
       cancelled = None;
       t_start = t0;
+      stalled0 = Site.stalled ();
       next_wall_check = 0;
       trace = (if config.record_trace then Some (Trace.create ()) else None);
     }

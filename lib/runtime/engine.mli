@@ -28,7 +28,10 @@ type switch_policy = Every_op | Sync_and of Site.Set.t
     including once {e before} the first step, so a run whose budget is
     already spent is cancelled without executing anything.  Hitting either
     bound stops the run cleanly with [Outcome.cancelled = Some reason]
-    instead of spinning on to [max_steps].  Wall deadlines trade the
+    instead of spinning on to [max_steps].  Time the run spent waiting
+    for another domain's phase 1 to intern a site
+    ({!Rf_util.Site.with_priority}) does not count toward [dl_wall].
+    Wall deadlines trade the
     engine's bit-exact replayability for liveness: use them to sandbox
     runaway or stalled trials, not in determinism-sensitive runs.
 

@@ -22,24 +22,65 @@ type key = string * int * int * string
 
 (* The registry is global, program-structure state (sites are *static*
    statements).  It is shared across domains during parallel fuzzing, so
-   interning is mutex-protected; identity is by key, so which domain
-   interned first does not affect semantics. *)
+   interning is mutex-protected.  Identity is by key, but ids follow
+   interning order, and pair orientation and every printed or
+   fingerprinted pair order follow ids — so while one domain holds
+   priority ([with_priority]: phase 1 overlapping phase-2 trials), a miss
+   on any other domain waits for it to end instead of taking the next
+   id. *)
 let registry : (key, t) Hashtbl.t = Hashtbl.create 256
 let by_id : (int, t) Hashtbl.t = Hashtbl.create 256
 let next_id = ref 0
 let registry_mutex = Mutex.create ()
+let priority : Domain.id option ref = ref None
+let priority_ended = Condition.create ()
+let waiters = ref 0
+let stalled_s = Domain.DLS.new_key (fun () -> ref 0.0)
+
+(* Caller holds the registry mutex. *)
+let wait_for_priority () =
+  let t0 = Unix.gettimeofday () in
+  incr waiters;
+  Condition.wait priority_ended registry_mutex;
+  decr waiters;
+  let s = Domain.DLS.get stalled_s in
+  s := !s +. (Unix.gettimeofday () -. t0)
 
 let make ?(file = "<model>") ?(line = 0) ?(col = 0) label =
   let key = (file, line, col, label) in
   Mutex.protect registry_mutex (fun () ->
-      match Hashtbl.find_opt registry key with
-      | Some s -> s
-      | None ->
-          let s = { id = !next_id; file; line; col; label } in
-          incr next_id;
-          Hashtbl.add registry key s;
-          Hashtbl.add by_id s.id s;
-          s)
+      let rec find () =
+        match Hashtbl.find_opt registry key with
+        | Some s -> s
+        | None -> (
+            match !priority with
+            | Some d when d <> Domain.self () ->
+                wait_for_priority ();
+                find ()
+            | _ ->
+                let s = { id = !next_id; file; line; col; label } in
+                incr next_id;
+                Hashtbl.add registry key s;
+                Hashtbl.add by_id s.id s;
+                s)
+      in
+      find ())
+
+let with_priority f =
+  let self = Domain.self () in
+  Mutex.protect registry_mutex (fun () ->
+      if !priority = Some self then invalid_arg "Site.with_priority: re-entered";
+      while !priority <> None do
+        wait_for_priority ()
+      done;
+      priority := Some self);
+  Fun.protect f ~finally:(fun () ->
+      Mutex.protect registry_mutex (fun () ->
+          priority := None;
+          Condition.broadcast priority_ended))
+
+let waiting () = Mutex.protect registry_mutex (fun () -> !waiters)
+let stalled () = !(Domain.DLS.get stalled_s)
 
 let find_by_id id = Mutex.protect registry_mutex (fun () -> Hashtbl.find_opt by_id id)
 

@@ -19,6 +19,30 @@ val label : t -> string
 
 val find_by_id : int -> t option
 
+(** {2 Interning priority}
+
+    Ids follow interning order, and pair orientation ({!Pair.fst}), pair
+    labels and every order campaign results are printed or fingerprinted
+    in follow ids.  When phase-2 trials run while phase 1 is still
+    executing, a trial must therefore never be the first to intern a site:
+    the ids must be the ones phase 1 alone would hand out. *)
+
+val with_priority : (unit -> 'a) -> 'a
+(** [with_priority f] runs [f] on the calling domain; until it returns or
+    raises, a {!make} on any other domain that misses the registry waits
+    instead of interning, then looks again.  Hits never wait.  A second
+    domain's [with_priority] waits for the first; re-entering it on the
+    holding domain is an [Invalid_argument]. *)
+
+val waiting : unit -> int
+(** Domains currently waiting in {!make} for a {!with_priority} section
+    to end. *)
+
+val stalled : unit -> float
+(** Wall-clock seconds the calling domain has spent waiting in {!make}
+    for {!with_priority} sections, in total.  The engine's wall-clock
+    watchdog subtracts them, so the wait never cancels a trial. *)
+
 val find_by_line : file:string -> line:int -> t list
 (** All registered sites on one line, sorted — how the CLI resolves
     [--pair L1:L2] the way the paper's figures number statements.  Sites

@@ -54,24 +54,50 @@ let test_queue_requeue_order_and_retention () =
   Alcotest.(check (list int)) "requeue after close retained" [ 99; 20; 30 ]
     (Work_queue.drain q)
 
-(* No task lost or duplicated under concurrent pop/requeue/close: for
-   every item, (times processed) + (1 if drained) = 1. *)
+(* A fed queue keeps seed-major order: an item pushed after others were
+   taken still comes out ahead of every item of higher rank. *)
+let test_queue_push_merges_by_rank () =
+  let q = Work_queue.create_open ~rank:fst () in
+  List.iter (Work_queue.push q) [ (0, "a"); (1, "a"); (0, "b") ];
+  let next () = Work_queue.pop q in
+  Alcotest.(check (option (pair int string))) "rank 0 first" (Some (0, "a")) (next ());
+  Work_queue.push q (0, "c");
+  Work_queue.push q (2, "c");
+  Alcotest.(check (list (pair int string))) "FIFO within a rank, ranks ascending"
+    [ (0, "b"); (0, "c"); (1, "a"); (2, "c") ]
+    (List.init 4 (fun _ -> Option.get (next ())));
+  Work_queue.close_input q;
+  Alcotest.(check (option (pair int string))) "exhausted once input closes" None (next ());
+  Alcotest.check_raises "push after close_input"
+    (Invalid_argument "Work_queue.push: input closed") (fun () ->
+      Work_queue.push q (0, "d"))
+
+(* No task lost or duplicated under concurrent pop/requeue/close, with
+   the items either given up front or pushed by a feeder that races the
+   workers and then closes the input: for every item, (times processed)
+   + (1 if drained) = 1. *)
 let prop_queue_accounting =
   let gen =
     QCheck.Gen.(
       let* n = int_range 1 60 in
       let* workers = int_range 1 4 in
       let* close_midway = bool in
-      return (n, workers, close_midway))
+      let* fed = bool in
+      return (n, workers, close_midway, fed))
   in
   let arb =
     QCheck.make
-      ~print:(fun (n, w, c) -> Printf.sprintf "items=%d workers=%d close=%b" n w c)
+      ~print:(fun (n, w, c, f) ->
+        Printf.sprintf "items=%d workers=%d close=%b fed=%b" n w c f)
       gen
   in
-  QCheck.Test.make ~name:"queue: no task lost or duplicated" ~count:20 arb
-    (fun (n, workers, close_midway) ->
-      let q = Work_queue.create (List.init n Fun.id) in
+  QCheck.Test.make ~name:"queue: no task lost or duplicated" ~count:40 arb
+    (fun (n, workers, close_midway, fed) ->
+      let items = List.init n Fun.id in
+      let q =
+        if fed then Work_queue.create_open ~rank:(fun i -> i mod 5) ()
+        else Work_queue.create items
+      in
       let requeued = Array.init n (fun _ -> Atomic.make false) in
       let processed = Array.init n (fun _ -> Atomic.make 0) in
       let worker () =
@@ -88,19 +114,27 @@ let prop_queue_accounting =
         in
         loop ()
       in
+      let feeder =
+        Domain.spawn (fun () ->
+            if fed then begin
+              List.iter (Work_queue.push q) items;
+              Work_queue.close_input q
+            end)
+      in
       let closer =
         Domain.spawn (fun () -> if close_midway then Work_queue.close q)
       in
       let doms = List.init workers (fun _ -> Domain.spawn worker) in
       List.iter Domain.join doms;
       Domain.join closer;
+      Domain.join feeder;
       let drained = Work_queue.drain q in
       List.for_all
         (fun i ->
           let p = Atomic.get processed.(i) in
           let d = if List.mem i drained then 1 else 0 in
           p + d = 1)
-        (List.init n Fun.id))
+        items)
 
 (* ------------------------------------------------------------------ *)
 (* Event log                                                           *)
@@ -286,6 +320,44 @@ let test_sandbox_wall_deadline () =
       Alcotest.(check int) "cancelled before executing" 0 bx_steps
   | _ -> Alcotest.fail "expected Budget_exhausted (wall)"
 
+(* A run that waits for phase 1 to intern a site does no work while it
+   waits, so the wait must not spend its wall budget: the run below waits
+   three times its budget, then steps past a watchdog poll. *)
+let test_wall_deadline_excludes_site_waits () =
+  let program () =
+    let site = Site.make ~file:"deadline.rfl" "interned-after-the-wait" in
+    let cell = Rf_runtime.Api.Cell.make 0 in
+    for i = 1 to 10_000 do
+      Rf_runtime.Api.Cell.write ~site cell i
+    done
+  in
+  let run =
+    Site.with_priority (fun () ->
+        let finished = Atomic.make false in
+        let run =
+          Domain.spawn (fun () ->
+              let o =
+                Engine.run
+                  ~config:
+                    {
+                      Engine.default_config with
+                      deadline = Some (Engine.deadline ~wall:0.1 ());
+                    }
+                  ~strategy:(Rf_runtime.Strategy.random ()) program
+              in
+              Atomic.set finished true;
+              o)
+        in
+        while Site.waiting () = 0 && not (Atomic.get finished) do
+          Domain.cpu_relax ()
+        done;
+        Unix.sleepf 0.3;
+        run)
+  in
+  let o = Domain.join run in
+  Alcotest.(check bool) "not cancelled" true (o.Outcome.cancelled = None);
+  Alcotest.(check bool) "ran to completion" true (o.Outcome.steps > 10_000)
+
 (* ------------------------------------------------------------------ *)
 (* Supervisor                                                          *)
 
@@ -419,6 +491,8 @@ let () =
           Alcotest.test_case "close stops pops" `Quick test_queue_close_stops_pops;
           Alcotest.test_case "requeue order and retention" `Quick
             test_queue_requeue_order_and_retention;
+          Alcotest.test_case "push merges by rank" `Quick
+            test_queue_push_merges_by_rank;
           QCheck_alcotest.to_alcotest prop_queue_accounting;
         ] );
       ( "event_log",
@@ -435,6 +509,8 @@ let () =
           Alcotest.test_case "catches harness crash" `Quick test_sandbox_catches_crash;
           Alcotest.test_case "step deadline" `Quick test_sandbox_step_deadline;
           Alcotest.test_case "wall deadline" `Quick test_sandbox_wall_deadline;
+          Alcotest.test_case "wall deadline excludes site waits" `Quick
+            test_wall_deadline_excludes_site_waits;
         ] );
       ( "supervisor",
         [

@@ -198,6 +198,53 @@ let test_site_pair_other () =
   Alcotest.(check bool) "c not in pair" false (Site.Pair.mem c p);
   Alcotest.(check bool) "other c none" true (Site.Pair.other c p = None)
 
+(* Interning priority.  Every step is ordered by the gate itself, not by
+   timing: the other domain is known to be parked at the gate (it is
+   counted in [Site.waiting]) before the holder interns anything.  A gate
+   that lets the miss through ends the wait too, and fails the check. *)
+let parked ~returned =
+  while Site.waiting () = 0 && not (Atomic.get returned) do
+    Domain.cpu_relax ()
+  done
+
+let test_site_priority_orders_ids () =
+  let returned = Atomic.make false in
+  let other, mine =
+    Site.with_priority (fun () ->
+        let other =
+          Domain.spawn (fun () ->
+              let s = Site.make ~file:"prio.rfl" ~line:2 "late" in
+              Atomic.set returned true;
+              s)
+        in
+        parked ~returned;
+        Alcotest.(check bool) "a miss waits while priority is held" false
+          (Atomic.get returned);
+        let mine = Site.make ~file:"prio.rfl" ~line:1 "early" in
+        Alcotest.(check bool) "still waiting after the holder interns" false
+          (Atomic.get returned);
+        (other, mine))
+  in
+  let late = Domain.join other in
+  Alcotest.(check bool) "the holder's site gets the lower id" true
+    (Site.id mine < Site.id late);
+  Alcotest.(check int) "nobody left waiting" 0 (Site.waiting ())
+
+let test_site_priority_hits_pass () =
+  let known = Site.make ~file:"prio.rfl" ~line:3 "known" in
+  let got, stalled =
+    Site.with_priority (fun () ->
+        Domain.join
+          (Domain.spawn (fun () ->
+               let s = Site.make ~file:"prio.rfl" ~line:3 "known" in
+               (s, Site.stalled ()))))
+  in
+  Alcotest.(check bool) "a hit returns the interned site" true (Site.equal known got);
+  Alcotest.(check (float 0.0)) "a hit never waits" 0.0 stalled;
+  Alcotest.check_raises "re-entering priority"
+    (Invalid_argument "Site.with_priority: re-entered") (fun () ->
+      Site.with_priority (fun () -> Site.with_priority ignore))
+
 (* ------------------------------------------------------------------ *)
 (* Loc                                                                 *)
 
@@ -286,6 +333,8 @@ let () =
           Alcotest.test_case "pair normalized" `Quick test_site_pair_normalized;
           Alcotest.test_case "pair reflexive" `Quick test_site_pair_reflexive;
           Alcotest.test_case "pair other/mem" `Quick test_site_pair_other;
+          Alcotest.test_case "priority orders ids" `Quick test_site_priority_orders_ids;
+          Alcotest.test_case "priority lets hits pass" `Quick test_site_priority_hits_pass;
           QCheck_alcotest.to_alcotest prop_site_pair_commutative;
         ] );
       ( "loc",
