@@ -2,12 +2,12 @@
    detect crashes, respawn with exponential backoff, give up after a
    budget.
 
-   Each worker slot gets one long-lived domain, which runs the first
-   attempt itself; each respawn runs on a freshly spawned child domain,
-   so a respawned worker starts with clean domain-local state exactly
-   like the original.  A crash is an exception escaping the worker body
-   (in OCaml a domain cannot die any other way short of taking the whole
-   process with it). *)
+   Slot 0 runs on the calling domain and every other slot on a domain of
+   its own; each runs its first attempt there.  Each respawn of a
+   multi-slot fleet runs on a freshly spawned child domain, so a
+   respawned worker starts with clean domain-local state.  A crash is an
+   exception escaping the worker body (in OCaml a domain cannot die any
+   other way short of taking the whole process with it). *)
 
 type policy = {
   max_respawns : int;
@@ -37,16 +37,16 @@ let nothing_crash ~domain:_ ~attempt:_ _ = ()
 let nothing_respawn ~domain:_ ~attempt:_ ~backoff:_ = ()
 
 (* One attempt, on a fresh child domain (clean domain-local state) or
-   inline on the calling domain.  First attempts run inline on the slot's
-   own (fresh) domain, and so do all attempts of a single-worker fleet.
-   An idle domain is not free: every minor collection is a stop-the-world
-   synchronization of all domains, and a domain blocked in a join takes
-   part through its backup thread, which must be scheduled.  On a 2-vCPU
-   host four blocked domains beside a hybrid phase 1 slow it by ~22%, so
-   the fleet keeps no domain parked behind a working one.  Crash/respawn
-   semantics are identical either way; the engine resets all per-run
-   domain-local state itself, so where an attempt runs can never affect
-   what it computes. *)
+   inline on the slot's domain.  First attempts run inline, and so do all
+   attempts of a single-worker fleet.  An idle domain is not free: every
+   minor collection is a stop-the-world synchronization of all domains,
+   and a domain blocked in a join takes part through its backup thread,
+   which must be scheduled.  On a 2-vCPU host four blocked domains beside
+   a hybrid phase 1 slow it by ~22%, so the fleet keeps no domain parked
+   behind a working one — not even the caller's.  Crash/respawn semantics
+   are identical either way; the engine resets all per-run domain-local
+   state itself, so where an attempt runs can never affect what it
+   computes. *)
 let spawned_attempt body ~domain =
   Domain.join
     (Domain.spawn (fun () ->
@@ -77,23 +77,17 @@ let run_slot ~respawn ~policy ~on_crash ~on_respawn ~on_give_up ~domain body =
 
 let supervise ?(policy = default_policy) ?(on_crash = nothing_crash)
     ?(on_respawn = nothing_respawn) ?(on_give_up = nothing1) ~domains body =
-  if domains = 1 then begin
-    let crashes, gave_up =
-      run_slot ~respawn:inline_attempt ~policy ~on_crash ~on_respawn
-        ~on_give_up ~domain:0 body
-    in
-    { crashes; gave_up = (if gave_up then 1 else 0) }
-  end
-  else
-    let slots =
-      List.init domains (fun domain ->
-          Domain.spawn (fun () ->
-              run_slot ~respawn:spawned_attempt ~policy ~on_crash
-                ~on_respawn ~on_give_up ~domain body))
-    in
-    let results = List.map Domain.join slots in
-    {
-      crashes = List.fold_left (fun acc (c, _) -> acc + c) 0 results;
-      gave_up =
-        List.fold_left (fun acc (_, g) -> acc + if g then 1 else 0) 0 results;
-    }
+  let respawn = if domains = 1 then inline_attempt else spawned_attempt in
+  let slot domain () =
+    run_slot ~respawn ~policy ~on_crash ~on_respawn ~on_give_up ~domain body
+  in
+  let others =
+    List.init (max 0 (domains - 1)) (fun i -> Domain.spawn (slot (i + 1)))
+  in
+  let first = if domains >= 1 then [ slot 0 () ] else [] in
+  let results = first @ List.map Domain.join others in
+  {
+    crashes = List.fold_left (fun acc (c, _) -> acc + c) 0 results;
+    gave_up =
+      List.fold_left (fun acc (_, g) -> acc + if g then 1 else 0) 0 results;
+  }

@@ -3,12 +3,13 @@
     whatever it had in flight (via the [on_crash] hook — the caller owns
     the in-flight bookkeeping).
 
-    Each worker slot is supervised independently, on a domain of its own
-    that runs the first attempt itself.  Every respawn runs on a freshly
-    spawned domain, so a respawned worker starts with clean domain-local
-    state — which, combined with the engine resetting its per-run
-    counters, is why worker deaths cannot perturb trial results, only
-    who computes them. *)
+    Each worker slot is supervised independently.  Slot 0 runs on the
+    calling domain and every other slot on a domain of its own, first
+    attempt included, so no domain waits idle beside the workers.  Every
+    respawn of a multi-slot fleet runs on a freshly spawned domain, so a
+    respawned worker starts with clean domain-local state — which,
+    combined with the engine resetting its per-run counters, is why
+    worker deaths cannot perturb trial results, only who computes them. *)
 
 type policy = {
   max_respawns : int;  (** respawn budget per worker slot *)
@@ -47,12 +48,11 @@ val supervise :
     fires (requeue the in-flight task here), then either the slot respawns
     after {!backoff_delay} (preceded by [on_respawn]) or, past the budget,
     [on_give_up] fires and the slot stays down.  Hooks are called from the
-    supervising domains and must be thread-safe.
+    slots' domains and must be thread-safe.
 
-    With [~domains:1] the single slot runs inline on the calling domain
-    (same crash/respawn semantics, no domains spawned): one slot has no
-    parallelism to win, and on a single core the idle supervising domains
-    would turn every minor collection into a cross-domain stop-the-world
-    pause.  Worker identity never affects trial results — the engine
-    resets all per-run domain-local state — so the two execution shapes
-    are observationally identical. *)
+    With [~domains:1] the single slot also respawns inline (same
+    crash/respawn semantics, no domains spawned): one slot has no
+    parallelism to win, and every idle domain turns each minor collection
+    into a cross-domain stop-the-world pause.  Worker identity never
+    affects trial results — the engine resets all per-run domain-local
+    state — so the execution shapes are observationally identical. *)
