@@ -229,13 +229,13 @@ let load_resume path =
    the pairs are in that order, whatever order they arrived in.
 
    Without [~stream], every pair is admitted before the first trial
-   starts.  With it, [produce] runs in the last slot of the first wave
-   and the other slots start trials as pairs arrive: that is how phase 1
-   feeds its pairs into phase 2 as the detector finds them.  The slot
-   turns to trials once [produce] returns, so no more than [domains]
-   domains step engines at once, and no domain sits idle beside them.
-   Streaming needs no [budget] — the initial grant divides the budget by
-   the final pair count — and at least two slots. *)
+   starts.  With it, [produce] runs in slot 0 of the first wave, on the
+   calling domain, and the other slots start with the first pair: that
+   is how phase 1 feeds its pairs into phase 2 as the detector finds
+   them.  Slot 0 turns to trials once [produce] returns, so no more than
+   [domains] domains step engines at once.  Streaming needs no [budget]
+   — the initial grant divides the budget by the final pair count — and
+   at least two slots. *)
 
 let schedule ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
     ?budget ?postpone_timeout ?(max_steps = Engine.default_config.max_steps)
@@ -296,6 +296,7 @@ let schedule ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
      the grants wait for the final pair count ([close_input]).        *)
   let wave0 = Work_queue.create_open ~rank:fst () in
   let admitted = ref [] in
+  let on_admit = ref ignore in
   let push_granted queue ps =
     for idx = ps.ps_queued to ps.ps_granted - 1 do
       Work_queue.push queue (idx, ps)
@@ -320,7 +321,8 @@ let schedule ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
       }
     in
     Mutex.protect mutex (fun () -> admitted := ps :: !admitted);
-    push_granted wave0 ps
+    push_granted wave0 ps;
+    !on_admit ()
   in
   let states = ref [||] in
   (* Budget left to reallocate: the initial grant is the first
@@ -355,9 +357,9 @@ let schedule ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
       Event_log.emit log (Event_log.Wave_started { wave = 0; tasks });
     Work_queue.close_input wave0
   in
-  (* A streamed [produce] runs once, in a worker slot; its outcome is
-     read after that slot is joined.  An exception must not reach the
-     supervisor, which would count it as a worker crash. *)
+  (* A streamed [produce] runs once, in worker slot 0; its outcome is
+     read after the wave.  An exception must not reach the supervisor,
+     which would count it as a worker crash. *)
   let produced = ref None in
   let produce_once =
     let started = Atomic.make false in
@@ -514,12 +516,15 @@ let schedule ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
       a_hang = false;
     }
   in
-  (* Skip-check and journal-replay, shared verbatim by the in-process
+  (* Journal-replay and skip-check, shared verbatim by the in-process
      worker loop (which applies them at pop time) and the multi-process
      dispatcher (which applies them at dispatch time).  Both placements
      are sound by the same argument: the skip bound only ever shrinks, so
      anything skipped under an early bound would also be truncated by the
-     final one. *)
+     final one.  A journaled trial is replayed even past the current
+     bound: it ran in the journaled run, where aggregation discarded it
+     just as it does here, and replaying it keeps the resumed run's
+     accounting that run's whatever order the replays settle in. *)
   let check_skip ps idx =
     Mutex.protect mutex (fun () ->
         match skip_bound ~cutoff ~qn ps with
@@ -538,25 +543,21 @@ let schedule ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
         true
     | None -> false
   in
-  (* One in-process task: skip-check, then replay from the journal or
+  (* One in-process task: replay from the journal, skip-check, or
      execute through the trial body worker processes run too. *)
   let process d (idx, ps) =
-    if not (check_skip ps idx) then begin
-      let seed = seed_of idx in
-      if not (try_resume d ps idx seed) then begin
-        Event_log.emit log
-          (Event_log.Trial_started { pair = ps.ps_label; seed; domain = d });
-        let w0 = Unix.gettimeofday () in
-        let r = Proc_pool.execute init ~program (assignment ~id:0 ps seed) in
-        executed d (Unix.gettimeofday () -. w0);
-        settle d ps idx seed r
-      end
+    let seed = seed_of idx in
+    if not (try_resume d ps idx seed || check_skip ps idx) then begin
+      Event_log.emit log
+        (Event_log.Trial_started { pair = ps.ps_label; seed; domain = d });
+      let w0 = Unix.gettimeofday () in
+      let r = Proc_pool.execute init ~program (assignment ~id:0 ps seed) in
+      executed d (Unix.gettimeofday () -. w0);
+      settle d ps idx seed r
     end
   in
   let run_wave queue =
-    (* A streamed wave 0 sizes the pool before its tasks are known, and
-       its last slot produces them first: chaos deaths, which strike
-       after a pop, never hit phase 1. *)
+    (* A streamed wave 0 sizes the pool before its tasks are known. *)
     let producing = stream && queue == wave0 in
     let n =
       if producing then ndomains
@@ -564,7 +565,6 @@ let schedule ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
     in
     let inflight = Array.make n None in
     let worker ~allow_death ~domain =
-      if producing && domain = n - 1 then produce_once ();
       let rec loop () =
         if halted () then ()
         else
@@ -602,11 +602,39 @@ let schedule ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
       Atomic.incr worker_gave_up_n;
       Event_log.emit log (Event_log.Worker_gave_up { domain })
     in
-    let (_ : Supervisor.outcome) =
-      Supervisor.supervise ~policy:supervision ~on_crash ~on_respawn ~on_give_up
-        ~domains:n
-        (worker ~allow_death:true)
+    (* Slots [first..first+domains-1] under one supervisor. *)
+    let supervise ?(first = 0) ~domains body =
+      let (_ : Supervisor.outcome) =
+        Supervisor.supervise ~policy:supervision
+          ~on_crash:(fun ~domain -> on_crash ~domain:(first + domain))
+          ~on_respawn:(fun ~domain -> on_respawn ~domain:(first + domain))
+          ~on_give_up:(fun ~domain -> on_give_up ~domain:(first + domain))
+          ~domains
+          (fun ~domain -> body ~domain:(first + domain))
+      in
+      ()
     in
+    if producing then begin
+      (* Phase 1 runs in slot 0, here, before its trials: chaos deaths,
+         which strike after a pop, never hit it.  The other slots start
+         with the first pair, since an idle domain is not free: it joins
+         every minor collection phase 1 makes. *)
+      let others = ref None in
+      (on_admit :=
+         fun () ->
+           if !others = None then
+             others :=
+               Some
+                 (Domain.spawn (fun () ->
+                      supervise ~first:1 ~domains:(n - 1)
+                        (worker ~allow_death:true))));
+      supervise ~domains:1 (fun ~domain ->
+          produce_once ();
+          worker ~allow_death:true ~domain);
+      on_admit := ignore;
+      Option.iter Domain.join !others
+    end
+    else supervise ~domains:n (worker ~allow_death:true);
     (* If every surviving worker exited but slots gave up mid-queue, finish
        the stragglers inline, immune to injected deaths. *)
     if (not (halted ())) && Work_queue.remaining queue > 0 then
@@ -633,34 +661,32 @@ let schedule ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
       match Queue.take_opt pending with
       | None -> ()
       | Some (idx, ps) ->
-          if check_skip ps idx then dispatch worker
+          let seed = seed_of idx in
+          if try_resume worker ps idx seed || check_skip ps idx then
+            dispatch worker
           else begin
-            let seed = seed_of idx in
-            if try_resume worker ps idx seed then dispatch worker
-            else begin
-              incr assign_ctr;
-              let id = !assign_ctr in
-              let a = assignment ~id ps seed in
-              let a =
-                match chaos_state with
-                | None -> a
-                | Some (plan, st) ->
-                    let at = function Some n -> n = id | None -> false in
-                    {
-                      a with
-                      Proc_pool.a_die =
-                        Chaos.kills_worker plan st
-                        || at plan.Chaos.c_kill_assignment;
-                      a_torn = at plan.Chaos.c_torn_frame;
-                      a_hang = at plan.Chaos.c_hang_assignment;
-                    }
-              in
-              Event_log.emit log
-                (Event_log.Trial_started
-                   { pair = ps.ps_label; seed; domain = worker });
-              Hashtbl.replace proc_inflight id (idx, ps);
-              Proc_pool.assign pool ~worker a
-            end
+            incr assign_ctr;
+            let id = !assign_ctr in
+            let a = assignment ~id ps seed in
+            let a =
+              match chaos_state with
+              | None -> a
+              | Some (plan, st) ->
+                  let at = function Some n -> n = id | None -> false in
+                  {
+                    a with
+                    Proc_pool.a_die =
+                      Chaos.kills_worker plan st
+                      || at plan.Chaos.c_kill_assignment;
+                    a_torn = at plan.Chaos.c_torn_frame;
+                    a_hang = at plan.Chaos.c_hang_assignment;
+                  }
+            in
+            Event_log.emit log
+              (Event_log.Trial_started
+                 { pair = ps.ps_label; seed; domain = worker });
+            Hashtbl.replace proc_inflight id (idx, ps);
+            Proc_pool.assign pool ~worker a
           end
     in
     let handle_event = function

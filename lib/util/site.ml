@@ -26,14 +26,14 @@ type key = string * int * int * string
    interning order, and pair orientation and every printed or
    fingerprinted pair order follow ids — so while one domain holds
    priority ([with_priority]: phase 1 overlapping phase-2 trials), a miss
-   on any other domain waits for it to end instead of taking the next
-   id. *)
+   on any other domain waits instead of taking the next id, until the
+   holder interns that site or its priority ends. *)
 let registry : (key, t) Hashtbl.t = Hashtbl.create 256
 let by_id : (int, t) Hashtbl.t = Hashtbl.create 256
 let next_id = ref 0
 let registry_mutex = Mutex.create ()
 let priority : Domain.id option ref = ref None
-let priority_ended = Condition.create ()
+let priority_changed = Condition.create ()  (* the holder interned, or ended *)
 let waiters = ref 0
 let stalled_s = Domain.DLS.new_key (fun () -> ref 0.0)
 
@@ -41,7 +41,7 @@ let stalled_s = Domain.DLS.new_key (fun () -> ref 0.0)
 let wait_for_priority () =
   let t0 = Unix.gettimeofday () in
   incr waiters;
-  Condition.wait priority_ended registry_mutex;
+  Condition.wait priority_changed registry_mutex;
   decr waiters;
   let s = Domain.DLS.get stalled_s in
   s := !s +. (Unix.gettimeofday () -. t0)
@@ -57,11 +57,13 @@ let make ?(file = "<model>") ?(line = 0) ?(col = 0) label =
             | Some d when d <> Domain.self () ->
                 wait_for_priority ();
                 find ()
-            | _ ->
+            | holder ->
                 let s = { id = !next_id; file; line; col; label } in
                 incr next_id;
                 Hashtbl.add registry key s;
                 Hashtbl.add by_id s.id s;
+                if holder <> None && !waiters > 0 then
+                  Condition.broadcast priority_changed;
                 s)
       in
       find ())
@@ -77,7 +79,7 @@ let with_priority f =
   Fun.protect f ~finally:(fun () ->
       Mutex.protect registry_mutex (fun () ->
           priority := None;
-          Condition.broadcast priority_ended))
+          Condition.broadcast priority_changed))
 
 let waiting () = Mutex.protect registry_mutex (fun () -> !waiters)
 let stalled () = !(Domain.DLS.get stalled_s)

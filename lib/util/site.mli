@@ -30,7 +30,8 @@ val find_by_id : int -> t option
 val with_priority : (unit -> 'a) -> 'a
 (** [with_priority f] runs [f] on the calling domain; until it returns or
     raises, a {!make} on any other domain that misses the registry waits
-    instead of interning, then looks again.  Hits never wait.  A second
+    instead of interning, until the holder interns that site (the waiter
+    then gets the holder's site) or [f] ends.  Hits never wait.  A second
     domain's [with_priority] waits for the first; re-entering it on the
     holding domain is an [Invalid_argument]. *)
 

@@ -221,14 +221,37 @@ let test_site_priority_orders_ids () =
         Alcotest.(check bool) "a miss waits while priority is held" false
           (Atomic.get returned);
         let mine = Site.make ~file:"prio.rfl" ~line:1 "early" in
-        Alcotest.(check bool) "still waiting after the holder interns" false
-          (Atomic.get returned);
+        Alcotest.(check bool) "still waiting after the holder interns another site"
+          false (Atomic.get returned);
         (other, mine))
   in
   let late = Domain.join other in
   Alcotest.(check bool) "the holder's site gets the lower id" true
     (Site.id mine < Site.id late);
   Alcotest.(check int) "nobody left waiting" 0 (Site.waiting ())
+
+(* A waiter whose site the holder interns gets the holder's site at
+   once, without waiting for the priority to end. *)
+let test_site_priority_shares_holder_site () =
+  let returned = Atomic.make false in
+  Site.with_priority (fun () ->
+      let other =
+        Domain.spawn (fun () ->
+            let s = Site.make ~file:"prio.rfl" ~line:4 "shared" in
+            Atomic.set returned true;
+            s)
+      in
+      parked ~returned;
+      let mine = Site.make ~file:"prio.rfl" ~line:4 "shared" in
+      (* bounded, so a gate that only wakes at the end fails, not hangs *)
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      while (not (Atomic.get returned)) && Unix.gettimeofday () < deadline do
+        Domain.cpu_relax ()
+      done;
+      Alcotest.(check bool) "the waiter returns while priority is held" true
+        (Atomic.get returned);
+      Alcotest.(check bool) "the waiter gets the holder's site" true
+        (Site.equal mine (Domain.join other)))
 
 let test_site_priority_hits_pass () =
   let known = Site.make ~file:"prio.rfl" ~line:3 "known" in
@@ -335,6 +358,8 @@ let () =
           Alcotest.test_case "pair other/mem" `Quick test_site_pair_other;
           Alcotest.test_case "priority orders ids" `Quick test_site_priority_orders_ids;
           Alcotest.test_case "priority lets hits pass" `Quick test_site_priority_hits_pass;
+          Alcotest.test_case "priority shares the holder's site" `Quick
+            test_site_priority_shares_holder_site;
           QCheck_alcotest.to_alcotest prop_site_pair_commutative;
         ] );
       ( "loc",
