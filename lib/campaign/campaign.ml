@@ -622,7 +622,7 @@ let schedule ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
       let others = ref None in
       (on_admit :=
          fun () ->
-           if !others = None then
+           if Option.is_none !others then
              others :=
                Some
                  (Domain.spawn (fun () ->

@@ -1,4 +1,4 @@
-(** A domain-safe work queue with a deterministic issue order.
+(** A domain-safe work queue with a deterministic pop order.
 
     Items are drained concurrently by worker domains.  They come out
     lowest rank first and, within a rank, in the order they were put in —
@@ -13,7 +13,7 @@
 
     Fault tolerance adds two controlled exceptions to that order:
     {!requeue} returns a task recovered from a crashed worker (it is
-    re-issued before every other item), and {!close}/{!drain} let a
+    popped before every other item), and {!close}/{!drain} let a
     supervisor cancel cleanly — workers see [None] and exit, and the
     unconsumed tasks are accounted for rather than lost. *)
 
@@ -43,7 +43,7 @@ val pop : 'a t -> 'a option
 
 val requeue : 'a t -> 'a -> unit
 (** Return a task taken by a worker that died before completing it.  The
-    task is re-issued ahead of every other item.  Requeueing after
+    task is popped ahead of every other item.  Requeueing after
     {!close} is safe: the task is retained and comes back out of
     {!drain}, so nothing is lost. *)
 

@@ -46,27 +46,31 @@ let wait_for_priority () =
   let s = Domain.DLS.get stalled_s in
   s := !s +. (Unix.gettimeofday () -. t0)
 
+(* A miss, with the registry mutex held: wait while another domain holds
+   priority and the site is still missing, then intern it. *)
+let rec intern ((file, line, col, label) as key) =
+  match Hashtbl.find_opt registry key with
+  | Some s -> s
+  | None -> (
+      match !priority with
+      | Some d when d <> Domain.self () ->
+          wait_for_priority ();
+          intern key
+      | holder ->
+          let s = { id = !next_id; file; line; col; label } in
+          incr next_id;
+          Hashtbl.add registry key s;
+          Hashtbl.add by_id s.id s;
+          if holder <> None && !waiters > 0 then
+            Condition.broadcast priority_changed;
+          s)
+
 let make ?(file = "<model>") ?(line = 0) ?(col = 0) label =
   let key = (file, line, col, label) in
   Mutex.protect registry_mutex (fun () ->
-      let rec find () =
-        match Hashtbl.find_opt registry key with
-        | Some s -> s
-        | None -> (
-            match !priority with
-            | Some d when d <> Domain.self () ->
-                wait_for_priority ();
-                find ()
-            | holder ->
-                let s = { id = !next_id; file; line; col; label } in
-                incr next_id;
-                Hashtbl.add registry key s;
-                Hashtbl.add by_id s.id s;
-                if holder <> None && !waiters > 0 then
-                  Condition.broadcast priority_changed;
-                s)
-      in
-      find ())
+      match Hashtbl.find_opt registry key with
+      | Some s -> s
+      | None -> intern key)
 
 let with_priority f =
   let self = Domain.self () in
