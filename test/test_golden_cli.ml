@@ -4,7 +4,9 @@
    its first stderr line) against test/golden_cli.txt.  These are the
    configurations that exist only behind the command line: the worker
    process tier, chaos exit codes, a deterministic stop and its resume,
-   and the --no-degrade budget stop.
+   the --no-degrade budget stop, model programs that intern sites at run
+   time on two domains while phase 1 streams, and the bytes of a
+   --repro-dir written by the worker tier.
 
    Check (also part of dune runtest):
      dune build @golden
@@ -23,11 +25,15 @@ type pin =
   | Status
       (** exit status only: an interrupted campaign's partial report
           depends on which trials finished before the stop *)
+  | Report_and_repro
+      (** [Report] plus a digest of the files the row's [Repro_dir]
+          holds afterwards (names and contents) *)
 
 (* A row's command line; [Journal] stands for a per-check scratch
    journal shared by the rows of one check, so a later row can resume
-   what an earlier one wrote. *)
-type arg = A of string | Fixture of string | Journal
+   what an earlier one wrote, and [Repro_dir] for a fresh per-row
+   directory. *)
+type arg = A of string | Fixture of string | Journal | Repro_dir
 
 let args = List.map (fun a -> A a)
 
@@ -56,6 +62,12 @@ let rows : (string * pin * arg list) list =
           "campaign"; "stress-serve-small"; "--domains"; "2"; "--trials"; "3";
           "--detector-budget"; "40"; "--no-degrade";
         ] );
+    ("jspider-d2", Report, args [ "campaign"; "jspider"; "--domains"; "2"; "--trials"; "20" ]);
+    ("jigsaw-d2", Report, args [ "campaign"; "jigsaw"; "--domains"; "2"; "--trials"; "10" ]);
+    ( "cache4j-workers2-repro",
+      Report_and_repro,
+      args [ "campaign"; "cache4j"; "--workers"; "2"; "--trials"; "50"; "--repro-dir" ]
+      @ [ Repro_dir ] );
   ]
 
 let read_lines path =
@@ -66,14 +78,27 @@ let starts_with ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
 
+(* One digest of a directory's files, names and contents, in name order. *)
+let digest_dir dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.concat_map (fun f ->
+         [ f; In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all ])
+  |> String.concat "\000" |> Digest.string |> Digest.to_hex
+
+let remove_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 (* Run one row and render its pinned values as one line. *)
 let measure ~journal (pin, args) =
+  let repro_dir = Filename.temp_dir "golden_cli" ".repro" in
   let args =
     List.map
       (function
         | A a -> a
         | Fixture f -> Filename.concat !fixtures f
-        | Journal -> journal)
+        | Journal -> journal
+        | Repro_dir -> repro_dir)
       args
   in
   let out = Filename.temp_file "golden_cli" ".out" in
@@ -82,21 +107,25 @@ let measure ~journal (pin, args) =
   let out_lines = read_lines out and err_lines = read_lines err in
   Sys.remove out;
   Sys.remove err;
+  let report () =
+    List.filter_map
+      (fun l ->
+        if starts_with ~prefix:"fingerprint:" l || starts_with ~prefix:"confirmed:" l
+        then Some (Scanf.sscanf l "%_s %s" Fun.id)
+        else None)
+      out_lines
+  in
   let pinned =
     match pin with
     | Status -> []
-    | Report ->
-        List.filter_map
-          (fun l ->
-            if starts_with ~prefix:"fingerprint:" l || starts_with ~prefix:"confirmed:" l
-            then Some (Scanf.sscanf l "%_s %s" Fun.id)
-            else None)
-          out_lines
+    | Report -> report ()
+    | Report_and_repro -> report () @ [ "repro=" ^ digest_dir repro_dir ]
     | Stderr -> (
         match List.filter (fun l -> l <> "") err_lines with
         | l :: _ -> [ "stderr: " ^ l ]
         | [] -> [ "stderr: -" ])
   in
+  remove_dir repro_dir;
   String.concat " " (Printf.sprintf "exit=%d" code :: pinned)
 
 (* Every row of one check, in order, sharing one scratch journal. *)
@@ -110,7 +139,7 @@ let measure_all () =
 let write_golden path =
   let oc = open_out path in
   output_string oc
-    "# Golden CLI rows: <row> exit=<status> [<fingerprint> <confirmed> | stderr: <line>].\n\
+    "# Golden CLI rows: <row> exit=<status> [<fingerprint> <confirmed> [repro=<digest>] | stderr: <line>].\n\
      # Rows are defined in test_golden_cli.ml; figure1-chaos7-resume resumes the\n\
      # journal of figure1-chaos7-stop15 and must end with figure1-chaos7-d2's values.\n";
   Printf.fprintf oc
