@@ -65,12 +65,47 @@ let rec intern ((file, line, col, label) as key) =
             Condition.broadcast priority_changed;
           s)
 
+(* Model programs name a site by calling [make] on every operation, so its
+   hit path must be cheap: a direct-mapped cache of interned sites sits in
+   front of the registry and a hit takes no lock and allocates nothing.
+   The cache is read and written without synchronisation.  That is safe
+   because a slot only ever holds [empty] or a site the registry already
+   interned, and a site is an immutable record built before it is stored:
+   OCaml 5 never shows another domain an immutable block before its
+   initialising writes, so a racy read sees some fully built site — the
+   slot's old one or its new one — and checks the whole key before
+   returning it.  A stale or colliding slot is just a miss, and every miss
+   takes the locked path, so ids, interning order and the priority gate
+   are the registry's alone.  The label's characters enter the hash:
+   [Api]'s default sites share file, line and col. *)
+let cache_size = 4096
+let empty = { id = -1; file = ""; line = -1; col = -1; label = "" }
+let cache = Array.make cache_size empty
+
+let slot line col label =
+  let h = ref ((line * 31) + col) in
+  for i = 0 to String.length label - 1 do
+    h := (!h * 31) + Char.code (String.unsafe_get label i)
+  done;
+  !h land (cache_size - 1)
+
 let make ?(file = "<model>") ?(line = 0) ?(col = 0) label =
-  let key = (file, line, col, label) in
-  Mutex.protect registry_mutex (fun () ->
-      match Hashtbl.find_opt registry key with
-      | Some s -> s
-      | None -> intern key)
+  let i = slot line col label in
+  let s = Array.unsafe_get cache i in
+  if s.line = line && s.col = col && s != empty && String.equal s.label label
+     && String.equal s.file file
+  then s
+  else begin
+    let key = (file, line, col, label) in
+    let s =
+      Mutex.protect registry_mutex (fun () ->
+          match Hashtbl.find_opt registry key with
+          | Some s -> s
+          | None -> intern key)
+    in
+    Array.unsafe_set cache i s;
+    s
+  end
 
 let with_priority f =
   let self = Domain.self () in

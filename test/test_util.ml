@@ -268,6 +268,40 @@ let test_site_priority_hits_pass () =
     (Invalid_argument "Site.with_priority: re-entered") (fun () ->
       Site.with_priority (fun () -> Site.with_priority ignore))
 
+(* A hit allocates nothing in [Site.make]: what a call still costs is the
+   caller's [Some] box for each optional argument it passes that is not a
+   constant (here [~line], 2 words).  A locked registry lookup built a
+   key tuple, a closure and an option on every call: 13 words with
+   [~file ~line] and 11 with the defaults. *)
+let test_site_hit_allocates_nothing () =
+  let line = Sys.opaque_identity 41 in
+  let per_call f =
+    ignore (f ());
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    (Gc.minor_words () -. w0) /. 1000.
+  in
+  let with_args = per_call (fun () -> Site.make ~file:"hit.rfl" ~line "hot") in
+  let defaults = per_call (fun () -> Site.make "hot-default") in
+  Alcotest.(check bool) (Printf.sprintf "%.1f words with ~file ~line" with_args) true
+    (with_args <= 3.);
+  Alcotest.(check bool) (Printf.sprintf "%.1f words with the defaults" defaults) true
+    (defaults < 0.5)
+
+(* [Api]'s default sites share file, line and col and differ only in
+   their label; each keeps its own identity. *)
+let test_site_same_position_labels () =
+  let labels = [ "lock"; "unlock"; "join"; "wait"; "sync"; "notify"; "notifyAll" ] in
+  let first = List.map (fun l -> Site.make l) labels in
+  let again = List.map (fun l -> Site.make l) (List.rev labels) |> List.rev in
+  List.iter2
+    (fun a b -> Alcotest.(check bool) (Site.label a) true (a == b))
+    first again;
+  Alcotest.(check int) "distinct ids" (List.length labels)
+    (List.length (List.sort_uniq compare (List.map Site.id first)))
+
 (* ------------------------------------------------------------------ *)
 (* Loc                                                                 *)
 
@@ -327,6 +361,45 @@ let prop_site_pair_commutative =
       let b = Site.make ~file:"q.rfl" ~line:(j mod 50) "s" in
       Site.Pair.equal (Site.Pair.make a b) (Site.Pair.make b a))
 
+(* Four domains intern overlapping key sets, each in its own order, into
+   a fresh file, so they race on the same misses.  Each key ends up with
+   one physical site, ids stay dense and unique, and [find_by_id] returns
+   the same site. *)
+let site_round = Atomic.make 0
+
+let prop_site_domains_intern_once =
+  QCheck.Test.make ~name:"4 domains intern each key once" ~count:40
+    QCheck.(pair (list_of_size (Gen.int_range 1 40) (triple (int_bound 5) (int_bound 2) (int_bound 5))) int)
+    (fun (keys, seed) ->
+      let file = Printf.sprintf "race%d.rfl" (Atomic.fetch_and_add site_round 1) in
+      let labels = [| "lock"; "join"; "wait"; "sync"; "x(read)"; "x(write)" |] in
+      let keys = List.sort_uniq compare keys in
+      let make (line, col, l) = Site.make ~file ~line ~col labels.(l) in
+      let orders =
+        List.init 4 (fun d ->
+            let p = Prng.create (seed + d) in
+            (* each domain takes an overlapping subset in a shuffled order *)
+            List.filter (fun _ -> Prng.int p 4 > 0) keys
+            |> List.map (fun k -> (Prng.int p 1_000_000, k))
+            |> List.sort compare |> List.map snd)
+      in
+      let got =
+        List.map (fun order -> Domain.spawn (fun () -> List.map (fun k -> (k, make k)) order)) orders
+        |> List.concat_map Domain.join
+      in
+      let sites = List.map (fun k -> (k, make k)) keys in
+      let one_site = List.for_all (fun (k, s) -> List.assoc k sites == s) got in
+      let ids = List.map (fun (_, s) -> Site.id s) sites in
+      let unique = List.length (List.sort_uniq compare ids) = List.length ids in
+      let by_id =
+        List.for_all
+          (fun (_, s) -> match Site.find_by_id (Site.id s) with Some s' -> s' == s | None -> false)
+          sites
+      in
+      let top = List.fold_left max 0 ids in
+      let dense = List.for_all (fun i -> Site.find_by_id i <> None) (List.init (top + 1) Fun.id) in
+      one_site && unique && by_id && dense)
+
 let () =
   Alcotest.run "rf_util"
     [
@@ -358,9 +431,13 @@ let () =
           Alcotest.test_case "pair other/mem" `Quick test_site_pair_other;
           Alcotest.test_case "priority orders ids" `Quick test_site_priority_orders_ids;
           Alcotest.test_case "priority lets hits pass" `Quick test_site_priority_hits_pass;
+          Alcotest.test_case "hit allocates nothing" `Quick test_site_hit_allocates_nothing;
+          Alcotest.test_case "same position, distinct labels" `Quick
+            test_site_same_position_labels;
           Alcotest.test_case "priority shares the holder's site" `Quick
             test_site_priority_shares_holder_site;
           QCheck_alcotest.to_alcotest prop_site_pair_commutative;
+          QCheck_alcotest.to_alcotest prop_site_domains_intern_once;
         ] );
       ( "loc",
         [
