@@ -808,30 +808,31 @@ let shutdown t ~grace =
         try write_all w.w_wr (Frame.encode (encode_shutdown ()))
         with Unix.Unix_error _ -> ())
     t.workers;
+  (* ...whose exit closes their stdout: wait on the pipes, with the grace
+     left as the select timeout, so the fleet stops as soon as its last
+     worker does.  A late result or heartbeat is drained and dropped. *)
   let deadline = now () +. grace in
+  let chunk = Bytes.create 4096 in
   let rec wait_voluntary () =
-    let still = Array.exists (fun w -> live w && w.w_pid > 0) t.workers in
-    if still && now () < deadline then begin
-      Array.iter
+    let running = List.filter (fun w -> live w && w.w_pid > 0) (Array.to_list t.workers) in
+    let left = deadline -. now () in
+    if running <> [] && left > 0.0 then begin
+      let readable =
+        match Unix.select (List.map (fun w -> w.w_rd) running) [] [] left with
+        | r, _, _ -> r
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+      in
+      List.iter
         (fun w ->
-          if live w && w.w_pid > 0 then
-            match Unix.waitpid [ Unix.WNOHANG ] w.w_pid with
-            | 0, _ -> ()
-            | _ -> begin
+          if List.memq w.w_rd readable then
+            match restart_read w.w_rd chunk 0 (Bytes.length chunk) with
+            | n when n > 0 -> ()
+            | _ | (exception Unix.Unix_error _) ->
                 close_fds w;
-                w.w_pid <- -1;
-                w.w_state <- Gone
-              end
-            | exception Unix.Unix_error _ -> begin
-                close_fds w;
-                w.w_pid <- -1;
-                w.w_state <- Gone
-              end)
-        t.workers;
-      if Array.exists (fun w -> live w && w.w_pid > 0) t.workers then begin
-        Unix.sleepf 0.01;
-        wait_voluntary ()
-      end
+                reap w;
+                w.w_state <- Gone)
+        running;
+      wait_voluntary ()
     end
   in
   if grace > 0.0 then wait_voluntary ();

@@ -208,8 +208,9 @@ val poll : t -> timeout:float -> event list
 
 val shutdown : t -> grace:float -> unit
 (** Orderly teardown: Shutdown frames to idle workers, up to [grace]
-    seconds for voluntary exits, then SIGKILL and reap every survivor.
-    Idempotent; no children remain afterwards. *)
+    seconds for voluntary exits (it returns once every worker has closed
+    its pipe), then SIGKILL and reap every survivor.  Idempotent; no
+    children remain afterwards. *)
 
 val kill_all : t -> unit
 (** [shutdown ~grace:0.] — immediate SIGKILL + reap of the whole fleet

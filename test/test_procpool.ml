@@ -227,6 +227,41 @@ let test_torn_result_frame_kills_the_worker () =
             (contains ~needle:"checksum mismatch" ev_reason)
       | _ -> assert false)
 
+(* An idle fleet stops as soon as its workers exit: shutdown waits on
+   their pipes, not on a polling clock, so ten shutdowns of a two-worker
+   fleet take well under the 10 ms a poll-and-sleep loop pays per
+   shutdown.  No child outlives a shutdown. *)
+let test_shutdown_does_not_sleep () =
+  let n = 10 in
+  let pids = ref [] in
+  let total =
+    List.fold_left
+      (fun acc _ ->
+        let t = Proc_pool.create (spec ()) ~init:(mk_init ()) in
+        let ready = Proc_pool.await_ready t ~timeout:30. in
+        (* both workers past their handshake *)
+        let deadline = Unix.gettimeofday () +. 30. in
+        while List.length (Proc_pool.idle_workers t) < 2 && Unix.gettimeofday () < deadline do
+          ignore (Proc_pool.poll t ~timeout:0.05)
+        done;
+        if not ready then Alcotest.fail "no worker completed its handshake";
+        pids := Proc_pool.pids t @ !pids;
+        let t0 = Unix.gettimeofday () in
+        Proc_pool.shutdown t ~grace:2.0;
+        let dt = Unix.gettimeofday () -. t0 in
+        if Proc_pool.pids t <> [] then Alcotest.fail "the fleet still holds a pid";
+        acc +. dt)
+      0.0 (List.init n Fun.id)
+  in
+  List.iter
+    (fun pid ->
+      match Unix.kill pid 0 with
+      | () -> Alcotest.failf "worker %d outlived its shutdown" pid
+      | exception Unix.Unix_error (Unix.ESRCH, _, _) -> ())
+    !pids;
+  if total > float_of_int n *. 0.005 then
+    Alcotest.failf "%d shutdowns took %.1f ms" n (total *. 1000.)
+
 (* ------------------------------------------------------------------ *)
 (* Fingerprint parity across execution tiers                           *)
 
@@ -485,6 +520,7 @@ let () =
             test_sigkilled_worker_requeues_in_flight;
           Alcotest.test_case "torn result frame detected" `Quick
             test_torn_result_frame_kills_the_worker;
+          Alcotest.test_case "shutdown waits on pipes" `Quick test_shutdown_does_not_sleep;
         ] );
       ( "parity",
         [
