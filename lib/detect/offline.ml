@@ -56,10 +56,24 @@ let detect_stats ?(shards = 1) ?(parallel = false) ~make recordings =
     let per_shard =
       if not parallel then
         List.init shards (fun shard -> run_shard ~shard ~shards ~make recordings)
-      else
-        List.init shards (fun shard ->
-            Domain.spawn (fun () -> run_shard ~shard ~shards ~make recordings))
-        |> List.map Domain.join
+      else begin
+        (* Shard 0 runs on the calling domain instead of parking it in a
+           join beside the shard domains; the others are joined even if it
+           raises. *)
+        let others =
+          List.init (shards - 1) (fun i ->
+              Domain.spawn (fun () -> run_shard ~shard:(i + 1) ~shards ~make recordings))
+        in
+        let first =
+          match run_shard ~shard:0 ~shards ~make recordings with
+          | r -> Ok r
+          | exception e -> Error (e, Printexc.get_raw_backtrace ())
+        in
+        let rest = List.map Domain.join others in
+        match first with
+        | Ok r -> r :: rest
+        | Error (e, bt) -> Printexc.raise_with_backtrace e bt
+      end
     in
     (merge (List.map fst per_shard), merge_stats (List.map snd per_shard))
 

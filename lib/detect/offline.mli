@@ -56,7 +56,8 @@ val detect :
   Race.t list
 (** Run a fresh detector per shard over the recordings and merge.
     [shards] defaults to 1 (exact inline replay).  With [parallel] (only
-    meaningful when [shards > 1]) each shard runs on its own domain —
+    meaningful when [shards > 1]) shard 0 runs on the calling domain and
+    every other shard on its own domain —
     the caller's [make] must then be safe to call concurrently, i.e. not
     close over a shared governor.  Merged races are deduplicated by
     statement pair and sorted by {!Site.Pair.compare}; with one shard

@@ -281,6 +281,24 @@ let prop_sharded_offline_pair_set =
             (D.pairs inline_d))
         [ 2; 3; 7 ])
 
+let prop_parallel_shards_equal_sequential =
+  (* shard 0 runs on the caller and the rest on their own domains; the
+     merged races, in order, and the merged stats are the sequential
+     run's *)
+  QCheck.Test.make ~name:"parallel sharding = sequential sharding" ~count:20
+    QCheck.(pair Rfl_gen.arbitrary_program small_int)
+    (fun (prog, seed) ->
+      let bt = run_recording ~seed ~listeners:[] (main_of prog) in
+      let run parallel shards =
+        let races, stats =
+          Rf_detect.Offline.detect_stats ~shards ~parallel
+            ~make:(fun () -> D.hybrid ~cap:4096 ())
+            [ bt ]
+        in
+        (List.map (fun (r : Rf_detect.Race.t) -> Site.Pair.to_string r.Rf_detect.Race.pair) races, stats)
+      in
+      List.for_all (fun shards -> run true shards = run false shards) [ 2; 3 ])
+
 let prop_recording_is_the_trace =
   (* the recording the engine emits is the same event sequence a trace
      listener observes — the recorder is not a lossy projection *)
@@ -317,6 +335,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_offline_equals_inline;
           QCheck_alcotest.to_alcotest prop_sharded_offline_pair_set;
+          QCheck_alcotest.to_alcotest prop_parallel_shards_equal_sequential;
           QCheck_alcotest.to_alcotest prop_recording_is_the_trace;
         ] );
     ]
