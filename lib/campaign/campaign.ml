@@ -379,7 +379,6 @@ let schedule ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
   let executed_n = Atomic.make 0 in
   let replayed_n = Atomic.make 0 in
   let degraded_n = Atomic.make 0 in
-  let crashes_n = Atomic.make 0 in
   let worker_crashes_n = Atomic.make 0 in
   let worker_respawns_n = Atomic.make 0 in
   let worker_gave_up_n = Atomic.make 0 in
@@ -454,7 +453,6 @@ let schedule ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
               | Some b, Some k when k < b -> Some (k, List.length ps.ps_crash_idxs)
               | _ -> None)
         in
-        Atomic.incr crashes_n;
         Event_log.emit log
           (Event_log.Trial_crashed
              {
@@ -936,11 +934,17 @@ let schedule ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
   let wall = Unix.gettimeofday () -. t0 in
   let trials = Array.fold_left ( + ) 0 domain_trials in
   let cancelled = Array.fold_left (fun acc ps -> acc + ps.ps_cancelled) 0 states in
+  (* Count only what aggregation keeps: a crash, quarantine or resolution
+     past a pair's final skip bound came from a speculative trial, which
+     another interleaving need not have run.  The journal still holds
+     every trial_crashed line. *)
+  let kept ps idx = match skip_bound ~cutoff ~qn ps with Some b -> idx <= b | None -> true in
+  let count f = Array.fold_left (fun acc ps -> acc + f ps) 0 states in
+  let kept_bound ps = function Some k when kept ps k -> 1 | _ -> 0 in
   let stats =
     {
       s_pairs = Array.length states;
-      s_resolved =
-        Array.fold_left (fun acc ps -> if resolution ps <> None then acc + 1 else acc) 0 states;
+      s_resolved = count (fun ps -> kept_bound ps (resolution ps));
       s_trials = trials;
       s_cancelled = cancelled;
       s_discarded = !discarded;
@@ -953,11 +957,8 @@ let schedule ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
       s_domain_trials = domain_trials;
       s_domain_busy = domain_busy;
       s_exhausted = Array.fold_left (fun acc ps -> acc + ps.ps_exhausted) 0 states;
-      s_crashes = Atomic.get crashes_n;
-      s_quarantined =
-        Array.fold_left
-          (fun acc ps -> if quarantine_bound ~qn ps <> None then acc + 1 else acc)
-          0 states;
+      s_crashes = count (fun ps -> List.length (List.filter (kept ps) ps.ps_crash_idxs));
+      s_quarantined = count (fun ps -> kept_bound ps (quarantine_bound ~qn ps));
       s_q_skipped = Array.fold_left (fun acc ps -> acc + ps.ps_q_skipped) 0 states;
       s_replayed = Atomic.get replayed_n;
       s_worker_crashes = Atomic.get worker_crashes_n;

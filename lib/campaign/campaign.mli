@@ -69,7 +69,10 @@ val stop_requested : stop_switch -> bool
 
 type stats = {
   s_pairs : int;
-  s_resolved : int;  (** pairs classified real-and-harmful *)
+  s_resolved : int;
+      (** pairs classified real-and-harmful at or before their final
+          skip bound (a resolution past a quarantine bound came from a
+          speculative trial and is not counted) *)
   s_trials : int;  (** trials actually executed (excludes replays) *)
   s_cancelled : int;  (** queued trials skipped by cutoff *)
   s_discarded : int;  (** speculative trials run past a resolution point *)
@@ -87,8 +90,13 @@ type stats = {
   s_domain_trials : int array;  (** trials executed per domain *)
   s_domain_busy : float array;  (** busy seconds per domain *)
   s_exhausted : int;  (** trials cancelled by the per-trial watchdog *)
-  s_crashes : int;  (** sandboxed harness crashes (incl. injected chaos) *)
-  s_quarantined : int;  (** pairs quarantined for repeated crashes *)
+  s_crashes : int;
+      (** sandboxed harness crashes (incl. injected chaos) at or before
+          their pair's final skip bound; the journal also holds the
+          speculative ones *)
+  s_quarantined : int;
+      (** pairs quarantined for repeated crashes: those whose final skip
+          bound is their quarantine bound *)
   s_q_skipped : int;  (** trials skipped past a quarantine bound *)
   s_replayed : int;  (** trials satisfied from the resume journal *)
   s_worker_crashes : int;

@@ -420,6 +420,49 @@ let test_chaos_is_deterministic () =
   Alcotest.(check int) "same crash count" a.Campaign.stats.Campaign.s_crashes
     b.Campaign.stats.Campaign.s_crashes
 
+(* Crash, quarantine and resolution counts are those of the trials
+   aggregation keeps, so they do not depend on how many speculative
+   trials past a pair's bound ran.  figure1's real pair races and fails
+   on seeds 0, 1 and 2; two crashes quarantine a pair here.  Two chaos
+   plans, each run at 1 and 4 domains:
+   - "past the cut": seed 0 stalls and resolves the pair, seeds 1-3
+     crash.  On 4 domains the crashes (enough to quarantine) land while
+     seed 0 stalls, past its cut at 0; on 1 domain they never run.
+   - "past the quarantine": seeds 0 and 1 crash, seed 0 after a stall.
+     On 4 domains seed 2 resolves the pair before the stalled crash sets
+     the quarantine bound at 1; on 1 domain seed 2 never runs. *)
+let test_counts_ignore_speculative_trials () =
+  let label = Site.Pair.to_string W.Figure1.real_pair in
+  let supervision = { fast_policy with Supervisor.quarantine_crashes = 2 } in
+  let plan_where pred =
+    List.init 4096 (fun seed ->
+        Chaos.plan ~crash_rate:0.75 ~stall_rate:0.25 ~stall_seconds:0.2 seed)
+    |> List.find (fun plan ->
+           pred (fun seed -> Chaos.crashes plan ~label ~seed) (fun seed ->
+               Chaos.stalls plan ~label ~seed))
+  in
+  let past_cut =
+    plan_where (fun crashes stalls ->
+        stalls 0 && (not (crashes 0))
+        && List.for_all (fun i -> crashes i && not (stalls i)) [ 1; 2; 3 ])
+  and past_quarantine =
+    plan_where (fun crashes stalls ->
+        crashes 0 && crashes 1 && (not (crashes 2)) && stalls 0
+        && (not (stalls 1)) && not (stalls 2))
+  in
+  List.iter
+    (fun (name, chaos) ->
+      let counts domains =
+        let _, s =
+          Campaign.fuzz_pairs ~domains ~cutoff:true ~seeds:(seeds 12) ~supervision ~chaos
+            ~program:W.Figure1.program [ W.Figure1.real_pair ]
+        in
+        Campaign.(s.s_crashes, s.s_quarantined, s.s_resolved)
+      in
+      let triple = Alcotest.(triple int int int) in
+      Alcotest.check triple (name ^ ": crashes, quarantined, resolved") (counts 1) (counts 4))
+    [ ("past the cut", past_cut); ("past the quarantine", past_quarantine) ]
+
 let test_worker_deaths_do_not_change_results () =
   let clean = run_fig1 () in
   let chaos = Chaos.plan ~death_every:5 ~max_deaths:3 7 in
@@ -524,6 +567,8 @@ let () =
           Alcotest.test_case "crashes quarantined, campaign completes" `Quick
             test_chaos_crashes_are_quarantined;
           Alcotest.test_case "chaos is deterministic" `Quick test_chaos_is_deterministic;
+          Alcotest.test_case "counts ignore speculative trials" `Quick
+            test_counts_ignore_speculative_trials;
           Alcotest.test_case "worker deaths don't change results" `Quick
             test_worker_deaths_do_not_change_results;
           Alcotest.test_case "survives permanent worker loss" `Quick
