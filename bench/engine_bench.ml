@@ -151,12 +151,13 @@ type row = {
   r_peak_heap_words : int;  (* max major-heap words observed during the row *)
 }
 
-(* Peak major-heap footprint of one measured region: compact first so
-   earlier rows' garbage cannot be charged to this one, then sample
-   [heap_words] at every major-collection end (Gc alarm) and once more at
-   the finish.  Words, not bytes, so the number is word-size neutral. *)
+(* Peak major-heap footprint of one measured region: sample [heap_words]
+   at every major-collection end (Gc alarm) and once more at the finish.
+   Words, not bytes, so the number is word-size neutral.  OCaml 5.1's
+   [Gc.compact] does not give the major heap back, so a region starts
+   from whatever heap its process already grew: [measure_in_child] runs
+   every repetition of every row in a fresh process. *)
 let with_peak_heap f =
-  Gc.compact ();
   let peak = ref (Gc.quick_stat ()).Gc.heap_words in
   let sample () =
     let hw = (Gc.quick_stat ()).Gc.heap_words in
@@ -262,6 +263,54 @@ let measure_campaign ?offline_detect ~domains ~trials (wl : bench_workload) =
     r_peak_heap_words = peak;
   }
 
+(* One row of the bench: a workload under one harness on [domains]. *)
+type spec = { s_workload : bench_workload; s_harness : string; s_domains : int }
+
+let measure_spec ~smoke spec =
+  let min_wall = if smoke then 0.05 else 0.5 in
+  let trials = if smoke then 6 else 40 in
+  let wl = spec.s_workload and domains = spec.s_domains in
+  match spec.s_harness with
+  | "sequential" -> measure_sequential ~min_wall wl
+  | "sequential-recorded" -> measure_sequential ~recorded:true ~min_wall wl
+  | "campaign" -> measure_campaign ~domains ~trials wl
+  | "campaign-offline" -> measure_campaign ~offline_detect:1 ~domains ~trials wl
+  | h -> invalid_arg ("engine_bench: unknown harness " ^ h)
+
+(* Run one repetition of a row in a fresh process ([--row], below) and
+   read its row back, so its heap column does not inherit the heap that
+   earlier rows grew. *)
+let measure_in_child ~smoke spec =
+  let out = Filename.temp_file "engine_bench" ".row" in
+  let argv =
+    Array.of_list
+      ([ Sys.executable_name; "--row"; spec.s_workload.bname; spec.s_harness;
+         string_of_int spec.s_domains ]
+      @ if smoke then [ "--smoke" ] else [])
+  in
+  let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let pid = Unix.create_process Sys.executable_name argv Unix.stdin fd Unix.stderr in
+  Unix.close fd;
+  let status = snd (Unix.waitpid [] pid) in
+  let line = In_channel.with_open_text out In_channel.input_all in
+  Sys.remove out;
+  match status with
+  | Unix.WEXITED 0 ->
+      Scanf.sscanf line "%d %d %h %d" (fun runs steps wall peak ->
+          {
+            r_workload = spec.s_workload.bname;
+            r_harness = spec.s_harness;
+            r_domains = spec.s_domains;
+            r_runs = runs;
+            r_steps = steps;
+            r_wall = wall;
+            r_steps_per_sec = per_sec steps wall;
+            r_peak_heap_words = peak;
+          })
+  | _ ->
+      Fmt.epr "engine_bench: row %s/%s failed@." spec.s_workload.bname spec.s_harness;
+      exit 1
+
 (* The fastest of three repetitions of one harness, by throughput.  Noise
    on a shared machine only ever slows a run down, so the fastest
    repetition is the best estimate of what the code costs (the same
@@ -280,9 +329,11 @@ let fastest measure =
    wherever --domains puts them, and trajectories must compare like with
    like.
    Schema 3: each row gains [peak_heap_words], the maximum major-heap
-   footprint observed while the row ran (compacted baseline, Gc-alarm
-   sampled), so detector-memory trajectories are tracked alongside
-   throughput. *)
+   footprint observed while the row ran (Gc-alarm sampled), so
+   detector-memory trajectories are tracked alongside throughput.  Every
+   repetition of a row runs in its own process, so the column is the
+   row's own peak, whatever rows ran before it; files written before
+   that could start a row from an earlier row's high-water mark. *)
 let write_json ~path ~mode rows =
   let oc = open_out path in
   let pf fmt = Printf.fprintf oc fmt in
@@ -404,8 +455,12 @@ let () =
   let fingerprints_only = ref false in
   let domains = ref (min 4 (Domain.recommended_domain_count ())) in
   let max_tax = ref None in
+  let row = ref None in
   let rec parse = function
     | [] -> ()
+    | "--row" :: w :: h :: d :: rest ->
+        row := Some (w, h, int_of_string d);
+        parse rest
     | "--smoke" :: rest ->
         smoke := true;
         parse rest
@@ -436,6 +491,13 @@ let () =
         exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
+  (match !row with
+  | Some (w, h, d) ->
+      let wl = List.find (fun wl -> wl.bname = w) (workloads ~smoke:!smoke) in
+      let r = measure_spec ~smoke:!smoke { s_workload = wl; s_harness = h; s_domains = d } in
+      Printf.printf "%d %d %h %d\n" r.r_runs r.r_steps r.r_wall r.r_peak_heap_words;
+      exit 0
+  | None -> ());
   (match !write_golden_to with
   | Some path ->
       write_golden path (compute_fingerprints ());
@@ -447,8 +509,7 @@ let () =
       (compute_fingerprints ())
   else begin
     let wls = workloads ~smoke:!smoke in
-    let min_wall = if !smoke then 0.05 else 0.5 in
-    let trials = if !smoke then 6 else 40 in
+    let spec wl harness domains = { s_workload = wl; s_harness = harness; s_domains = domains } in
     (* The tax compares like with like: sequential rows are single-domain,
        so the gate reads a single-domain campaign-offline row, measured
        extra when --domains puts the regular rows elsewhere (parallel
@@ -456,39 +517,26 @@ let () =
     let gated = [ "access-heavy"; "fork-heavy" ] in
     let gate_row wl =
       if !max_tax <> None && !domains <> 1 && List.mem wl.bname gated then
-        [ (fun () -> measure_campaign ~offline_detect:1 ~domains:1 ~trials wl) ]
+        [ spec wl "campaign-offline" 1 ]
       else []
     in
     (* A campaign over a workload whose phase 1 reports no pair runs no
        trial: its row would time phase 1 alone, and say nothing about the
-       campaign.  The check runs after the sequential rows, which would
-       otherwise be charged its heap. *)
+       campaign. *)
     let campaign_rows wl =
       let p1 = Racefuzzer.Fuzzer.phase1 ~seeds:[ 0; 1; 2 ] wl.program in
       if Site.Pair.Set.is_empty (Racefuzzer.Fuzzer.potential_pairs p1) then begin
         Fmt.pr "%s: phase 1 reports no pair, campaign harnesses skipped@." wl.bname;
         []
       end
-      else
-        [
-          (fun () -> measure_campaign ~domains:!domains ~trials wl);
-          (fun () ->
-            measure_campaign ~offline_detect:1 ~domains:!domains ~trials wl);
-        ]
-        @ gate_row wl
+      else [ spec wl "campaign" !domains; spec wl "campaign-offline" !domains ] @ gate_row wl
     in
     let rows =
       List.concat_map
         (fun wl ->
-          let sequential =
-            List.map fastest
-              [
-                (fun () -> measure_sequential ~min_wall wl);
-                (fun () -> measure_sequential ~recorded:true ~min_wall wl);
-              ]
-          in
-          sequential @ List.map fastest (campaign_rows wl))
+          [ spec wl "sequential" 1; spec wl "sequential-recorded" 1 ] @ campaign_rows wl)
         wls
+      |> List.map (fun spec -> fastest (fun () -> measure_in_child ~smoke:!smoke spec))
     in
     Fmt.pr "%-18s %-19s %3s %8s %12s %10s %14s %13s@." "workload" "harness"
       "dom" "runs" "steps" "wall(s)" "steps/sec" "peak-heap-w";
