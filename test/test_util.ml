@@ -290,18 +290,6 @@ let test_site_hit_allocates_nothing () =
   Alcotest.(check bool) (Printf.sprintf "%.1f words with the defaults" defaults) true
     (defaults < 0.5)
 
-(* [Api]'s default sites share file, line and col and differ only in
-   their label; each keeps its own identity. *)
-let test_site_same_position_labels () =
-  let labels = [ "lock"; "unlock"; "join"; "wait"; "sync"; "notify"; "notifyAll" ] in
-  let first = List.map (fun l -> Site.make l) labels in
-  let again = List.map (fun l -> Site.make l) (List.rev labels) |> List.rev in
-  List.iter2
-    (fun a b -> Alcotest.(check bool) (Site.label a) true (a == b))
-    first again;
-  Alcotest.(check int) "distinct ids" (List.length labels)
-    (List.length (List.sort_uniq compare (List.map Site.id first)))
-
 (* ------------------------------------------------------------------ *)
 (* Loc                                                                 *)
 
@@ -362,9 +350,10 @@ let prop_site_pair_commutative =
       Site.Pair.equal (Site.Pair.make a b) (Site.Pair.make b a))
 
 (* Four domains intern overlapping key sets, each in its own order, into
-   a fresh file, so they race on the same misses.  Each key ends up with
-   one physical site, ids stay dense and unique, and [find_by_id] returns
-   the same site. *)
+   a fresh file, so they race on the same misses; many keys share a
+   position and differ only in their label, as [Api]'s default sites do.
+   Each key ends up with one physical site, ids stay dense and unique,
+   and [find_by_id] returns the same site. *)
 let site_round = Atomic.make 0
 
 let prop_site_domains_intern_once =
@@ -432,8 +421,6 @@ let () =
           Alcotest.test_case "priority orders ids" `Quick test_site_priority_orders_ids;
           Alcotest.test_case "priority lets hits pass" `Quick test_site_priority_hits_pass;
           Alcotest.test_case "hit allocates nothing" `Quick test_site_hit_allocates_nothing;
-          Alcotest.test_case "same position, distinct labels" `Quick
-            test_site_same_position_labels;
           Alcotest.test_case "priority shares the holder's site" `Quick
             test_site_priority_shares_holder_site;
           QCheck_alcotest.to_alcotest prop_site_pair_commutative;
