@@ -9,7 +9,9 @@ type t
 
 val make : ?file:string -> ?line:int -> ?col:int -> string -> t
 (** [make ~file ~line ~col label] — intern a site.  Defaults place embedded
-    model code in the pseudo-file ["<model>"]. *)
+    model code in the pseudo-file ["<model>"].  Model programs call it on
+    every operation: a site already interned is usually found without
+    taking the registry's lock and without allocating. *)
 
 val id : t -> int
 val file : t -> string
