@@ -1,12 +1,14 @@
-(* Golden CLI rows: each row runs one `racefuzzer campaign` command line
-   and pins its exit status together with its `fingerprint:` and
-   `confirmed:` lines (or, for a run that stops before printing a report,
-   its first stderr line) against test/golden_cli.txt.  These are the
-   configurations that exist only behind the command line: the worker
-   process tier, chaos exit codes, a deterministic stop and its resume,
-   the --no-degrade budget stop, model programs that intern sites at run
-   time on two domains while phase 1 streams, and the bytes of a
-   --repro-dir written by the worker tier.
+(* Golden CLI rows: each row runs one `racefuzzer` command line and pins
+   its exit status together with its `fingerprint:` and `confirmed:`
+   lines (or, for a run that stops before printing a report, its first
+   stderr line, or a digest of its whole stdout) against
+   test/golden_cli.txt.  These are the configurations that exist only
+   behind the command line: the worker process tier, chaos exit codes, a
+   deterministic stop and its resume, the --no-degrade budget stop, model
+   programs that intern sites at run time on two domains while phase 1
+   streams, the bytes of a --repro-dir written by the worker tier, the
+   `fuzz` budget outputs, `detect` under each detector and `corpus list
+   --json` of a campaign's corpus.
 
    Check (also part of dune runtest):
      dune build @golden
@@ -18,6 +20,7 @@
    the fixture path does not reach any fingerprint. *)
 let cli = ref "../bin/main.exe"
 let fixtures = ref "fixtures"
+let examples = ref "../examples/programs"
 
 type pin =
   | Report  (** exit status, [fingerprint:] and [confirmed:] *)
@@ -28,12 +31,19 @@ type pin =
   | Report_and_repro
       (** [Report] plus a digest of the files the row's [Repro_dir]
           holds afterwards (names and contents) *)
+  | Stdout  (** exit status and a digest of the whole stdout *)
 
-(* A row's command line; [Journal] stands for a per-check scratch
-   journal shared by the rows of one check, so a later row can resume
-   what an earlier one wrote, and [Repro_dir] for a fresh per-row
-   directory. *)
-type arg = A of string | Fixture of string | Journal | Repro_dir
+(* A row's command line; [Journal] and [Corpus] stand for a per-check
+   scratch journal and corpus directory shared by the rows of one check,
+   so a later row can read what an earlier one wrote, and [Repro_dir]
+   for a fresh per-row directory. *)
+type arg =
+  | A of string
+  | Fixture of string
+  | Example of string
+  | Journal
+  | Corpus
+  | Repro_dir
 
 let args = List.map (fun a -> A a)
 
@@ -42,6 +52,9 @@ let long_trials =
 
 let figure1_chaos =
   args [ "campaign"; "figure1"; "--domains"; "2"; "--trials"; "100"; "--chaos"; "--chaos-seed"; "7" ]
+
+let fuzz_chain = [ A "fuzz"; Example "chain.rfl" ] @ args [ "--trials"; "6"; "--detector-budget"; "8" ]
+let detect_figure1 name = [ A "detect"; Example "figure1.rfl"; A "--detector"; A name ]
 
 let rows : (string * pin * arg list) list =
   [
@@ -68,6 +81,15 @@ let rows : (string * pin * arg list) list =
       Report_and_repro,
       args [ "campaign"; "cache4j"; "--workers"; "2"; "--trials"; "50"; "--repro-dir" ]
       @ [ Repro_dir ] );
+    ("chain-fuzz-budget8", Stdout, fuzz_chain);
+    ("chain-fuzz-budget8-nodegrade", Stdout, fuzz_chain @ [ A "--no-degrade" ]);
+    ("figure1-detect-hybrid", Stdout, detect_figure1 "hybrid");
+    ("figure1-detect-hb", Stdout, detect_figure1 "hb");
+    ("figure1-detect-eraser", Stdout, detect_figure1 "eraser");
+    ( "cache4j-corpus",
+      Report,
+      args [ "campaign"; "cache4j"; "--trials"; "20"; "--corpus" ] @ [ Corpus ] );
+    ("cache4j-corpus-list-json", Stdout, [ A "corpus"; A "list"; Corpus; A "--json" ]);
   ]
 
 let read_lines path =
@@ -85,25 +107,32 @@ let digest_dir dir =
          [ f; In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all ])
   |> String.concat "\000" |> Digest.string |> Digest.to_hex
 
-let remove_dir dir =
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+let rec remove_dir dir =
+  Array.iter
+    (fun f ->
+      let p = Filename.concat dir f in
+      if Sys.is_directory p then remove_dir p else Sys.remove p)
+    (Sys.readdir dir);
   Sys.rmdir dir
 
 (* Run one row and render its pinned values as one line. *)
-let measure ~journal (pin, args) =
+let measure ~journal ~corpus (pin, args) =
   let repro_dir = Filename.temp_dir "golden_cli" ".repro" in
   let args =
     List.map
       (function
         | A a -> a
         | Fixture f -> Filename.concat !fixtures f
+        | Example f -> Filename.concat !examples f
         | Journal -> journal
+        | Corpus -> corpus
         | Repro_dir -> repro_dir)
       args
   in
   let out = Filename.temp_file "golden_cli" ".out" in
   let err = Filename.temp_file "golden_cli" ".err" in
   let code = Sys.command (Filename.quote_command !cli args ~stdout:out ~stderr:err) in
+  let out_digest = Digest.to_hex (Digest.file out) in
   let out_lines = read_lines out and err_lines = read_lines err in
   Sys.remove out;
   Sys.remove err;
@@ -120,6 +149,7 @@ let measure ~journal (pin, args) =
     | Status -> []
     | Report -> report ()
     | Report_and_repro -> report () @ [ "repro=" ^ digest_dir repro_dir ]
+    | Stdout -> [ "stdout=" ^ out_digest ]
     | Stderr -> (
         match List.filter (fun l -> l <> "") err_lines with
         | l :: _ -> [ "stderr: " ^ l ]
@@ -128,18 +158,24 @@ let measure ~journal (pin, args) =
   remove_dir repro_dir;
   String.concat " " (Printf.sprintf "exit=%d" code :: pinned)
 
-(* Every row of one check, in order, sharing one scratch journal. *)
+(* Every row of one check, in order, sharing one scratch journal and one
+   scratch corpus, neither of which exists before its first row. *)
 let measure_all () =
   let journal = Filename.temp_file "golden_cli" ".jsonl" in
   Sys.remove journal;
-  let got = List.map (fun (name, pin, args) -> (name, measure ~journal (pin, args))) rows in
+  let corpus = Filename.temp_file "golden_cli" ".corpus" in
+  Sys.remove corpus;
+  let got =
+    List.map (fun (name, pin, args) -> (name, measure ~journal ~corpus (pin, args))) rows
+  in
   if Sys.file_exists journal then Sys.remove journal;
+  if Sys.file_exists corpus then remove_dir corpus;
   got
 
 let write_golden path =
   let oc = open_out path in
   output_string oc
-    "# Golden CLI rows: <row> exit=<status> [<fingerprint> <confirmed> [repro=<digest>] | stderr: <line>].\n\
+    "# Golden CLI rows: <row> exit=<status> [<fingerprint> <confirmed> [repro=<digest>] | stderr: <line> | stdout=<digest>].\n\
      # Rows are defined in test_golden_cli.ml; figure1-chaos7-resume resumes the\n\
      # journal of figure1-chaos7-stop15 and must end with figure1-chaos7-d2's values.\n";
   Printf.fprintf oc
@@ -166,6 +202,7 @@ let () =
   | _ :: "--write-golden" :: path :: _ ->
       cli := "_build/default/bin/main.exe";
       fixtures := "test/fixtures";
+      examples := "examples/programs";
       write_golden path;
       Printf.printf "wrote %d golden CLI rows to %s\n" (List.length rows) path
   | _ ->

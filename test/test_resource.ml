@@ -383,6 +383,143 @@ let test_resume_preserves_degraded_trials () =
     full.Campaign.stats.Campaign.s_degraded
     resumed.Campaign.stats.Campaign.s_degraded
 
+(* ------------------------------------------------------------------ *)
+(* 5. On-disk formats: the bytes every writer emits, pinned            *)
+
+(* Strings that exercise every escape: quotes, backslashes, the named
+   control characters, other control bytes (written as \u00XX), DEL and
+   non-ASCII UTF-8 bytes (written raw). *)
+let nasty = "q\"b\\s\nn\tt\rr\001\031x\127é→"
+
+(* One event per constructor, in declaration order.  Floats have exact
+   six-digit renderings so every line parses back to the same event. *)
+let journal_events =
+  Event_log.
+    [
+      Journal_opened { schema = 5 };
+      Campaign_started { domains = 2; base_trials = 100; budget = None; cutoff = true };
+      Phase1_finished { potential = 2; wall = 0.25; degraded = true; level = nasty };
+      Phase1_recorded
+        { events = 120; bytes = 4096; shards = 2; record_wall = 0.5; detect_wall = 1.125 };
+      Wave_started { wave = 0; tasks = 17 };
+      Trial_started { pair = nasty; seed = 3; domain = 1 };
+      Trial_finished
+        {
+          pair = "(figure1:5(x=), figure1:7(x(read)))";
+          seed = 41;
+          domain = 0;
+          race = true;
+          error = false;
+          deadlock = true;
+          steps = 1234;
+          switches = 7;
+          exns = 1;
+          wall = 0.0625;
+          degraded = true;
+          level = "sampled";
+          trigger = nasty;
+          evicted = 9;
+        };
+      Trial_crashed
+        { pair = "(a, b)"; seed = 2; domain = 3; exn_ = nasty; backtrace = "l1\nl2\\" };
+      Trial_exhausted
+        { pair = "(a, b)"; seed = 5; domain = 0; reason = "wall deadline"; steps = 99; wall = 2.5 };
+      Pair_filtered { pair = "(a, b)"; reason = nasty };
+      Static_classified
+        {
+          universe = 9;
+          universe_impossible = 7;
+          frontier = 2;
+          likely = 1;
+          unknown = 1;
+          impossible = 0;
+          filtered = 0;
+          wall = 0.000125;
+        };
+      Pair_resolved { pair = nasty; at_trial = 0 };
+      Pair_quarantined { pair = "(a, b)"; crashes = 3; at_trial = -1 };
+      Trials_cancelled { pair = "(a, b)"; count = 96 };
+      Budget_granted { pair = "(c, d)"; extra = 12 };
+      Worker_crashed { domain = 1; attempt = 2; exn_ = nasty };
+      Worker_respawned { domain = 1; attempt = 2; backoff = 0.015625 };
+      Worker_gave_up { domain = 4 };
+      Worker_spawned { worker = 0; pid = 123456 };
+      Worker_killed { worker = 1; pid = 654321; reason = nasty };
+      Traces_saved { dir = "dir with \"quotes\""; count = 2; bytes = 77 };
+      Corpus_updated { dir = nasty; added = 1; deduped = 2; total = 3 };
+      Resume_loaded { entries = 40; skipped = 1 };
+      Campaign_interrupted { executed = 15; remaining = 85 };
+      Repro_written
+        {
+          pair = "(a, b)";
+          fingerprint = nasty;
+          seed = 6;
+          file = "repro-0123456789ab.sched.json";
+          steps_before = 115;
+          steps_after = 50;
+          switches_before = 14;
+          switches_after = 1;
+          oracle_runs = 33;
+        };
+      Campaign_finished { wall = 1.75; trials = 200; cancelled = 4; throughput = 114.25 };
+    ]
+
+let journal_lines () =
+  List.mapi
+    (fun i ev ->
+      Event_log.seal
+        (Event_log.to_json ~seq:(i + 1) ~elapsed:(float_of_int i *. 0.5) ev))
+    journal_events
+
+let golden_journal = "golden_journal.jsonl"
+
+let test_journal_golden () =
+  let golden =
+    String.split_on_char '\n' (read_file golden_journal)
+    |> List.filter (fun l -> l <> "")
+  in
+  let got = journal_lines () in
+  Alcotest.(check int) "one line per constructor" (List.length journal_events)
+    (List.length golden);
+  List.iter2
+    (fun want (line, ev) ->
+      Alcotest.(check string) (Event_log.event_name ev) want line;
+      Alcotest.(check bool)
+        (Event_log.event_name ev ^ " parses back")
+        true
+        (Event_log.event_of_json line = Some ev))
+    golden
+    (List.combine got journal_events)
+
+(* A journal an older build wrote re-renders byte for byte through the
+   flat codec: parse, drop the seal, render, seal again. *)
+let test_old_journal_rerenders () =
+  let lines =
+    String.split_on_char '\n' (read_file "resume_figure1_chaos3.jsonl")
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check bool) "fixture has lines" true (List.length lines > 10);
+  List.iter
+    (fun line ->
+      match Event_log.parse_flat line with
+      | None -> Alcotest.failf "does not parse: %s" line
+      | Some fields ->
+          let fields = List.filter (fun (k, _) -> k <> "crc") fields in
+          Alcotest.(check string) "re-rendered" line
+            (Event_log.seal (Event_log.render_flat fields)))
+    lines
+
+let test_schedule_rerenders () =
+  let _, sched =
+    Fuzzer.record_trial ~target:"fig\"ure\\1" ~max_steps:100_000
+      ~program:W.Figure1.program W.Figure1.real_pair 0
+  in
+  let text = Rf_replay.Schedule.to_json sched in
+  Alcotest.(check bool) "an error was recorded" true
+    (sched.Rf_replay.Schedule.meta.Rf_replay.Schedule.m_error <> None);
+  Alcotest.(check string) "of_json then to_json" text
+    (Rf_replay.Schedule.to_json (Rf_replay.Schedule.of_json text))
+
 (* Child-process entry for the kill-during-write test: when re-exec'd
    with RF_STALL_WRITE set, stall inside an atomic write instead of
    running the suites. *)
@@ -390,6 +527,17 @@ let () =
   match Sys.getenv_opt "RF_STALL_WRITE" with
   | Some path -> stall_write_child path
   | None -> ()
+
+(* Regenerate the journal golden file (from the repository root):
+     dune exec test/test_resource.exe -- --write-golden test/golden_journal.jsonl *)
+let () =
+  match Array.to_list Sys.argv with
+  | _ :: "--write-golden" :: path :: _ ->
+      Out_channel.with_open_bin path (fun oc ->
+          List.iter (fun l -> output_string oc (l ^ "\n")) (journal_lines ()));
+      Printf.printf "wrote %d journal lines to %s\n" (List.length journal_events) path;
+      exit 0
+  | _ -> ()
 
 let () =
   Alcotest.run "resource"
@@ -431,5 +579,13 @@ let () =
             test_seal_detects_corruption;
           Alcotest.test_case "corrupt journal line skipped + counted" `Quick
             test_corrupt_journal_line_skipped;
+        ] );
+      ( "formats",
+        [
+          Alcotest.test_case "journal golden lines" `Quick test_journal_golden;
+          Alcotest.test_case "old journal re-renders byte-for-byte" `Quick
+            test_old_journal_rerenders;
+          Alcotest.test_case "schedule re-renders byte-for-byte" `Quick
+            test_schedule_rerenders;
         ] );
     ]
