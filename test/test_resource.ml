@@ -384,6 +384,61 @@ let test_resume_preserves_degraded_trials () =
     resumed.Campaign.stats.Campaign.s_degraded
 
 (* ------------------------------------------------------------------ *)
+(* 4b. The heap watermark (--mem-budget) through the one trial body    *)
+
+(* The watchdog polls the major heap at step 0, and a fresh process may
+   have nothing there yet: hold a block that is allocated directly in
+   the major heap while the trial runs. *)
+let with_major_heap_data f =
+  let live = Array.make 200_000 0 in
+  let r = f () in
+  ignore (Sys.opaque_identity live);
+  r
+
+let heap_trial ~no_degrade =
+  let init =
+    {
+      Rf_campaign.Proc_pool.i_target = "figure1";
+      i_max_steps = 10_000;
+      i_postpone = None;
+      i_detector_budget = None;
+      i_mem_budget = Some 0.001;
+      i_no_degrade = no_degrade;
+      i_trial_wall = None;
+    }
+  in
+  let a =
+    {
+      Rf_campaign.Proc_pool.a_id = 1;
+      a_pair = W.Figure1.real_pair;
+      a_seed = 3;
+      a_crash = false;
+      a_stall = 0.0;
+      a_tripped = false;
+      a_die = false;
+      a_torn = false;
+      a_hang = false;
+    }
+  in
+  with_major_heap_data (fun () ->
+      Rf_campaign.Proc_pool.execute init ~program:W.Figure1.program a)
+
+let test_heap_watermark_degrades () =
+  match heap_trial ~no_degrade:false with
+  | Rf_campaign.Proc_pool.T_finished f ->
+      Alcotest.(check bool) "degraded" true f.t_degraded;
+      Alcotest.(check string) "one rung down" "sampled" f.t_level;
+      Alcotest.(check string) "tripped by the watermark" "heap-watermark" f.t_trigger
+  | _ -> Alcotest.fail "expected a finished trial"
+
+let test_heap_watermark_no_degrade () =
+  match heap_trial ~no_degrade:true with
+  | Rf_campaign.Proc_pool.T_exhausted e ->
+      Alcotest.(check string) "reason" "heap watermark" e.t_reason;
+      Alcotest.(check int) "stopped at step 0" 0 e.t_steps
+  | _ -> Alcotest.fail "expected an exhausted trial"
+
+(* ------------------------------------------------------------------ *)
 (* 5. On-disk formats: the bytes every writer emits, pinned            *)
 
 (* Strings that exercise every escape: quotes, backslashes, the named
@@ -568,6 +623,12 @@ let () =
             test_campaign_governed_domain_invariant;
           Alcotest.test_case "resume preserves degraded trials" `Quick
             test_resume_preserves_degraded_trials;
+        ] );
+      ( "heap-watermark",
+        [
+          Alcotest.test_case "degrades one rung" `Quick test_heap_watermark_degrades;
+          Alcotest.test_case "no-degrade exhausts at step 0" `Quick
+            test_heap_watermark_no_degrade;
         ] );
       ( "crash-safety",
         [
