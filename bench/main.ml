@@ -75,11 +75,6 @@ let micro_tests () =
            let d = Rf_detect.Detector.hb_precise ~cap:1024 () in
            run_engine ~listeners:[ Rf_detect.Detector.feed d ] ~seed:1
              W.Moldyn.workload.W.Workload.program));
-    Test.make ~name:"detect/fasttrack"
-      (Staged.stage (fun () ->
-           let d = Rf_detect.Detector.fasttrack () in
-           run_engine ~listeners:[ Rf_detect.Detector.feed d ] ~seed:1
-             W.Moldyn.workload.W.Workload.program));
     Test.make ~name:"detect/eraser"
       (Staged.stage (fun () ->
            let d = Rf_detect.Detector.eraser () in

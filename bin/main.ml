@@ -79,12 +79,11 @@ let detector_arg =
   Arg.(
     value & opt string "hybrid"
     & info [ "detector" ] ~docv:"NAME"
-        ~doc:"hybrid, hb (precise), fasttrack, or eraser.")
+        ~doc:"hybrid, hb (precise), or eraser.")
 
 let detector_maker = function
   | "hybrid" -> fun ?governor () -> Rf_detect.Detector.hybrid ~cap:128 ?governor ()
   | "hb" | "happens-before" -> Rf_detect.Detector.hb_precise ~cap:128
-  | "fasttrack" -> Rf_detect.Detector.fasttrack
   | "eraser" -> Rf_detect.Detector.eraser ~site_cap:16
   | s ->
       Fmt.epr "unknown detector %S@." s;
@@ -895,6 +894,11 @@ let campaign_cmd =
               Rf_campaign.Event_log.close log;
               Fmt.epr "cannot load campaign artifact: %s@." m;
               exit 4
+          | Unix.Unix_error (e, "mkdir", dir) ->
+              Rf_campaign.Event_log.close log;
+              Fmt.epr "cannot create artifact directory %s: %s@." dir
+                (Unix.error_message e);
+              exit 4
         in
         Rf_campaign.Event_log.close log;
         Sys.set_signal Sys.sigint Sys.Signal_default;
@@ -938,8 +942,9 @@ let campaign_cmd =
           cross-campaign --corpus. Exit status: 0 clean, 2 when phase 1 \
           exhausted its resource budget under --no-degrade, 3 when trials \
           crashed the harness or pairs were quarantined, 4 when a resume \
-          journal or artifact cannot be loaded, 130 when interrupted (SIGINT, \
-          SIGTERM or --chaos-stop-after).")
+          journal or artifact cannot be loaded or an artifact directory \
+          cannot be created (checked before phase 1), 130 when interrupted \
+          (SIGINT, SIGTERM or --chaos-stop-after).")
     Term.(
       const action $ target_arg $ domains_arg $ budget_arg $ log_arg $ no_cutoff_arg
       $ p1_arg $ seeds_arg 100 $ chaos_arg $ chaos_seed_arg $ chaos_stop_arg
@@ -977,20 +982,7 @@ let corpus_cmd =
     match op with
     | `List when json ->
         List.iter
-          (fun (e : Rf_campaign.Corpus.entry) ->
-            print_endline
-              (Rf_campaign.Event_log.render_flat
-                 [
-                   ("kind", Rf_campaign.Event_log.S e.Rf_campaign.Corpus.e_kind);
-                   ("key", Rf_campaign.Event_log.S e.Rf_campaign.Corpus.e_key);
-                   ( "target",
-                     Rf_campaign.Event_log.S e.Rf_campaign.Corpus.e_target );
-                   ("pair", Rf_campaign.Event_log.S e.Rf_campaign.Corpus.e_pair);
-                   ("seed", Rf_campaign.Event_log.I e.Rf_campaign.Corpus.e_seed);
-                   ("file", Rf_campaign.Event_log.S e.Rf_campaign.Corpus.e_file);
-                   ("crc", Rf_campaign.Event_log.S e.Rf_campaign.Corpus.e_crc);
-                   ("seen", Rf_campaign.Event_log.I e.Rf_campaign.Corpus.e_seen);
-                 ]))
+          (fun e -> print_endline (Rf_campaign.Corpus.to_json e))
           (Rf_campaign.Corpus.load dir)
     | `List ->
         let entries = Rf_campaign.Corpus.load dir in

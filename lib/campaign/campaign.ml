@@ -238,7 +238,7 @@ let load_resume path =
    at least two slots. *)
 
 let schedule ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
-    ?budget ?postpone_timeout ?(max_steps = Engine.default_config.max_steps)
+    ?budget ?(max_steps = Engine.default_config.max_steps)
     ?(log = Event_log.null ()) ?(supervision = Supervisor.default_policy) ?chaos
     ?trial_deadline ?resume ?stop ?detector_budget ?mem_budget
     ?(no_degrade = false) ?proc ~stream ~(program : Fuzzer.program) produce =
@@ -275,7 +275,7 @@ let schedule ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
       Proc_pool.i_target =
         (match proc with Some sp -> sp.Proc_pool.sp_target | None -> "");
       i_max_steps = max_steps;
-      i_postpone = postpone_timeout;
+      i_postpone = None;
       i_detector_budget = detector_budget;
       i_mem_budget = mem_budget;
       i_no_degrade = no_degrade;
@@ -984,12 +984,12 @@ let schedule ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
   | Some (Ok x) -> (x, results, stats)
   | _ -> assert false (* produced by now: before the start, or by wave 0 *)
 
-let fuzz_pairs ?domains ?seeds ?cutoff ?budget ?postpone_timeout ?max_steps ?log
+let fuzz_pairs ?domains ?seeds ?cutoff ?budget ?max_steps ?log
     ?supervision ?chaos ?trial_deadline ?resume ?stop ?detector_budget
     ?mem_budget ?no_degrade ?proc ~(program : Fuzzer.program)
     (pairs : Site.Pair.t list) : Fuzzer.pair_result list * stats =
   let (), results, stats =
-    schedule ?domains ?seeds ?cutoff ?budget ?postpone_timeout ?max_steps ?log
+    schedule ?domains ?seeds ?cutoff ?budget ?max_steps ?log
       ?supervision ?chaos ?trial_deadline ?resume ?stop ?detector_budget
       ?mem_budget ?no_degrade ?proc ~stream:false ~program (fun admit ->
         List.iter admit pairs;
@@ -1000,22 +1000,22 @@ let fuzz_pairs ?domains ?seeds ?cutoff ?budget ?postpone_timeout ?max_steps ?log
 (* ------------------------------------------------------------------ *)
 
 let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 Fun.id)
-    ?(cutoff = false) ?budget ?postpone_timeout ?max_steps
+    ?(cutoff = false) ?budget ?max_steps
     ?(log = Event_log.null ()) ?supervision ?chaos ?trial_deadline ?resume ?stop
     ?detector_budget ?mem_budget ?(no_degrade = false) ?proc ?repro_dir
     ?(target = "") ?repro_fuel ?static ?(static_filter = false) ?offline_detect
     ?save_traces ?corpus ?phase1 (program : Fuzzer.program) : result =
   let t_start = Unix.gettimeofday () in
   (* A corpus wants reproduction artifacts; without an explicit repro
-     directory they are written inside the corpus itself (whose directory
-     must then exist before the repro pass mkdirs beneath it). *)
+     directory they are written inside the corpus itself. *)
   let repro_dir =
     match (repro_dir, corpus) with
     | (Some _ as d), _ | d, None -> d
-    | None, Some dir ->
-        if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-        Some (Filename.concat dir "repros")
+    | None, Some dir -> Some (Filename.concat dir "repros")
   in
+  (* Every artifact directory exists before phase 1 starts, so one that
+     cannot be created stops the campaign before any trial runs. *)
+  List.iter Atomic_file.mkdir_p (List.filter_map Fun.id [ repro_dir; corpus; save_traces ]);
   (* Phase 1 is where detector state lives (phase-2 trials attach no
      detector), so this is where the entry budget really bites.  The
      governor is shared across the phase-1 seeds: detection precision is
@@ -1043,14 +1043,12 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
   let saved_traces = ref [] in
   let trace_sink =
     Option.map
-      (fun dir ->
-        if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-        fun ~seed recording ->
-          let name = Printf.sprintf "trace-seed%d.rfbt" seed in
-          let path = Filename.concat dir name in
-          Rf_events.Btrace.save path recording;
-          saved_traces :=
-            (seed, path, Rf_events.Btrace.byte_size recording) :: !saved_traces)
+      (fun dir ~seed recording ->
+        let name = Printf.sprintf "trace-seed%d.rfbt" seed in
+        let path = Filename.concat dir name in
+        Rf_events.Btrace.save path recording;
+        saved_traces :=
+          (seed, path, Rf_events.Btrace.byte_size recording) :: !saved_traces)
       save_traces
   in
   (* The static pre-filter applies to each pair as it arrives: a pair
@@ -1177,8 +1175,7 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
     ((p1, p1_level, static_sum, filtered), ordered)
   in
   let (p1, p1_level, static_sum, filtered), results, stats =
-    schedule ~domains ~seeds:seeds_per_pair ~cutoff ?budget ?postpone_timeout
-      ?max_steps ~log ?supervision ?chaos ?trial_deadline ?resume ?stop
+    schedule ~domains ~seeds:seeds_per_pair ~cutoff ?budget ?max_steps ~log ?supervision ?chaos ?trial_deadline ?resume ?stop
       ?detector_budget ?mem_budget ~no_degrade ?proc ~stream ~program produce
   in
   let campaign_wall = Unix.gettimeofday () -. t_start in

@@ -146,7 +146,6 @@ val fuzz_pairs :
   ?seeds:int list ->
   ?cutoff:bool ->
   ?budget:int ->
-  ?postpone_timeout:int option ->
   ?max_steps:int ->
   ?log:Event_log.t ->
   ?supervision:Supervisor.policy ->
@@ -206,7 +205,6 @@ val run :
   ?seeds_per_pair:int list ->
   ?cutoff:bool ->
   ?budget:int ->
-  ?postpone_timeout:int option ->
   ?max_steps:int ->
   ?log:Event_log.t ->
   ?supervision:Supervisor.policy ->
@@ -254,7 +252,10 @@ val run :
 
     [repro_dir] enables the {!Repro} pass: after aggregation, a
     minimized reproduction schedule is written per distinct error
-    fingerprint (one [Repro_written] journal event each).  [target]
+    fingerprint (one [Repro_written] journal event each).  The repro,
+    [corpus] and [save_traces] directories, and any missing parents, are
+    created before phase 1; one that cannot be created raises
+    [Unix.Unix_error] out of [run] before any trial runs.  [target]
     names the program inside the artifacts so [replay]/[shrink] can
     resolve it later; [repro_fuel] bounds minimization work per artifact
     ({!Repro.write_all}).  The pass runs sequentially after the trial

@@ -1,8 +1,8 @@
 (* Persistent cross-campaign corpus.
 
    Durability discipline is the journal's, reused wholesale: flat JSON
-   lines through the one hand-rolled codec ({!Event_log.render_flat}),
-   each line CRC-sealed ({!Event_log.seal}), the whole index rewritten
+   lines through the one codec ({!Rf_util.Json.render_flat}), each line
+   CRC-sealed ({!Rf_util.Json.seal}), the whole index rewritten
    through {!Atomic_file} so there is never a moment when the on-disk
    index is half-new.  A crash mid-update costs the update, never the
    corpus. *)
@@ -23,7 +23,7 @@ type entry = {
 type summary = { cs_added : int; cs_deduped : int; cs_total : int }
 
 let index_file dir = Filename.concat dir "index.json"
-let header_line = Event_log.seal {|{"corpus":1}|}
+let header_line = Json.seal {|{"corpus":1}|}
 
 let entry ~kind ~key ?(target = "") ?(pair = "") ?(seed = -1) () =
   {
@@ -37,8 +37,6 @@ let entry ~kind ~key ?(target = "") ?(pair = "") ?(seed = -1) () =
     e_seen = 1;
   }
 
-let mkdir_p dir = if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -49,7 +47,7 @@ let file_crc path = Fnv.hex63 (read_file path)
 
 let ingest_file ~dir ~kind ~key ?(target = "") ?(pair = "") ?(seed = -1) ~src ()
     =
-  mkdir_p dir;
+  Atomic_file.mkdir_p dir;
   let base = Filename.basename src in
   let dst = Filename.concat dir base in
   let already_inside =
@@ -73,53 +71,38 @@ let ingest_file ~dir ~kind ~key ?(target = "") ?(pair = "") ?(seed = -1) ~src ()
 (* ------------------------------------------------------------------ *)
 (* Index codec: one sealed flat object per entry. *)
 
-let render_entry e =
-  Event_log.seal
-    (Event_log.render_flat
-       [
-         ("kind", Event_log.S e.e_kind);
-         ("key", Event_log.S e.e_key);
-         ("target", Event_log.S e.e_target);
-         ("pair", Event_log.S e.e_pair);
-         ("seed", Event_log.I e.e_seed);
-         ("file", Event_log.S e.e_file);
-         ("crc", Event_log.S e.e_crc);
-         ("seen", Event_log.I e.e_seen);
-       ])
+let to_json e =
+  Json.(
+    render_flat
+      [
+        ("kind", S e.e_kind);
+        ("key", S e.e_key);
+        ("target", S e.e_target);
+        ("pair", S e.e_pair);
+        ("seed", I e.e_seed);
+        ("file", S e.e_file);
+        ("crc", S e.e_crc);
+        ("seen", I e.e_seen);
+      ])
 
 let entry_of_fields fields =
-  let str k =
-    match List.assoc_opt k fields with Some (Event_log.S s) -> Some s | _ -> None
-  in
-  let int k =
-    match List.assoc_opt k fields with Some (Event_log.I i) -> Some i | _ -> None
-  in
-  match (str "kind", str "key", int "seed", int "seen") with
+  match
+    (Json.str fields "kind", Json.str fields "key", Json.int fields "seed", Json.int fields "seen")
+  with
   | Some e_kind, Some e_key, Some e_seed, Some e_seen ->
+      let str k = Option.value ~default:"" (Json.str fields k) in
       Some
         {
           e_kind;
           e_key;
-          e_target = Option.value ~default:"" (str "target");
-          e_pair = Option.value ~default:"" (str "pair");
+          e_target = str "target";
+          e_pair = str "pair";
           e_seed;
-          e_file = Option.value ~default:"" (str "file");
-          e_crc = Option.value ~default:"" (str "crc");
+          e_file = str "file";
+          e_crc = str "crc";
           e_seen;
         }
   | _ -> None
-
-let read_lines path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec go acc =
-        match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      go [])
 
 (* Tolerant read: the crash-recovery path.  Bad seals and torn lines are
    skipped — the next [update] rewrites a clean index. *)
@@ -127,27 +110,27 @@ let load dir =
   let path = index_file dir in
   if not (Sys.file_exists path) then []
   else
-    read_lines path
+    Json.read_lines path
     |> List.filter_map (fun line ->
            if String.trim line = "" then None
            else
-             match Event_log.check_seal line with
-             | Event_log.Sealed_ok -> (
-                 match Event_log.parse_flat line with
+             match Json.check_seal line with
+             | Json.Sealed_ok -> (
+                 match Json.parse_flat line with
                  | Some fields when List.mem_assoc "corpus" fields ->
                      None  (* header *)
                  | Some fields -> entry_of_fields fields
                  | None -> None)
-             | Event_log.Sealed_bad | Event_log.Unsealed -> None)
+             | Json.Sealed_bad | Json.Unsealed -> None)
 
 let save dir entries =
-  mkdir_p dir;
+  Atomic_file.mkdir_p dir;
   Atomic_file.write (index_file dir) (fun oc ->
       output_string oc header_line;
       output_char oc '\n';
       List.iter
         (fun e ->
-          output_string oc (render_entry e);
+          output_string oc (Json.seal (to_json e));
           output_char oc '\n')
         entries)
 
@@ -202,17 +185,16 @@ let verify ~dir =
   else begin
     let problems = ref [] in
     let problem fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
-    let lines = read_lines path in
+    let lines = Json.read_lines path in
     (match lines with
     | [] -> problem "empty index"
     | first :: _ ->
-        (match Event_log.check_seal first with
-        | Event_log.Sealed_ok -> ()
-        | Event_log.Sealed_bad -> problem "header line: bad checksum"
-        | Event_log.Unsealed -> problem "header line: unsealed");
-        (match Event_log.parse_flat first with
-        | Some fields when List.assoc_opt "corpus" fields = Some (Event_log.I 1)
-          ->
+        (match Json.check_seal first with
+        | Json.Sealed_ok -> ()
+        | Json.Sealed_bad -> problem "header line: bad checksum"
+        | Json.Unsealed -> problem "header line: unsealed");
+        (match Json.parse_flat first with
+        | Some fields when Json.int fields "corpus" = Some 1 ->
             ()
         | _ -> problem "header line: not a corpus-v1 header"));
     let seen_keys = Hashtbl.create 64 in
@@ -220,14 +202,12 @@ let verify ~dir =
       (fun i line ->
         if i > 0 && String.trim line <> "" then begin
           let lineno = i + 1 in
-          match Event_log.check_seal line with
-          | Event_log.Sealed_bad ->
+          match Json.check_seal line with
+          | Json.Sealed_bad ->
               problem "line %d: bad checksum (corrupted in place)" lineno
-          | Event_log.Unsealed -> problem "line %d: unsealed" lineno
-          | Event_log.Sealed_ok -> (
-              match
-                Option.bind (Event_log.parse_flat line) entry_of_fields
-              with
+          | Json.Unsealed -> problem "line %d: unsealed" lineno
+          | Json.Sealed_ok -> (
+              match Option.bind (Json.parse_flat line) entry_of_fields with
               | None -> problem "line %d: not a corpus entry" lineno
               | Some e ->
                   if Hashtbl.mem seen_keys (e.e_kind, e.e_key) then

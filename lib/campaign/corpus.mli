@@ -13,8 +13,9 @@
       trace-seed<N>.rfbt      saved phase-1 recordings
     v}
 
-    Every index line carries the journal's FNV-1a CRC seal
-    ({!Event_log.seal}), and updates go through {!Rf_util.Atomic_file}
+    Every index line is one flat object of the shared codec
+    ({!Rf_util.Json}) sealed with the journal's FNV-1a CRC
+    ({!Rf_util.Json.seal}), and updates go through {!Rf_util.Atomic_file}
     (write-tmp, flush, rename) — a campaign SIGKILLed mid-update leaves
     the previous index byte-intact and loadable, which {!verify} checks
     and the chaos tests exercise.
@@ -65,7 +66,11 @@ val ingest_file :
   entry
 (** Copy [src] into the corpus directory (no-op when it already lives
     there), seal its content CRC, and return the entry describing it.
-    Creates [dir] if missing. *)
+    Creates [dir] and its missing parents. *)
+
+val to_json : entry -> string
+(** The entry as one unsealed flat JSON object: the index line without
+    its seal, and one line of [corpus list --json]. *)
 
 val load : string -> entry list
 (** Entries of [DIR/index.json], insertion order; [[]] when the index
@@ -75,7 +80,7 @@ val load : string -> entry list
 val update : dir:string -> entry list -> summary
 (** Merge entries into the corpus: known ([kind], [key]) pairs bump
     [e_seen], new ones append; then atomically rewrite the index.
-    Creates [dir] and the index on first use. *)
+    Creates [dir], its missing parents and the index on first use. *)
 
 val verify : dir:string -> (int, string list) result
 (** Strict integrity check: index header present, every line

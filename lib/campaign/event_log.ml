@@ -100,32 +100,27 @@ type event =
     }
 
 (* ------------------------------------------------------------------ *)
-(* JSON rendering (hand-rolled: no JSON dependency in the toolchain)   *)
+(* JSON lines, through the shared codec                                *)
 
-type jv = I of int | F of float | S of string | B of bool | Null
+module Json = Rf_util.Json
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* campaign_bench/journal.ml reads journals through these names, and the
+   benchmark is not edited together with the library, so they stay here
+   as type-equal aliases of the shared codec's.  Every other caller uses
+   Rf_util.Json directly. *)
+type jv = Json.t =
+  | I of int
+  | F of float
+  | S of string
+  | B of bool
+  | Null
+  | A of jv list
+  | O of (string * jv) list
 
-let jv_to_string = function
-  | I n -> string_of_int n
-  | F x -> Printf.sprintf "%.6f" x
-  | S s -> Printf.sprintf "\"%s\"" (escape s)
-  | B b -> if b then "true" else "false"
-  | Null -> "null"
+type seal_status = Json.seal_status = Sealed_ok | Sealed_bad | Unsealed
+
+let parse_flat = Json.parse_flat
+let check_seal = Json.check_seal
 
 let fields_of_event = function
   | Journal_opened { schema } -> ("journal_opened", [ ("schema", I schema) ])
@@ -309,137 +304,12 @@ let event_name ev = fst (fields_of_event ev)
 
 let to_json ~seq ~elapsed ev =
   let name, fields = fields_of_event ev in
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf (Printf.sprintf "{\"seq\":%d,\"t\":%.6f,\"ev\":\"%s\"" seq elapsed name);
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf (Printf.sprintf ",\"%s\":%s" k (jv_to_string v)))
-    fields;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  Json.render_flat (("seq", I seq) :: ("t", F elapsed) :: ("ev", S name) :: fields)
 
 (* ------------------------------------------------------------------ *)
-(* JSON parsing: exactly the flat-object subset [to_json] emits.       *)
+(* Reading lines back                                                  *)
 
-exception Parse_error
-
-let parse_object (line : string) : (string * jv) list =
-  let n = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos >= n then raise Parse_error else line.[!pos] in
-  let advance () = incr pos in
-  let expect c = if peek () <> c then raise Parse_error else advance () in
-  let skip_ws () =
-    while !pos < n && (peek () = ' ' || peek () = '\t') do
-      advance ()
-    done
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (match peek () with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 'u' ->
-              if !pos + 4 >= n then raise Parse_error;
-              let code =
-                try int_of_string ("0x" ^ String.sub line (!pos + 1) 4)
-                with _ -> raise Parse_error
-              in
-              pos := !pos + 4;
-              if code < 0x80 then Buffer.add_char buf (Char.chr code)
-              else Buffer.add_string buf (Printf.sprintf "\\u%04x" code)
-          | _ -> raise Parse_error);
-          advance ();
-          go ()
-      | c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_value () =
-    match peek () with
-    | '"' -> S (parse_string ())
-    | 't' ->
-        pos := !pos + 4;
-        if !pos > n then raise Parse_error;
-        B true
-    | 'f' ->
-        pos := !pos + 5;
-        if !pos > n then raise Parse_error;
-        B false
-    | 'n' ->
-        pos := !pos + 4;
-        if !pos > n then raise Parse_error;
-        Null
-    | _ ->
-        let start = !pos in
-        let is_float = ref false in
-        while
-          !pos < n
-          &&
-          match line.[!pos] with
-          | '0' .. '9' | '-' | '+' -> true
-          | '.' | 'e' | 'E' ->
-              is_float := true;
-              true
-          | _ -> false
-        do
-          advance ()
-        done;
-        let s = String.sub line start (!pos - start) in
-        if s = "" then raise Parse_error
-        else if !is_float then
-          F (try float_of_string s with _ -> raise Parse_error)
-        else I (try int_of_string s with _ -> raise Parse_error)
-  in
-  expect '{';
-  skip_ws ();
-  if peek () = '}' then []
-  else begin
-    let fields = ref [] in
-    let rec members () =
-      skip_ws ();
-      let k = parse_string () in
-      skip_ws ();
-      expect ':';
-      skip_ws ();
-      let v = parse_value () in
-      fields := (k, v) :: !fields;
-      skip_ws ();
-      match peek () with
-      | ',' ->
-          advance ();
-          members ()
-      | '}' -> advance ()
-      | _ -> raise Parse_error
-    in
-    members ();
-    List.rev !fields
-  end
-
-let str_f fields k = match List.assoc_opt k fields with Some (S s) -> Some s | _ -> None
-let int_f fields k = match List.assoc_opt k fields with Some (I n) -> Some n | _ -> None
-let bool_f fields k = match List.assoc_opt k fields with Some (B b) -> Some b | _ -> None
-
-let float_f fields k =
-  match List.assoc_opt k fields with
-  | Some (F x) -> Some x
-  | Some (I n) -> Some (float_of_int n)
-  | _ -> None
-
-let opt_int_f fields k =
+let opt_int fields k =
   match List.assoc_opt k fields with
   | Some (I n) -> Some (Some n)
   | Some Null -> Some None
@@ -447,55 +317,55 @@ let opt_int_f fields k =
 
 let event_of_fields fields : event option =
   let ( let* ) = Option.bind in
-  match str_f fields "ev" with
+  match Json.str fields "ev" with
   | Some "journal_opened" ->
-      let* schema = int_f fields "schema" in
+      let* schema = Json.int fields "schema" in
       Some (Journal_opened { schema })
   | Some "campaign_started" ->
-      let* domains = int_f fields "domains" in
-      let* base_trials = int_f fields "base_trials" in
-      let* budget = opt_int_f fields "budget" in
-      let* cutoff = bool_f fields "cutoff" in
+      let* domains = Json.int fields "domains" in
+      let* base_trials = Json.int fields "base_trials" in
+      let* budget = opt_int fields "budget" in
+      let* cutoff = Json.bool fields "cutoff" in
       Some (Campaign_started { domains; base_trials; budget; cutoff })
   | Some "phase1_finished" ->
-      let* potential = int_f fields "potential" in
-      let* wall = float_f fields "wall" in
+      let* potential = Json.int fields "potential" in
+      let* wall = Json.num fields "wall" in
       (* degradation fields arrived in v3; default for older journals.
          The v5 detector identity and miss bound fields are ignored. *)
-      let degraded = Option.value ~default:false (bool_f fields "degraded") in
-      let level = Option.value ~default:"full" (str_f fields "level") in
+      let degraded = Option.value ~default:false (Json.bool fields "degraded") in
+      let level = Option.value ~default:"full" (Json.str fields "level") in
       Some (Phase1_finished { potential; wall; degraded; level })
   | Some "phase1_recorded" ->
-      let* events = int_f fields "events" in
-      let* bytes = int_f fields "bytes" in
-      let* shards = int_f fields "shards" in
-      let* record_wall = float_f fields "record_wall" in
-      let* detect_wall = float_f fields "detect_wall" in
+      let* events = Json.int fields "events" in
+      let* bytes = Json.int fields "bytes" in
+      let* shards = Json.int fields "shards" in
+      let* record_wall = Json.num fields "record_wall" in
+      let* detect_wall = Json.num fields "detect_wall" in
       Some (Phase1_recorded { events; bytes; shards; record_wall; detect_wall })
   | Some "wave_started" ->
-      let* wave = int_f fields "wave" in
-      let* tasks = int_f fields "tasks" in
+      let* wave = Json.int fields "wave" in
+      let* tasks = Json.int fields "tasks" in
       Some (Wave_started { wave; tasks })
   | Some "trial_started" ->
-      let* pair = str_f fields "pair" in
-      let* seed = int_f fields "seed" in
-      let* domain = int_f fields "domain" in
+      let* pair = Json.str fields "pair" in
+      let* seed = Json.int fields "seed" in
+      let* domain = Json.int fields "domain" in
       Some (Trial_started { pair; seed; domain })
   | Some "trial_finished" ->
-      let* pair = str_f fields "pair" in
-      let* seed = int_f fields "seed" in
-      let* domain = int_f fields "domain" in
-      let* race = bool_f fields "race" in
-      let* error = bool_f fields "error" in
-      let* deadlock = bool_f fields "deadlock" in
-      let* steps = int_f fields "steps" in
-      let* switches = int_f fields "switches" in
-      let* exns = int_f fields "exns" in
-      let* wall = float_f fields "wall" in
-      let degraded = Option.value ~default:false (bool_f fields "degraded") in
-      let level = Option.value ~default:"full" (str_f fields "level") in
-      let trigger = Option.value ~default:"" (str_f fields "trigger") in
-      let evicted = Option.value ~default:0 (int_f fields "evicted") in
+      let* pair = Json.str fields "pair" in
+      let* seed = Json.int fields "seed" in
+      let* domain = Json.int fields "domain" in
+      let* race = Json.bool fields "race" in
+      let* error = Json.bool fields "error" in
+      let* deadlock = Json.bool fields "deadlock" in
+      let* steps = Json.int fields "steps" in
+      let* switches = Json.int fields "switches" in
+      let* exns = Json.int fields "exns" in
+      let* wall = Json.num fields "wall" in
+      let degraded = Option.value ~default:false (Json.bool fields "degraded") in
+      let level = Option.value ~default:"full" (Json.str fields "level") in
+      let trigger = Option.value ~default:"" (Json.str fields "trigger") in
+      let evicted = Option.value ~default:0 (Json.int fields "evicted") in
       Some
         (Trial_finished
            {
@@ -515,33 +385,33 @@ let event_of_fields fields : event option =
              evicted;
            })
   | Some "trial_crashed" ->
-      let* pair = str_f fields "pair" in
-      let* seed = int_f fields "seed" in
-      let* domain = int_f fields "domain" in
-      let* exn_ = str_f fields "exn" in
-      let* backtrace = str_f fields "backtrace" in
+      let* pair = Json.str fields "pair" in
+      let* seed = Json.int fields "seed" in
+      let* domain = Json.int fields "domain" in
+      let* exn_ = Json.str fields "exn" in
+      let* backtrace = Json.str fields "backtrace" in
       Some (Trial_crashed { pair; seed; domain; exn_; backtrace })
   | Some "trial_exhausted" ->
-      let* pair = str_f fields "pair" in
-      let* seed = int_f fields "seed" in
-      let* domain = int_f fields "domain" in
-      let* reason = str_f fields "reason" in
-      let* steps = int_f fields "steps" in
-      let* wall = float_f fields "wall" in
+      let* pair = Json.str fields "pair" in
+      let* seed = Json.int fields "seed" in
+      let* domain = Json.int fields "domain" in
+      let* reason = Json.str fields "reason" in
+      let* steps = Json.int fields "steps" in
+      let* wall = Json.num fields "wall" in
       Some (Trial_exhausted { pair; seed; domain; reason; steps; wall })
   | Some "pair_filtered" ->
-      let* pair = str_f fields "pair" in
-      let* reason = str_f fields "reason" in
+      let* pair = Json.str fields "pair" in
+      let* reason = Json.str fields "reason" in
       Some (Pair_filtered { pair; reason })
   | Some "static_classified" ->
-      let* universe = int_f fields "universe" in
-      let* universe_impossible = int_f fields "universe_impossible" in
-      let* frontier = int_f fields "frontier" in
-      let* likely = int_f fields "likely" in
-      let* unknown = int_f fields "unknown" in
-      let* impossible = int_f fields "impossible" in
-      let* filtered = int_f fields "filtered" in
-      let* wall = float_f fields "wall" in
+      let* universe = Json.int fields "universe" in
+      let* universe_impossible = Json.int fields "universe_impossible" in
+      let* frontier = Json.int fields "frontier" in
+      let* likely = Json.int fields "likely" in
+      let* unknown = Json.int fields "unknown" in
+      let* impossible = Json.int fields "impossible" in
+      let* filtered = Json.int fields "filtered" in
+      let* wall = Json.num fields "wall" in
       Some
         (Static_classified
            {
@@ -555,73 +425,73 @@ let event_of_fields fields : event option =
              wall;
            })
   | Some "pair_resolved" ->
-      let* pair = str_f fields "pair" in
-      let* at_trial = int_f fields "at_trial" in
+      let* pair = Json.str fields "pair" in
+      let* at_trial = Json.int fields "at_trial" in
       Some (Pair_resolved { pair; at_trial })
   | Some "pair_quarantined" ->
-      let* pair = str_f fields "pair" in
-      let* crashes = int_f fields "crashes" in
-      let* at_trial = int_f fields "at_trial" in
+      let* pair = Json.str fields "pair" in
+      let* crashes = Json.int fields "crashes" in
+      let* at_trial = Json.int fields "at_trial" in
       Some (Pair_quarantined { pair; crashes; at_trial })
   | Some "trials_cancelled" ->
-      let* pair = str_f fields "pair" in
-      let* count = int_f fields "count" in
+      let* pair = Json.str fields "pair" in
+      let* count = Json.int fields "count" in
       Some (Trials_cancelled { pair; count })
   | Some "budget_granted" ->
-      let* pair = str_f fields "pair" in
-      let* extra = int_f fields "extra" in
+      let* pair = Json.str fields "pair" in
+      let* extra = Json.int fields "extra" in
       Some (Budget_granted { pair; extra })
   | Some "worker_crashed" ->
-      let* domain = int_f fields "domain" in
-      let* attempt = int_f fields "attempt" in
-      let* exn_ = str_f fields "exn" in
+      let* domain = Json.int fields "domain" in
+      let* attempt = Json.int fields "attempt" in
+      let* exn_ = Json.str fields "exn" in
       Some (Worker_crashed { domain; attempt; exn_ })
   | Some "worker_respawned" ->
-      let* domain = int_f fields "domain" in
-      let* attempt = int_f fields "attempt" in
-      let* backoff = float_f fields "backoff" in
+      let* domain = Json.int fields "domain" in
+      let* attempt = Json.int fields "attempt" in
+      let* backoff = Json.num fields "backoff" in
       Some (Worker_respawned { domain; attempt; backoff })
   | Some "worker_gave_up" ->
-      let* domain = int_f fields "domain" in
+      let* domain = Json.int fields "domain" in
       Some (Worker_gave_up { domain })
   | Some "worker_spawned" ->
-      let* worker = int_f fields "worker" in
-      let* pid = int_f fields "pid" in
+      let* worker = Json.int fields "worker" in
+      let* pid = Json.int fields "pid" in
       Some (Worker_spawned { worker; pid })
   | Some "worker_killed" ->
-      let* worker = int_f fields "worker" in
-      let* pid = int_f fields "pid" in
-      let* reason = str_f fields "reason" in
+      let* worker = Json.int fields "worker" in
+      let* pid = Json.int fields "pid" in
+      let* reason = Json.str fields "reason" in
       Some (Worker_killed { worker; pid; reason })
   | Some "traces_saved" ->
-      let* dir = str_f fields "dir" in
-      let* count = int_f fields "count" in
-      let* bytes = int_f fields "bytes" in
+      let* dir = Json.str fields "dir" in
+      let* count = Json.int fields "count" in
+      let* bytes = Json.int fields "bytes" in
       Some (Traces_saved { dir; count; bytes })
   | Some "corpus_updated" ->
-      let* dir = str_f fields "dir" in
-      let* added = int_f fields "added" in
-      let* deduped = int_f fields "deduped" in
-      let* total = int_f fields "total" in
+      let* dir = Json.str fields "dir" in
+      let* added = Json.int fields "added" in
+      let* deduped = Json.int fields "deduped" in
+      let* total = Json.int fields "total" in
       Some (Corpus_updated { dir; added; deduped; total })
   | Some "resume_loaded" ->
-      let* entries = int_f fields "entries" in
-      let* skipped = int_f fields "skipped" in
+      let* entries = Json.int fields "entries" in
+      let* skipped = Json.int fields "skipped" in
       Some (Resume_loaded { entries; skipped })
   | Some "campaign_interrupted" ->
-      let* executed = int_f fields "executed" in
-      let* remaining = int_f fields "remaining" in
+      let* executed = Json.int fields "executed" in
+      let* remaining = Json.int fields "remaining" in
       Some (Campaign_interrupted { executed; remaining })
   | Some "repro_written" ->
-      let* pair = str_f fields "pair" in
-      let* fingerprint = str_f fields "fingerprint" in
-      let* seed = int_f fields "seed" in
-      let* file = str_f fields "file" in
-      let* steps_before = int_f fields "steps_before" in
-      let* steps_after = int_f fields "steps_after" in
-      let* switches_before = int_f fields "switches_before" in
-      let* switches_after = int_f fields "switches_after" in
-      let* oracle_runs = int_f fields "oracle_runs" in
+      let* pair = Json.str fields "pair" in
+      let* fingerprint = Json.str fields "fingerprint" in
+      let* seed = Json.int fields "seed" in
+      let* file = Json.str fields "file" in
+      let* steps_before = Json.int fields "steps_before" in
+      let* steps_after = Json.int fields "steps_after" in
+      let* switches_before = Json.int fields "switches_before" in
+      let* switches_after = Json.int fields "switches_after" in
+      let* oracle_runs = Json.int fields "oracle_runs" in
       Some
         (Repro_written
            {
@@ -636,108 +506,41 @@ let event_of_fields fields : event option =
              oracle_runs;
            })
   | Some "campaign_finished" ->
-      let* wall = float_f fields "wall" in
-      let* trials = int_f fields "trials" in
-      let* cancelled = int_f fields "cancelled" in
-      let* throughput = float_f fields "throughput" in
+      let* wall = Json.num fields "wall" in
+      let* trials = Json.int fields "trials" in
+      let* cancelled = Json.int fields "cancelled" in
+      let* throughput = Json.num fields "throughput" in
       Some (Campaign_finished { wall; trials; cancelled; throughput })
   | _ -> None
 
-let event_of_json line =
-  match parse_object line with
-  | fields -> event_of_fields fields
-  | exception Parse_error -> None
-
-(* ------------------------------------------------------------------ *)
-(* Per-line checksums.
-
-   Each journal line is sealed with an FNV-1a-64 hex digest of the line
-   as rendered *without* the checksum, appended as a final "crc" field.
-   Detects the silent-corruption cases a torn-tail check cannot: a
-   partially overwritten middle line, filesystem bit rot, a hand-edited
-   journal.  Unsealed lines (v2 and earlier journals) verify as absent,
-   not bad, so old journals still load as observability streams. *)
-
-let fnv_hex = Rf_util.Fnv.hex63
-
-let crc_marker = ",\"crc\":\""
-(* marker + 16 hex digits + closing quote and brace *)
-let crc_suffix_len = String.length crc_marker + 16 + 2
-
-let seal line =
-  let n = String.length line in
-  if n = 0 || line.[n - 1] <> '}' then line
-  else
-    String.sub line 0 (n - 1) ^ crc_marker ^ fnv_hex line ^ "\"}"
-
-type seal_status = Sealed_ok | Sealed_bad | Unsealed
-
-let check_seal line =
-  let n = String.length line in
-  if n < crc_suffix_len + 2 then Unsealed
-  else if
-    String.sub line (n - crc_suffix_len) (String.length crc_marker)
-    <> crc_marker
-    || line.[n - 1] <> '}'
-    || line.[n - 2] <> '"'
-  then Unsealed
-  else
-    let crc = String.sub line (n - 18) 16 in
-    let original = String.sub line 0 (n - crc_suffix_len) ^ "}" in
-    if fnv_hex original = crc then Sealed_ok else Sealed_bad
-
-(* The flat-object JSON codec, exposed so sibling artifacts (the corpus
-   index) can share the journal's exact line format and seal instead of
-   growing a second hand-rolled parser. *)
-
-let parse_flat line =
-  match parse_object line with
-  | fields -> Some fields
-  | exception Parse_error -> None
-
-let render_flat fields =
-  let buf = Buffer.create 128 in
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%s" (escape k) (jv_to_string v)))
-    fields;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+let event_of_json line = Option.bind (parse_flat line) event_of_fields
 
 let load_result path =
-  let ic = open_in path in
-  let events = ref [] in
   let skipped = ref 0 in
-  (try
-     let torn = ref false in
-     while not !torn do
-       let line = input_line ic in
-       (* a crash mid-write leaves at most one torn line, necessarily the
-          last complete-line-less tail; a line that fails to parse as a
-          whole object ends the useful journal prefix *)
-       if String.length line = 0 then ()
-       else
-         match check_seal line with
-         | Sealed_bad ->
-             (* checksum mismatch: corrupted in place, not torn — skip
-                the record, keep reading, and let the caller warn *)
-             incr skipped
-         | Sealed_ok | Unsealed -> (
-             match event_of_json line with
-             | Some ev -> events := ev :: !events
-             | None ->
-                 if
-                   String.length line < 2
-                   || line.[0] <> '{'
-                   || line.[String.length line - 1] <> '}'
-                 then torn := true
-                 (* else: well-formed object of an unknown/newer event — skip *))
-     done
-   with End_of_file -> ());
-  close_in ic;
-  (List.rev !events, !skipped)
+  (* a crash mid-write leaves at most one torn line, necessarily the
+     last; a line that is not a whole object ends the useful journal
+     prefix *)
+  let rec go acc = function
+    | [] -> List.rev acc
+    | "" :: rest -> go acc rest
+    | line :: rest -> (
+        match check_seal line with
+        | Sealed_bad ->
+            (* checksum mismatch: corrupted in place, not torn — skip the
+               record, keep reading, and let the caller warn *)
+            incr skipped;
+            go acc rest
+        | Sealed_ok | Unsealed -> (
+            match event_of_json line with
+            | Some ev -> go (ev :: acc) rest
+            | None ->
+                let n = String.length line in
+                if n < 2 || line.[0] <> '{' || line.[n - 1] <> '}' then List.rev acc
+                else (* a well-formed object of an unknown or newer event *)
+                  go acc rest))
+  in
+  let events = go [] (Json.read_lines path) in
+  (events, !skipped)
 
 let load path = fst (load_result path)
 
@@ -786,7 +589,8 @@ let emit t ev =
           if not t.closed then begin
             t.seq <- t.seq + 1;
             let line =
-              seal (to_json ~seq:t.seq ~elapsed:(Unix.gettimeofday () -. t.started) ev)
+              Json.seal
+                (to_json ~seq:t.seq ~elapsed:(Unix.gettimeofday () -. t.started) ev)
             in
             output_string oc line;
             output_char oc '\n';

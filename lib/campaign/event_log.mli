@@ -186,34 +186,35 @@ val to_json : seq:int -> elapsed:float -> event -> string
 
 val event_of_json : string -> event option
 (** Parse one journal line.  [None] for torn lines, non-JSON, or unknown
-    event shapes. *)
+    event shapes.  Lines are one flat object, read and written through
+    {!Rf_util.Json}, the codec every artifact on disk shares; a file
+    journal seals each line with {!Rf_util.Json.seal}. *)
 
-val seal : string -> string
-(** Append a ["crc"] field (FNV-1a-64 hex of the unsealed line) before
-    the closing brace.  {!emit} seals every line it writes. *)
+(** {1 The shared codec under its journal names}
 
-type seal_status =
-  | Sealed_ok  (** checksum present and matching *)
-  | Sealed_bad  (** checksum present but wrong: corrupted in place *)
-  | Unsealed  (** no checksum (pre-v3 journal line) *)
+    [campaign_bench/journal.ml] compiles against these names, so they
+    stay here as the very type and functions of {!Rf_util.Json}; every
+    other caller uses that module directly. *)
 
-val check_seal : string -> seal_status
-
-(** {1 Flat-object JSON codec}
-
-    The journal's line format — one flat JSON object, scalar fields only —
-    reused by sibling artifacts (the {!Corpus} index) so the repo has one
-    hand-rolled JSON codec, not several. *)
-
-type jv = I of int | F of float | S of string | B of bool | Null
-
-val render_flat : (string * jv) list -> string
-(** One flat JSON object, unsealed; compose with {!seal} for durable
-    lines. *)
+type jv = Rf_util.Json.t =
+  | I of int
+  | F of float
+  | S of string
+  | B of bool
+  | Null
+  | A of jv list
+  | O of (string * jv) list
 
 val parse_flat : string -> (string * jv) list option
-(** Inverse of {!render_flat} (field order preserved); [None] on torn or
-    non-flat input. *)
+(** {!Rf_util.Json.parse_flat}. *)
+
+type seal_status = Rf_util.Json.seal_status =
+  | Sealed_ok
+  | Sealed_bad
+  | Unsealed
+
+val check_seal : string -> seal_status
+(** {!Rf_util.Json.check_seal}. *)
 
 val load_result : string -> event list * int
 (** Read a JSONL journal; also count the checksum-bad lines that were

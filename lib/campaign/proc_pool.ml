@@ -196,9 +196,10 @@ let encode_init i =
   w_u8 b tag_init;
   w_str b i.i_target;
   w_int b i.i_max_steps;
-  (* [?postpone_timeout] is an optional argument of type [int option]:
-     absent / Some None / Some (Some n) are three distinct campaign
-     configurations, so the wire keeps all three. *)
+  (* The trial's [?postpone_timeout], an optional [int option]: absent
+     (the strategy's default), Some None (no timeout) or Some (Some n).
+     The campaign always sends absent; the wire keeps all three states
+     for callers that build the record themselves. *)
   (match i.i_postpone with
   | None -> w_u8 b 0
   | Some None -> w_u8 b 1

@@ -78,7 +78,8 @@ type init = {
       (** workload name or RFL path, resolved by the worker *)
   i_max_steps : int;
   i_postpone : int option option;
-      (** the campaign's [?postpone_timeout] argument, all three states *)
+      (** the trial's [?postpone_timeout], all three states; the campaign
+          always sends [None], the strategy's default *)
   i_detector_budget : int option;
   i_mem_budget : float option;
   i_no_degrade : bool;

@@ -46,16 +46,6 @@ let hybrid ?cap ?governor ?on_pair () =
 let hb_precise ?cap ?governor () =
   of_history (Hb_precise.create ?cap ?governor ())
 
-let fasttrack ?governor () =
-  let d = Fasttrack.create ?governor () in
-  {
-    dname = "fasttrack";
-    feed = Fasttrack.feed d;
-    races = (fun () -> Fasttrack.races d);
-    pairs = (fun () -> Fasttrack.pairs d);
-    stats = no_stats;
-  }
-
 let eraser ?site_cap ?governor () =
   let d = Eraser.create ?site_cap ?governor () in
   {

@@ -8,7 +8,7 @@ open Rf_events
 (** End-of-run accounting, for journals, reports and benches.
     [st_entries] is the live logical state (retained summaries) and
     [st_mem_events] the memory events analyzed; detectors without that
-    accounting (fasttrack, eraser) report zeros. *)
+    accounting (eraser) report zeros. *)
 type stats = { st_entries : int; st_mem_events : int }
 
 type t = {
@@ -44,15 +44,11 @@ val hb_precise : ?cap:int -> ?governor:Rf_resource.Governor.t -> unit -> t
     execution, not predictive, tracks everything (the expensive baseline
     the paper contrasts with). *)
 
-val fasttrack : ?governor:Rf_resource.Governor.t -> unit -> t
-(** Epoch-optimized precise happens-before (FastTrack-style): same racy
-    locations as {!hb_precise} at a fraction of the bookkeeping. *)
-
 val eraser : ?site_cap:int -> ?governor:Rf_resource.Governor.t -> unit -> t
 (** Eraser lockset discipline checking [43]: no happens-before at all, the
     noisiest baseline.
 
-    All four constructors accept a {!Rf_resource.Governor}: detector
+    All three constructors accept a {!Rf_resource.Governor}: detector
     state (access summaries, clock tables, location cells) is then
     metered against the trial's entry budget and shed down the
     degradation ladder instead of growing without bound.  Degradation is

@@ -3,8 +3,8 @@
 
     Clocks are mutable arrays: incoming edges join in place, a SND
     snapshots a copy (the sender keeps ticking), and a release overwrites
-    the lock's own clock ([L_m := C_t], as in FastTrack), so the only
-    per-event allocation is a message snapshot.  State growth is
+    the lock's own clock ([L_m := C_t], the epoch detectors' rule), so
+    the only per-event allocation is a message snapshot.  State growth is
     dominated by [msgs] (one clock per SND, never reclaimed: any future
     RCV may still match it); a governor trip evicts the lowest-id half,
     and an evicted message's RCV contributes no edge — degraded runs can

@@ -1,8 +1,7 @@
 (** Recorded schedules: versioned, serializable scheduling-decision logs.
-    See the interface for the model; this file is mostly the JSON codec
-    (hand-rolled, like {!Rf_campaign.Event_log}: the toolchain has no JSON
-    dependency, and the format is small enough that owning it keeps the
-    version gate honest). *)
+    See the interface for the model; this file is mostly the [rf-schedule/1]
+    layout: a hand-laid-out writer over {!Rf_util.Json.escape} and a
+    reader over the shared strict parser, {!Rf_util.Json.parse}. *)
 
 open Rf_util
 open Rf_runtime
@@ -172,40 +171,22 @@ let error_fingerprint (o : Outcome.t) : string option =
 
 (* ------------------------------------------------------------------ *)
 (* JSON codec.  The writer emits one step object per line so schedules
-   diff and grep cleanly; the reader is a tiny recursive-descent parser
-   for the full JSON subset the writer uses (objects, arrays, strings,
-   ints, bools, null — no floats needed). *)
+   diff and grep cleanly; the reader takes the shared parser's tree. *)
 
 exception Format_error of string
 
 let fail fmt = Fmt.kstr (fun s -> raise (Format_error s)) fmt
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_site_key buf k =
   Buffer.add_string buf
     (Printf.sprintf "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"label\":\"%s\"}"
-       (escape k.sk_file) k.sk_line k.sk_col (escape k.sk_label))
+       (Json.escape k.sk_file) k.sk_line k.sk_col (Json.escape k.sk_label))
 
 let to_json t =
   let buf = Buffer.create (256 + (Array.length t.steps * 64)) in
   let m = t.meta in
-  Buffer.add_string buf (Printf.sprintf "{\"version\":\"%s\",\n" (escape version));
-  Buffer.add_string buf (Printf.sprintf " \"target\":\"%s\",\n" (escape m.m_target));
+  Buffer.add_string buf (Printf.sprintf "{\"version\":\"%s\",\n" (Json.escape version));
+  Buffer.add_string buf (Printf.sprintf " \"target\":\"%s\",\n" (Json.escape m.m_target));
   Buffer.add_string buf (Printf.sprintf " \"seed\":%d,\n" m.m_seed);
   (match m.m_pair with
   | None -> Buffer.add_string buf " \"pair\":null,\n"
@@ -220,7 +201,7 @@ let to_json t =
   Buffer.add_string buf
     (Printf.sprintf " \"error\":%s,\n"
        (match m.m_error with
-       | Some e -> Printf.sprintf "\"%s\"" (escape e)
+       | Some e -> Printf.sprintf "\"%s\"" (Json.escape e)
        | None -> "null"));
   Buffer.add_string buf (Printf.sprintf " \"length\":%d,\n" (Array.length t.steps));
   Buffer.add_string buf (Printf.sprintf " \"switches\":%d,\n" (switches t));
@@ -243,206 +224,77 @@ let to_json t =
   Buffer.add_string buf "\n ]}\n";
   Buffer.contents buf
 
-(* --- parser --- *)
+(* --- reader --- *)
 
-type jv =
-  | J_null
-  | J_bool of bool
-  | J_int of int
-  | J_string of string
-  | J_list of jv list
-  | J_obj of (string * jv) list
+let field fields k =
+  match List.assoc_opt k fields with Some v -> v | None -> fail "missing field %S" k
 
-let parse_json (s : string) : jv =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos >= n then fail "unexpected end of input" else s.[!pos] in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n
-      && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    if peek () <> c then fail "expected %C at offset %d" c !pos else advance ()
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (match peek () with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 'u' ->
-              if !pos + 4 >= n then fail "truncated \\u escape";
-              let code =
-                try int_of_string ("0x" ^ String.sub s (!pos + 1) 4)
-                with _ -> fail "bad \\u escape"
-              in
-              pos := !pos + 4;
-              if code < 0x80 then Buffer.add_char buf (Char.chr code)
-              else Buffer.add_string buf (Printf.sprintf "\\u%04x" code)
-          | c -> fail "bad escape \\%C" c);
-          advance ();
-          go ()
-      | c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '"' -> J_string (parse_string ())
-    | '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = '}' then (advance (); J_obj [])
-        else begin
-          let fields = ref [] in
-          let rec members () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            fields := (k, v) :: !fields;
-            skip_ws ();
-            match peek () with
-            | ',' -> advance (); members ()
-            | '}' -> advance ()
-            | c -> fail "expected ',' or '}', got %C" c
-          in
-          members ();
-          J_obj (List.rev !fields)
-        end
-    | '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = ']' then (advance (); J_list [])
-        else begin
-          let items = ref [] in
-          let rec elements () =
-            let v = parse_value () in
-            items := v :: !items;
-            skip_ws ();
-            match peek () with
-            | ',' -> advance (); elements ()
-            | ']' -> advance ()
-            | c -> fail "expected ',' or ']', got %C" c
-          in
-          elements ();
-          J_list (List.rev !items)
-        end
-    | 't' ->
-        if !pos + 4 <= n && String.sub s !pos 4 = "true" then (pos := !pos + 4; J_bool true)
-        else fail "bad literal at offset %d" !pos
-    | 'f' ->
-        if !pos + 5 <= n && String.sub s !pos 5 = "false" then (pos := !pos + 5; J_bool false)
-        else fail "bad literal at offset %d" !pos
-    | 'n' ->
-        if !pos + 4 <= n && String.sub s !pos 4 = "null" then (pos := !pos + 4; J_null)
-        else fail "bad literal at offset %d" !pos
-    | _ ->
-        let start = !pos in
-        while
-          !pos < n
-          && match s.[!pos] with '0' .. '9' | '-' | '+' -> true | _ -> false
-        do
-          advance ()
-        done;
-        let tok = String.sub s start (!pos - start) in
-        J_int (try int_of_string tok with _ -> fail "bad number %S" tok)
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage at offset %d" !pos;
-  v
+let need what k = function Some v -> v | None -> fail "field %S: expected %s" k what
+let int fields k = need "int" k (Json.int fields k)
+let str fields k = need "string" k (Json.str fields k)
 
-let obj_field fields k =
-  match List.assoc_opt k fields with
-  | Some v -> v
-  | None -> fail "missing field %S" k
-
-let j_int = function J_int i -> i | _ -> fail "expected int"
-let j_string = function J_string s -> s | _ -> fail "expected string"
-
-let j_site_key = function
-  | J_obj fields ->
+let read_site_key = function
+  | Json.O f ->
       {
-        sk_file = j_string (obj_field fields "file");
-        sk_line = j_int (obj_field fields "line");
-        sk_col = j_int (obj_field fields "col");
-        sk_label = j_string (obj_field fields "label");
+        sk_file = str f "file";
+        sk_line = int f "line";
+        sk_col = int f "col";
+        sk_label = str f "label";
       }
   | _ -> fail "expected site object"
 
 let of_json text =
-  match parse_json text with
-  | J_obj fields ->
-      let v = j_string (obj_field fields "version") in
+  match Json.parse text with
+  | exception Json.Error m -> fail "%s" m
+  | Json.O fields ->
+      let v = str fields "version" in
       if v <> version then
         fail "schedule version %S, this reader speaks %S" v version;
       let meta =
         {
-          m_target = j_string (obj_field fields "target");
-          m_seed = j_int (obj_field fields "seed");
+          m_target = str fields "target";
+          m_seed = int fields "seed";
           m_pair =
-            (match obj_field fields "pair" with
-            | J_null -> None
-            | J_list [ a; b ] -> Some (j_site_key a, j_site_key b)
+            (match field fields "pair" with
+            | Json.Null -> None
+            | Json.A [ a; b ] -> Some (read_site_key a, read_site_key b)
             | _ -> fail "expected pair as null or a 2-element array");
-          m_max_steps = j_int (obj_field fields "max_steps");
-          m_steps = j_int (obj_field fields "steps");
+          m_max_steps = int fields "max_steps";
+          m_steps = int fields "steps";
           m_error =
-            (match obj_field fields "error" with
-            | J_null -> None
-            | J_string e -> Some e
+            (match field fields "error" with
+            | Json.Null -> None
+            | Json.S e -> Some e
             | _ -> fail "expected error as string or null");
         }
       in
+      let step = function
+        | Json.O f ->
+            let op = str f "op" in
+            let kind =
+              match kind_of_string op with
+              | Some k -> k
+              | None -> fail "unknown op kind %S" op
+            in
+            {
+              st_tid = int f "tid";
+              st_key =
+                {
+                  k_kind = kind;
+                  k_site =
+                    (match field f "site" with
+                    | Json.Null -> None
+                    | site -> Some (read_site_key site));
+                };
+              st_rng =
+                (let raw = str f "rng" in
+                 try Int64.of_string raw with _ -> fail "bad rng state %S" raw);
+            }
+        | _ -> fail "expected step object"
+      in
       let steps =
-        match obj_field fields "schedule" with
-        | J_list items ->
-            List.map
-              (function
-                | J_obj f ->
-                    let op = j_string (obj_field f "op") in
-                    let kind =
-                      match kind_of_string op with
-                      | Some k -> k
-                      | None -> fail "unknown op kind %S" op
-                    in
-                    {
-                      st_tid = j_int (obj_field f "tid");
-                      st_key =
-                        {
-                          k_kind = kind;
-                          k_site =
-                            (match obj_field f "site" with
-                            | J_null -> None
-                            | site -> Some (j_site_key site));
-                        };
-                      st_rng =
-                        (let raw = j_string (obj_field f "rng") in
-                         try Int64.of_string raw
-                         with _ -> fail "bad rng state %S" raw);
-                    }
-                | _ -> fail "expected step object")
-              items
+        match field fields "schedule" with
+        | Json.A items -> List.map step items
         | _ -> fail "expected schedule array"
       in
       { meta; steps = Array.of_list steps }

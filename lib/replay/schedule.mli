@@ -104,12 +104,17 @@ val error_fingerprint : Outcome.t -> string option
 (** {1 Persistence} *)
 
 exception Format_error of string
-(** Unparseable JSON, missing fields, or a version other than
-    {!version}. *)
+(** Unparseable JSON, missing or ill-typed fields, or a version other
+    than {!version}. *)
 
 val to_json : t -> string
+(** The [rf-schedule/1] layout: one field per line, one step object per
+    line, strings escaped by {!Rf_util.Json.escape}. *)
+
 val of_json : string -> t
-(** Raises {!Format_error}. *)
+(** Reads through the shared strict parser ({!Rf_util.Json.parse}), so
+    trailing bytes and malformed literals are errors.  Raises
+    {!Format_error}. *)
 
 val save : string -> t -> unit
 (** Atomic: writes [path.tmp] then renames, so a crash mid-write leaves

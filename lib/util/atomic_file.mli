@@ -14,3 +14,9 @@ val write : string -> (out_channel -> unit) -> unit
 
 val write_string : string -> string -> unit
 (** [write_string path s] — {!write} of one [output_string]. *)
+
+val mkdir_p : string -> unit
+(** Create a directory and every missing parent, like [mkdir -p]; one
+    that already exists (or that another process creates meanwhile) is
+    fine.  Every artifact directory is made this way.  Raises
+    [Unix.Unix_error] when a component cannot be created. *)

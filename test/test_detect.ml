@@ -183,6 +183,23 @@ let test_hb_precise_detects_true_concurrency () =
   Alcotest.(check int) "unordered conflicting accesses race" 1
     (Hb_precise.race_count d)
 
+let test_hb_precise_read_write () =
+  let d = Hb_precise.create () in
+  List.iter (Hb_precise.feed d)
+    [ mem ~tid:0 ~line:1 ~access:Event.Read (); mem ~tid:1 ~line:2 ~access:Event.Write () ];
+  Alcotest.(check int) "read-write race" 1 (Hb_precise.race_count d)
+
+let test_hb_precise_shared_reads_then_write () =
+  (* two concurrent reads, then a write that races with both *)
+  let d = Hb_precise.create () in
+  List.iter (Hb_precise.feed d)
+    [
+      mem ~tid:0 ~line:1 ~access:Event.Read ();
+      mem ~tid:1 ~line:2 ~access:Event.Read ();
+      mem ~tid:2 ~line:3 ~access:Event.Write ();
+    ];
+  Alcotest.(check int) "both read-write pairs found" 2 (Hb_precise.race_count d)
+
 let test_hb_precise_ignores_locksets () =
   (* Same lock held but accesses NOT ordered by any release->acquire of it:
      t0 and t1 hold different locks; precise HB reports (locksets are not
@@ -242,84 +259,6 @@ let test_eraser_false_positive_on_fork_join () =
   List.iter (Hybrid.feed h) evs;
   Alcotest.(check int) "eraser flags ordered handoff" 1 (Eraser.race_count e);
   Alcotest.(check int) "hybrid does not" 0 (Hybrid.race_count h)
-
-(* ------------------------------------------------------------------ *)
-(* FastTrack                                                           *)
-
-let feed_ft d evs = List.iter (Fasttrack.feed d) evs
-
-let test_fasttrack_basic_races () =
-  let d = Fasttrack.create () in
-  feed_ft d [ mem ~tid:0 ~line:1 (); mem ~tid:1 ~line:2 () ];
-  Alcotest.(check int) "write-write race" 1 (Fasttrack.race_count d)
-
-let test_fasttrack_read_write () =
-  let d = Fasttrack.create () in
-  feed_ft d
-    [ mem ~tid:0 ~line:1 ~access:Event.Read (); mem ~tid:1 ~line:2 ~access:Event.Write () ];
-  Alcotest.(check int) "read-write race" 1 (Fasttrack.race_count d)
-
-let test_fasttrack_lock_ordered_silent () =
-  let d = Fasttrack.create () in
-  feed_ft d
-    [
-      Event.Acquire { tid = 0; lock = 9; site = st 10 };
-      mem ~tid:0 ~line:1 ~locks:[ 9 ] ();
-      Event.Release { tid = 0; lock = 9; site = st 10 };
-      Event.Acquire { tid = 1; lock = 9; site = st 11 };
-      mem ~tid:1 ~line:2 ~locks:[ 9 ] ();
-      Event.Release { tid = 1; lock = 9; site = st 11 };
-    ];
-  Alcotest.(check int) "ordered: no race" 0 (Fasttrack.race_count d)
-
-let test_fasttrack_shared_read_state () =
-  (* two concurrent reads (inflating the read set) then a write racing
-     with both *)
-  let d = Fasttrack.create () in
-  feed_ft d
-    [
-      mem ~tid:0 ~line:1 ~access:Event.Read ();
-      mem ~tid:1 ~line:2 ~access:Event.Read ();
-      mem ~tid:2 ~line:3 ~access:Event.Write ();
-    ];
-  Alcotest.(check bool) "both read-write pairs found" true (Fasttrack.race_count d >= 2);
-  Alcotest.(check bool) "slow path used" true (Fasttrack.vc_ops d > 0)
-
-let test_fasttrack_epoch_fast_path () =
-  (* same-thread repeated accesses stay on the O(1) fast path *)
-  let d = Fasttrack.create () in
-  for _ = 1 to 50 do
-    feed_ft d [ mem ~tid:0 ~line:1 () ]
-  done;
-  Alcotest.(check int) "no races" 0 (Fasttrack.race_count d);
-  Alcotest.(check int) "no vector-clock ops" 0 (Fasttrack.vc_ops d);
-  Alcotest.(check bool) "epoch hits accumulated" true (Fasttrack.epoch_hits d > 40)
-
-let racy_locs detector_races =
-  List.fold_left
-    (fun acc (r : Race.t) -> Loc.Set.add r.Race.loc acc)
-    Loc.Set.empty detector_races
-
-let test_fasttrack_agrees_with_precise_on_figure1 () =
-  List.iter
-    (fun seed ->
-      let ft = Fasttrack.create () in
-      let hb = Detector.hb_precise ~cap:1024 () in
-      ignore
-        (Rf_runtime.Engine.run
-           ~config:{ Rf_runtime.Engine.default_config with seed }
-           ~listeners:[ Fasttrack.feed ft; Detector.feed hb ]
-           ~strategy:(Rf_runtime.Strategy.random ())
-           Rf_workloads.Figure1.program);
-      (* FastTrack reports a subset of the precise pair set... *)
-      Alcotest.(check bool) "pairs subset" true
-        (Site.Pair.Set.subset (Fasttrack.pairs ft) (Detector.pairs hb));
-      (* ...but flags exactly the same racy locations *)
-      Alcotest.(check bool) "same racy locations" true
-        (Loc.Set.equal
-           (racy_locs (Fasttrack.races ft))
-           (racy_locs (Detector.races hb))))
-    (List.init 25 Fun.id)
 
 (* ------------------------------------------------------------------ *)
 (* Integration: detectors as engine listeners on Figure 1              *)
@@ -411,6 +350,9 @@ let () =
           Alcotest.test_case "true concurrency" `Quick
             test_hb_precise_detects_true_concurrency;
           Alcotest.test_case "ignores locksets" `Quick test_hb_precise_ignores_locksets;
+          Alcotest.test_case "read-write" `Quick test_hb_precise_read_write;
+          Alcotest.test_case "shared reads then write" `Quick
+            test_hb_precise_shared_reads_then_write;
         ] );
       ( "eraser",
         [
@@ -421,16 +363,6 @@ let () =
             test_eraser_exclusive_phase_tolerated;
           Alcotest.test_case "fork-join false positive" `Quick
             test_eraser_false_positive_on_fork_join;
-        ] );
-      ( "fasttrack",
-        [
-          Alcotest.test_case "basic races" `Quick test_fasttrack_basic_races;
-          Alcotest.test_case "read-write" `Quick test_fasttrack_read_write;
-          Alcotest.test_case "lock ordered" `Quick test_fasttrack_lock_ordered_silent;
-          Alcotest.test_case "shared read state" `Quick test_fasttrack_shared_read_state;
-          Alcotest.test_case "epoch fast path" `Quick test_fasttrack_epoch_fast_path;
-          Alcotest.test_case "agrees with precise" `Quick
-            test_fasttrack_agrees_with_precise_on_figure1;
         ] );
       ( "figure1",
         [

@@ -1,15 +1,14 @@
 (* Differential testing of the phase-1 detectors against each other on
    randomly generated RFL programs.  The detectors sit on a precision
-   lattice, and the lattice order is checkable per-trace:
+   lattice, and the lattice order is checkable per-trace.  That precise
+   happens-before reports a subset of the hybrid detector's pairs is
+   test_detect's "hybrid ⊇ precise-HB" property; this suite checks the
+   lockset end of the lattice:
 
-   - FastTrack is precise happens-before: every race it reports on a
-     trace is also flagged by the hybrid detector, whose weak
-     happens-before relation is a subset of the real one (fewer HB edges
-     => more reports).  So pairs(fasttrack) ⊆ pairs(hybrid) when both
-     observe the same execution.
    - On lockset-only programs (no notify_all / sleep, so lock discipline
      is the only synchronization), Eraser's state machine must flag the
-     location of every FastTrack race whose second access is a write:
+     location of every precise happens-before race whose second access
+     is a write:
      the two accesses share no lock (a common lock would order them by
      its release→acquire edge), so the candidate lockset is empty when
      the write arrives and the cell is in a Shared* state.  Read-second
@@ -62,41 +61,18 @@ let lockset_only (p : A.program) =
         p.A.threads;
   }
 
-(* 1. FastTrack never reports a pair the hybrid detector misses. *)
-let prop_fasttrack_subset_hybrid =
-  QCheck.Test.make ~name:"fasttrack pairs ⊆ hybrid pairs (same trace)" ~count:60
-    QCheck.(pair Rfl_gen.arbitrary_program small_int)
-    (fun (prog, seed) ->
-      let ft = D.fasttrack () and hy = D.hybrid ~cap:4096 () in
-      run ~seed ~listeners:[ D.feed ft; D.feed hy ] (main_of prog);
-      Site.Pair.Set.subset (D.pairs ft) (D.pairs hy))
-
-(* Same containment for the unoptimized precise-HB baseline: FastTrack's
-   epoch compression only forgets *older* accesses, so each of its
-   reports must also appear in the full-history precise detector.  (The
-   converse does not hold — epochs can't attribute races against
-   forgotten accesses — so this is ⊆, not equality.) *)
-let prop_fasttrack_subset_hb =
-  QCheck.Test.make ~name:"fasttrack pairs ⊆ hb_precise pairs (same trace)"
-    ~count:60
-    QCheck.(pair Rfl_gen.arbitrary_program small_int)
-    (fun (prog, seed) ->
-      let ft = D.fasttrack () and hb = D.hb_precise ~cap:4096 () in
-      run ~seed ~listeners:[ D.feed ft; D.feed hb ] (main_of prog);
-      Site.Pair.Set.subset (D.pairs ft) (D.pairs hb))
-
-(* 2. On lockset-only programs, Eraser covers every FastTrack
+(* On lockset-only programs, Eraser covers every precise happens-before
    write-second race location. *)
-let prop_eraser_covers_fasttrack_writes =
+let prop_eraser_covers_hb_writes =
   QCheck.Test.make
-    ~name:"eraser flags every fasttrack write-race location (lockset-only)"
+    ~name:"eraser flags every hb_precise write-race location (lockset-only)"
     ~count:60
     QCheck.(pair Rfl_gen.arbitrary_program small_int)
     (fun (prog, seed) ->
       let prog = lockset_only prog in
-      let ft = D.fasttrack () in
+      let hb = D.hb_precise ~cap:4096 () in
       let er = Rf_detect.Eraser.create ~site_cap:4096 () in
-      run ~seed ~listeners:[ D.feed ft; Rf_detect.Eraser.feed er ] (main_of prog);
+      run ~seed ~listeners:[ D.feed hb; Rf_detect.Eraser.feed er ] (main_of prog);
       let racy = Rf_detect.Eraser.racy_locations er in
       List.for_all
         (fun (r : Rf_detect.Race.t) ->
@@ -104,17 +80,11 @@ let prop_eraser_covers_fasttrack_writes =
           | Rf_events.Event.Read -> true (* out of Eraser's scope *)
           | Rf_events.Event.Write ->
               List.exists (Loc.equal r.Rf_detect.Race.loc) racy)
-        (D.races ft))
+        (D.races hb))
 
 (* ------------------------------------------------------------------ *)
-(* Deterministic cases: figure 1, plus a hand-fed trace that pins down
-   exactly where Eraser's blind spot is.                               *)
-
-let test_figure1_lattice () =
-  let ft = D.fasttrack () and hy = D.hybrid ~cap:4096 () in
-  run ~seed:7 ~listeners:[ D.feed ft; D.feed hy ] Rf_workloads.Figure1.program;
-  Alcotest.(check bool) "ft ⊆ hybrid on figure1" true
-    (Site.Pair.Set.subset (D.pairs ft) (D.pairs hy))
+(* Deterministic cases: hand-fed traces that pin down exactly where
+   Eraser's blind spot is.                                             *)
 
 let mem ~tid ~site ~access ?(lockset = Rf_events.Lockset.empty) loc =
   Rf_events.Event.Mem { tid; site; loc; access; lockset }
@@ -143,17 +113,9 @@ let test_eraser_misses_read_second () =
 let () =
   Alcotest.run "differential_detectors"
     [
-      ( "lattice",
-        List.map QCheck_alcotest.to_alcotest
-          [
-            prop_fasttrack_subset_hybrid;
-            prop_fasttrack_subset_hb;
-            prop_eraser_covers_fasttrack_writes;
-          ] );
+      ("lattice", [ QCheck_alcotest.to_alcotest prop_eraser_covers_hb_writes ]);
       ( "deterministic",
         [
-          Alcotest.test_case "ft subset hybrid on figure1" `Quick
-            test_figure1_lattice;
           Alcotest.test_case "eraser write-write fires" `Quick
             test_eraser_write_write;
           Alcotest.test_case "eraser read-second blind spot" `Quick

@@ -86,6 +86,7 @@ let rows : (string * pin * arg list) list =
     ("figure1-detect-hybrid", Stdout, detect_figure1 "hybrid");
     ("figure1-detect-hb", Stdout, detect_figure1 "hb");
     ("figure1-detect-eraser", Stdout, detect_figure1 "eraser");
+    ("figure1-detect-fasttrack", Stderr, detect_figure1 "fasttrack");
     ( "cache4j-corpus",
       Report,
       args [ "campaign"; "cache4j"; "--trials"; "20"; "--corpus" ] @ [ Corpus ] );

@@ -293,16 +293,16 @@ let test_schedule_save_is_atomic () =
 
 let test_seal_detects_corruption () =
   let line = {|{"seq":1,"t":0.5,"ev":"trial_started","pair":"(a, b)","seed":3}|} in
-  let sealed = Event_log.seal line in
+  let sealed = Json.seal line in
   Alcotest.(check bool) "sealed line verifies" true
-    (Event_log.check_seal sealed = Event_log.Sealed_ok);
+    (Json.check_seal sealed = Json.Sealed_ok);
   Alcotest.(check bool) "unsealed line is Unsealed" true
-    (Event_log.check_seal line = Event_log.Unsealed);
+    (Json.check_seal line = Json.Unsealed);
   (* flip a char that cannot appear in the hex crc, so only the payload
      changes and the mismatch is guaranteed *)
   let corrupt = String.map (fun c -> if c = 'q' then 'x' else c) sealed in
   Alcotest.(check bool) "in-place corruption detected" true
-    (Event_log.check_seal corrupt = Event_log.Sealed_bad)
+    (Json.check_seal corrupt = Json.Sealed_bad)
 
 let test_corrupt_journal_line_skipped () =
   let path = Filename.temp_file "rf_journal" ".jsonl" in
@@ -382,6 +382,25 @@ let test_resume_preserves_degraded_trials () =
   Alcotest.(check int) "degraded trials preserved across resume"
     full.Campaign.stats.Campaign.s_degraded
     resumed.Campaign.stats.Campaign.s_degraded
+
+(* Artifact directories two levels under a missing parent are created
+   with their parents, and the campaign writes into them. *)
+let test_artifact_dirs_with_missing_parents () =
+  let root = Filename.temp_file "rf_dirs" "" in
+  Sys.remove root;
+  let under name = Filename.concat (Filename.concat root name) "deep" in
+  let repro_dir = under "repro" and corpus = under "corpus" and traces = under "traces" in
+  let r =
+    Campaign.run ~phase1_seeds:[ 0 ] ~seeds_per_pair:(List.init 4 Fun.id) ~repro_dir
+      ~corpus ~save_traces:traces ~target:"figure1" W.Figure1.program
+  in
+  let files dir = Array.to_list (Sys.readdir dir) in
+  Alcotest.(check bool) "a repro was written" true (r.Campaign.repro.Rf_campaign.Repro.written <> []);
+  Alcotest.(check bool) "repro dir holds schedules" true
+    (List.exists (fun f -> Filename.check_suffix f ".sched.json") (files repro_dir));
+  Alcotest.(check bool) "corpus index written" true (List.mem "index.json" (files corpus));
+  Alcotest.(check (list string)) "trace saved" [ "trace-seed0.rfbt" ] (files traces);
+  ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; root ]))
 
 (* ------------------------------------------------------------------ *)
 (* 4b. The heap watermark (--mem-budget) through the one trial body    *)
@@ -522,7 +541,7 @@ let journal_events =
 let journal_lines () =
   List.mapi
     (fun i ev ->
-      Event_log.seal
+      Json.seal
         (Event_log.to_json ~seq:(i + 1) ~elapsed:(float_of_int i *. 0.5) ev))
     journal_events
 
@@ -556,12 +575,12 @@ let test_old_journal_rerenders () =
   Alcotest.(check bool) "fixture has lines" true (List.length lines > 10);
   List.iter
     (fun line ->
-      match Event_log.parse_flat line with
+      match Json.parse_flat line with
       | None -> Alcotest.failf "does not parse: %s" line
       | Some fields ->
           let fields = List.filter (fun (k, _) -> k <> "crc") fields in
           Alcotest.(check string) "re-rendered" line
-            (Event_log.seal (Event_log.render_flat fields)))
+            (Json.seal (Json.render_flat fields)))
     lines
 
 let test_schedule_rerenders () =
@@ -640,6 +659,8 @@ let () =
             test_seal_detects_corruption;
           Alcotest.test_case "corrupt journal line skipped + counted" `Quick
             test_corrupt_journal_line_skipped;
+          Alcotest.test_case "artifact dirs with missing parents" `Quick
+            test_artifact_dirs_with_missing_parents;
         ] );
       ( "formats",
         [

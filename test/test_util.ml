@@ -1,5 +1,5 @@
 (* Tests for rf_util: PRNG determinism/distribution, site interning,
-   location identity. *)
+   location identity, the JSON codec. *)
 
 open Rf_util
 
@@ -389,6 +389,60 @@ let prop_site_domains_intern_once =
       let dense = List.for_all (fun i -> Site.find_by_id i <> None) (List.init (top + 1) Fun.id) in
       one_site && unique && by_id && dense)
 
+(* ------------------------------------------------------------------ *)
+(* Json                                                                *)
+
+let json_value = Alcotest.testable (fun ppf _ -> Fmt.string ppf "<json>") ( = )
+
+let test_json_round_trip () =
+  let v =
+    Json.(
+      O
+        [
+          ("i", I (-42));
+          ("f", F 0.125);
+          ("s", S "q\"b\\s\nn\tt\r\001é");
+          ("b", B false);
+          ("n", Null);
+          ("a", A [ I 1; A []; O [] ]);
+          ("o", O [ ("k", S "") ]);
+        ])
+  in
+  let fields = match v with Json.O f -> f | _ -> assert false in
+  let text = Json.render_flat fields in
+  Alcotest.(check string) "rendering"
+    {|{"i":-42,"f":0.125000,"s":"q\"b\\s\nn\tt\r\u0001é","b":false,"n":null,"a":[1,[],{}],"o":{"k":""}}|}
+    text;
+  Alcotest.check json_value "parses back" v (Json.parse text);
+  Alcotest.check json_value "whitespace between tokens" v
+    (Json.parse (" \n" ^ String.concat " , " (String.split_on_char ',' text) ^ "\r\n"))
+
+let test_json_strict () =
+  let rejected s =
+    match Json.parse s with
+    | _ -> Alcotest.failf "accepted %S" s
+    | exception Json.Error _ ->
+        Alcotest.(check bool) (s ^ " is not flat") true (Json.parse_flat s = None)
+  in
+  List.iter rejected
+    [
+      {|{"race":txyz}|};
+      {|{"race":fals!}|};
+      {|{"x":nope}|};
+      {|{"a":1} trailing|};
+      {|{"a":1}}|};
+      {|{"a":1,}|};
+      {|{"a" 1}|};
+      {|{"a":"\q"}|};
+      {|{"a":1|};
+      {|{"a":--1}|};
+      "";
+    ];
+  Alcotest.(check bool) "nested is not flat" true (Json.parse_flat {|{"a":[1]}|} = None);
+  Alcotest.(check bool) "array is not flat" true (Json.parse_flat "[1]" = None);
+  Alcotest.(check bool) "\\u above 0x7f kept as text" true
+    (Json.parse {|"\u00e9"|} = Json.S "\\u00e9")
+
 let () =
   Alcotest.run "rf_util"
     [
@@ -425,6 +479,11 @@ let () =
             test_site_priority_shares_holder_site;
           QCheck_alcotest.to_alcotest prop_site_pair_commutative;
           QCheck_alcotest.to_alcotest prop_site_domains_intern_once;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "round trip" `Quick test_json_round_trip;
+          Alcotest.test_case "strict" `Quick test_json_strict;
         ] );
       ( "loc",
         [
