@@ -536,7 +536,7 @@ let load_result path =
             | None ->
                 let n = String.length line in
                 if n < 2 || line.[0] <> '{' || line.[n - 1] <> '}' then List.rev acc
-                else (* a well-formed object of an unknown or newer event *)
+                else (* a whole line, but not an event this reader knows *)
                   go acc rest))
   in
   let events = go [] (Json.read_lines path) in

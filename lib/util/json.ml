@@ -35,7 +35,7 @@ let escape s =
     s;
   Buffer.contents buf
 
-let rec add buf = function
+let scalar buf = function
   | I n -> Buffer.add_string buf (string_of_int n)
   | F x -> Buffer.add_string buf (Printf.sprintf "%.6f" x)
   | S s ->
@@ -44,28 +44,19 @@ let rec add buf = function
       Buffer.add_char buf '"'
   | B b -> Buffer.add_string buf (if b then "true" else "false")
   | Null -> Buffer.add_string buf "null"
-  | A items ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_char buf ',';
-          add buf v)
-        items;
-      Buffer.add_char buf ']'
-  | O fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          add buf (S k);
-          Buffer.add_char buf ':';
-          add buf v)
-        fields;
-      Buffer.add_char buf '}'
+  | A _ | O _ -> invalid_arg "Json.render_flat: a field is not a scalar"
 
 let render_flat fields =
   let buf = Buffer.create 128 in
-  add buf (O fields);
+  Buffer.add_char buf '{';
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_char buf ',';
+      scalar buf (S k);
+      Buffer.add_char buf ':';
+      scalar buf v)
+    fields;
+  Buffer.add_char buf '}';
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

@@ -35,8 +35,9 @@ val escape : string -> string
     every other byte (non-ASCII included) is written raw. *)
 
 val render_flat : (string * t) list -> string
-(** One compact JSON object, unsealed, no newline; compose with {!seal}
-    for a durable line. *)
+(** One flat JSON object, unsealed, no newline; compose with {!seal} for
+    a durable line.  Raises [Invalid_argument] on an {!A} or {!O} field:
+    the one nested format, [rf-schedule/1], lays itself out by hand. *)
 
 (** {1 Reading} *)
 
