@@ -1015,7 +1015,8 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
   in
   (* Every artifact directory exists before phase 1 starts, so one that
      cannot be created stops the campaign before any trial runs. *)
-  List.iter Atomic_file.mkdir_p (List.filter_map Fun.id [ repro_dir; corpus; save_traces ]);
+  List.iter Atomic_file.mkdir_p
+    (List.filter_map Fun.id [ repro_dir; corpus; save_traces ]);
   (* Phase 1 is where detector state lives (phase-2 trials attach no
      detector), so this is where the entry budget really bites.  The
      governor is shared across the phase-1 seeds: detection precision is
@@ -1175,7 +1176,8 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
     ((p1, p1_level, static_sum, filtered), ordered)
   in
   let (p1, p1_level, static_sum, filtered), results, stats =
-    schedule ~domains ~seeds:seeds_per_pair ~cutoff ?budget ?max_steps ~log ?supervision ?chaos ?trial_deadline ?resume ?stop
+    schedule ~domains ~seeds:seeds_per_pair ~cutoff ?budget ?max_steps ~log
+      ?supervision ?chaos ?trial_deadline ?resume ?stop
       ?detector_budget ?mem_budget ~no_degrade ?proc ~stream ~program produce
   in
   let campaign_wall = Unix.gettimeofday () -. t_start in

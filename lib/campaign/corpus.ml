@@ -87,7 +87,10 @@ let to_json e =
 
 let entry_of_fields fields =
   match
-    (Json.str fields "kind", Json.str fields "key", Json.int fields "seed", Json.int fields "seen")
+    ( Json.str fields "kind",
+      Json.str fields "key",
+      Json.int fields "seed",
+      Json.int fields "seen" )
   with
   | Some e_kind, Some e_key, Some e_seed, Some e_seen ->
       let str k = Option.value ~default:"" (Json.str fields k) in

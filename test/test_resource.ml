@@ -13,7 +13,12 @@
       is checksum-detected, skipped and counted, and a resumed campaign
       still fingerprints identically to an uninterrupted one.
    4. Chaos budget trips mark trials degraded deterministically, so
-      kill/resume and cross-domain fingerprints cover degraded trials. *)
+      kill/resume and cross-domain fingerprints cover degraded trials;
+      the heap watermark (--mem-budget) degrades or exhausts a trial
+      through the one trial body.
+   5. On-disk formats: one golden sealed journal line per event
+      constructor, and an older build's journal and a recorded schedule
+      re-render byte for byte through the shared codec. *)
 
 open Rf_util
 module Governor = Rf_resource.Governor
@@ -395,10 +400,12 @@ let test_artifact_dirs_with_missing_parents () =
       ~corpus ~save_traces:traces ~target:"figure1" W.Figure1.program
   in
   let files dir = Array.to_list (Sys.readdir dir) in
-  Alcotest.(check bool) "a repro was written" true (r.Campaign.repro.Rf_campaign.Repro.written <> []);
+  Alcotest.(check bool) "a repro was written" true
+    (r.Campaign.repro.Rf_campaign.Repro.written <> []);
   Alcotest.(check bool) "repro dir holds schedules" true
     (List.exists (fun f -> Filename.check_suffix f ".sched.json") (files repro_dir));
-  Alcotest.(check bool) "corpus index written" true (List.mem "index.json" (files corpus));
+  Alcotest.(check bool) "corpus index written" true
+    (List.mem "index.json" (files corpus));
   Alcotest.(check (list string)) "trace saved" [ "trace-seed0.rfbt" ] (files traces);
   ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; root ]))
 
@@ -474,7 +481,13 @@ let journal_events =
       Campaign_started { domains = 2; base_trials = 100; budget = None; cutoff = true };
       Phase1_finished { potential = 2; wall = 0.25; degraded = true; level = nasty };
       Phase1_recorded
-        { events = 120; bytes = 4096; shards = 2; record_wall = 0.5; detect_wall = 1.125 };
+        {
+          events = 120;
+          bytes = 4096;
+          shards = 2;
+          record_wall = 0.5;
+          detect_wall = 1.125;
+        };
       Wave_started { wave = 0; tasks = 17 };
       Trial_started { pair = nasty; seed = 3; domain = 1 };
       Trial_finished
@@ -497,7 +510,14 @@ let journal_events =
       Trial_crashed
         { pair = "(a, b)"; seed = 2; domain = 3; exn_ = nasty; backtrace = "l1\nl2\\" };
       Trial_exhausted
-        { pair = "(a, b)"; seed = 5; domain = 0; reason = "wall deadline"; steps = 99; wall = 2.5 };
+        {
+          pair = "(a, b)";
+          seed = 5;
+          domain = 0;
+          reason = "wall deadline";
+          steps = 99;
+          wall = 2.5;
+        };
       Pair_filtered { pair = "(a, b)"; reason = nasty };
       Static_classified
         {
