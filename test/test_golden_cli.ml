@@ -91,6 +91,24 @@ let rows : (string * pin * arg list) list =
       Report,
       args [ "campaign"; "cache4j"; "--trials"; "20"; "--corpus" ] @ [ Corpus ] );
     ("cache4j-corpus-list-json", Stdout, [ A "corpus"; A "list"; Corpus; A "--json" ]);
+    ( "serve-offline-shards2-repro",
+      Report_and_repro,
+      [ A "campaign"; Fixture "serve-offline.rfl" ]
+      @ args
+          [
+            "--trials"; "4"; "--domains"; "1"; "--offline-detect"; "--offline-shards"; "2";
+            "--static-filter"; "--repro-dir";
+          ]
+      @ [ Repro_dir; A "--repro-fuel"; A "20" ] );
+    ( "jspider-d2-shards2",
+      Report,
+      args
+        [ "campaign"; "jspider"; "--domains"; "2"; "--trials"; "10"; "--offline-detect";
+          "--offline-shards"; "2" ] );
+    ( "figure1-d2-offline",
+      Report,
+      [ A "campaign"; Example "figure1.rfl" ]
+      @ args [ "--domains"; "2"; "--trials"; "20"; "--offline-detect" ] );
   ]
 
 let read_lines path =

@@ -603,6 +603,49 @@ let test_old_journal_rerenders () =
             (Json.seal (Json.render_flat fields)))
     lines
 
+(* The figure1 chaos journal an older build wrote, resumed as it is and
+   with the golden journal's phase1_recorded and traces_saved lines
+   (records of the former binary recording pass) inserted after its
+   header: both resume to the same campaign. *)
+let test_recording_lines_resume () =
+  let golden_line ev =
+    List.find
+      (fun l ->
+        match Json.parse_flat l with
+        | Some fields -> Json.str fields "ev" = Some ev
+        | None -> false)
+      (String.split_on_char '\n' (read_file golden_journal))
+  in
+  let original = "resume_figure1_chaos3.jsonl" in
+  let with_recording = Filename.temp_file "rf-resume-recorded" ".jsonl" in
+  (match String.split_on_char '\n' (read_file original) with
+  | header :: rest ->
+      Out_channel.with_open_bin with_recording (fun oc ->
+          output_string oc
+            (String.concat "\n"
+               (header :: golden_line "phase1_recorded" :: golden_line "traces_saved"
+              :: rest)))
+  | [] -> Alcotest.fail "empty journal fixture");
+  let resumed journal =
+    let w = Option.get (W.Registry.find "figure1") in
+    let r =
+      Campaign.run ~domains:2 ~cutoff:true ~phase1_seeds:(List.init 5 Fun.id)
+        ~seeds_per_pair:(List.init 40 Fun.id) ~chaos:(Chaos.default 3)
+        ~detector_budget:100000 ~no_degrade:true ?static:w.W.Workload.static
+        ~target:"figure1" ~resume:journal w.W.Workload.program
+    in
+    ( r.Campaign.stats.Campaign.s_replayed,
+      Campaign.fingerprint r.Campaign.analysis,
+      Campaign.confirmed_fingerprint r.Campaign.analysis )
+  in
+  let n0, fp0, cfp0 = resumed original in
+  let n1, fp1, cfp1 = resumed with_recording in
+  Sys.remove with_recording;
+  Alcotest.(check int) "same trials replayed" n0 n1;
+  Alcotest.(check int) "every journaled trial replayed" 20 n1;
+  Alcotest.(check string) "fingerprint" fp0 fp1;
+  Alcotest.(check string) "confirmed" cfp0 cfp1
+
 let test_schedule_rerenders () =
   let _, sched =
     Fuzzer.record_trial ~target:"fig\"ure\\1" ~max_steps:100_000
@@ -689,5 +732,7 @@ let () =
             test_old_journal_rerenders;
           Alcotest.test_case "schedule re-renders byte-for-byte" `Quick
             test_schedule_rerenders;
+          Alcotest.test_case "recording lines in an old journal resume" `Quick
+            test_recording_lines_resume;
         ] );
     ]
