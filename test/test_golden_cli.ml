@@ -7,16 +7,21 @@
    deterministic stop and its resume, the --no-degrade budget stop, model
    programs that intern sites at run time on two domains while phase 1
    streams, the bytes of a --repro-dir written by the worker tier, the
-   `fuzz` budget outputs, `detect` under each detector and `corpus list
-   --json` of a campaign's corpus.
+   `fuzz` budget outputs, `detect` under each detector, `corpus list
+   --json` of a campaign's corpus, and --offline-detect at one and two
+   shards: the serve fixture with its repro directory, a model that
+   interns sites at run time on two domains, and one shard on two
+   domains.
 
    Check (also part of dune runtest):
      dune build @golden
    Regenerate (from the repository root):
      dune exec test/test_golden_cli.exe -- --write-golden test/golden_cli.txt *)
 
-(* Relative to the test's build directory when checking; the writer is
-   run from the repository root.  Site files are recorded by basename, so
+(* Relative to the test directory: the check runs in the test's build
+   directory and the writer, started from the repository root, moves into
+   test/, so a path that reaches an artifact (a repro schedule names its
+   target) is the same in both.  Site files are recorded by basename, so
    the fixture path does not reach any fingerprint. *)
 let cli = ref "../bin/main.exe"
 let fixtures = ref "fixtures"
@@ -191,8 +196,8 @@ let measure_all () =
   if Sys.file_exists corpus then remove_dir corpus;
   got
 
-let write_golden path =
-  let oc = open_out path in
+let write_golden ~file path =
+  let oc = open_out file in
   output_string oc
     "# Golden CLI rows: <row> exit=<status> [<fingerprint> <confirmed> [repro=<digest>] | stderr: <line> | stdout=<digest>].\n\
      # Rows are defined in test_golden_cli.ml; figure1-chaos7-resume resumes the\n\
@@ -219,10 +224,10 @@ let read_golden path =
 let () =
   match Array.to_list Sys.argv with
   | _ :: "--write-golden" :: path :: _ ->
-      cli := "_build/default/bin/main.exe";
-      fixtures := "test/fixtures";
-      examples := "examples/programs";
-      write_golden path;
+      let file = if Filename.is_relative path then Filename.concat (Sys.getcwd ()) path else path in
+      Sys.chdir "test";
+      cli := "../_build/default/bin/main.exe";
+      write_golden ~file path;
       Printf.printf "wrote %d golden CLI rows to %s\n" (List.length rows) path
   | _ ->
       let golden = read_golden "golden_cli.txt" in
