@@ -11,18 +11,16 @@
      stress-serve-small : a server-shaped program (many locations,
                     fork/join-wide rounds)
 
-   Each workload is measured four ways:
+   Each workload is measured three ways:
 
      sequential          : Engine.run under the simple random scheduler
-     sequential-recorded : same run emitting a binary trace (Btrace) —
-                           the recording tax in isolation
      campaign            : the whole production pipeline (Campaign.run:
                            inline phase-1 detection + phase-2 trials)
-     campaign-offline    : the same pipeline with --offline-detect
-                           (record-then-detect phase 1)
+     campaign-offline    : the same pipeline with --offline-detect at one
+                           shard, which is inline phase-1 detection
 
    so the detection tax — sequential vs campaign throughput — is tracked
-   PR-over-PR in both detection modes.  Each harness runs three times and
+   PR-over-PR.  Each harness runs three times and
    keeps its fastest repetition: slower repetitions only add scheduler
    and GC noise from the shared machine, never work the code does.
    [--max-tax R] turns the access-heavy and fork-heavy ratios into a CI
@@ -142,7 +140,7 @@ let workloads ~smoke =
 type row = {
   r_workload : string;
   r_harness : string;
-      (* "sequential" | "sequential-recorded" | "campaign" | "campaign-offline" *)
+      (* "sequential" | "campaign" | "campaign-offline" *)
   r_domains : int;
   r_runs : int;
   r_steps : int;  (* total executed scheduler steps, deterministic *)
@@ -180,12 +178,12 @@ let with_peak_heap f =
    sub-resolution wall clock can never leak inf/nan into the JSON. *)
 let per_sec steps wall = if wall > 0.0 then float_of_int steps /. wall else 0.0
 
-let run_once ?btrace ~seed (wl : bench_workload) =
+let run_once ~seed (wl : bench_workload) =
   Engine.run
     ~config:{ Engine.default_config with seed; max_steps = 50_000_000 }
-    ?btrace ~strategy:(Strategy.random ()) wl.program
+    ~strategy:(Strategy.random ()) wl.program
 
-let measure_sequential ?(recorded = false) ~min_wall (wl : bench_workload) =
+let measure_sequential ~min_wall (wl : bench_workload) =
   ignore (run_once ~seed:0 wl) (* warmup *);
   let steps = ref 0 and runs = ref 0 in
   let (wall, _), peak =
@@ -193,15 +191,7 @@ let measure_sequential ?(recorded = false) ~min_wall (wl : bench_workload) =
         let t0 = Unix.gettimeofday () in
         let elapsed () = Unix.gettimeofday () -. t0 in
         while elapsed () < min_wall do
-          let o =
-            if recorded then begin
-              let bw = Rf_events.Btrace.writer () in
-              let o = run_once ~btrace:bw ~seed:(1 + !runs) wl in
-              ignore (Rf_events.Btrace.seal bw);
-              o
-            end
-            else run_once ~seed:(1 + !runs) wl
-          in
+          let o = run_once ~seed:(1 + !runs) wl in
           steps := !steps + o.Outcome.steps;
           incr runs
         done;
@@ -209,7 +199,7 @@ let measure_sequential ?(recorded = false) ~min_wall (wl : bench_workload) =
   in
   {
     r_workload = wl.bname;
-    r_harness = (if recorded then "sequential-recorded" else "sequential");
+    r_harness = "sequential";
     r_domains = 1;
     r_runs = !runs;
     r_steps = !steps;
@@ -218,8 +208,8 @@ let measure_sequential ?(recorded = false) ~min_wall (wl : bench_workload) =
     r_peak_heap_words = peak;
   }
 
-(* The whole pipeline as production runs it — phase 1 (inline or
-   record-then-detect) plus every phase-2 trial over the potential pairs
+(* The whole pipeline as production runs it — phase 1 plus every
+   phase-2 trial over the potential pairs
    phase 1 found.  Steps and wall cover both phases, so the row's
    steps/sec is the end-to-end campaign throughput the detection-tax gate
    compares against [sequential].  The wall is the [Campaign.run] call:
@@ -272,7 +262,6 @@ let measure_spec ~smoke spec =
   let wl = spec.s_workload and domains = spec.s_domains in
   match spec.s_harness with
   | "sequential" -> measure_sequential ~min_wall wl
-  | "sequential-recorded" -> measure_sequential ~recorded:true ~min_wall wl
   | "campaign" -> measure_campaign ~domains ~trials wl
   | "campaign-offline" -> measure_campaign ~offline_detect:1 ~domains ~trials wl
   | h -> invalid_arg ("engine_bench: unknown harness " ^ h)
@@ -534,7 +523,7 @@ let () =
     let rows =
       List.concat_map
         (fun wl ->
-          [ spec wl "sequential" 1; spec wl "sequential-recorded" 1 ] @ campaign_rows wl)
+          spec wl "sequential" 1 :: campaign_rows wl)
         wls
       |> List.map (fun spec -> fastest (fun () -> measure_in_child ~smoke:!smoke spec))
     in

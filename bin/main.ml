@@ -2,7 +2,7 @@
 
    Subcommands:
      run       execute an RFL program under a chosen scheduler
-     detect    phase 1: report potential races in an RFL program
+     detect    phase 1: report potential races in an RFL program or workload
      fuzz      full two-phase analysis of an RFL program
      replay    re-run an execution: recorded schedule file, or RFL seed+pair
      shrink    minimize a recorded failing schedule by delta debugging
@@ -11,7 +11,6 @@
      campaign  parallel whole-program campaign over a domain pool or
                crash-isolated worker processes (--workers)
      corpus    list/verify a persistent cross-campaign corpus
-     offline   offline race detection over saved binary traces
      workload  analyze a built-in Table-1 workload analogue
      list      list built-in workloads
      table1    regenerate the paper's Table 1
@@ -73,7 +72,7 @@ let resolve_target target =
                 loadable RFL file:@.%s"
                target m))
 
-(* Phase-1 detectors by name, shared by 'detect' and 'offline'. *)
+(* Phase-1 detectors by name, for 'detect'. *)
 
 let detector_arg =
   Arg.(
@@ -190,14 +189,18 @@ let run_cmd =
 (* detect                                                              *)
 
 let detect_cmd =
-  let action file detector trials =
-    match load file with
+  let target_arg =
+    Arg.(
+      required & pos 0 (some string) None
+      & info [] ~docv:"TARGET" ~doc:"RFL source file or built-in workload name.")
+  in
+  let action target detector trials =
+    match resolve_target target with
     | Error m ->
         Fmt.epr "%s@." m;
         exit 1
-    | Ok prog ->
+    | Ok (main, _) ->
         let d = detector_maker detector () in
-        let main = Rf_lang.Lang.program ~print:ignore prog in
         List.iter
           (fun seed ->
             ignore
@@ -214,7 +217,7 @@ let detect_cmd =
   in
   Cmd.v
     (Cmd.info "detect" ~doc:"Phase 1: report potential races in an RFL program.")
-    Term.(const action $ file_arg $ detector_arg $ seeds_arg 5)
+    Term.(const action $ target_arg $ detector_arg $ seeds_arg 5)
 
 (* ------------------------------------------------------------------ *)
 (* fuzz                                                                *)
@@ -693,21 +696,24 @@ let campaign_cmd =
       value & flag
       & info [ "offline-detect" ]
           ~doc:
-            "Run phase 1 record-then-detect: the engine executes detector-free, \
-             writing a compact binary trace, and hybrid detection replays the \
-             recording offline.  The candidate pair set — and both campaign \
-             fingerprints — are identical to inline detection; only the cost \
-             profile changes (near-baseline execution plus a separate, \
-             shardable detection pass).")
+            "Detect phase 1 on --offline-shards re-executions of the phase-1 \
+             seeds: an execution is a pure function of its seed, so each \
+             shard re-runs it and its hybrid detector sees every \
+             synchronization event but only its own slice of the memory \
+             locations.  The candidate pair set — and both campaign \
+             fingerprints — are identical to inline detection; one shard is \
+             inline detection.")
   in
   let offline_shards_arg =
     Arg.(
       value & opt int 1
       & info [ "offline-shards" ] ~docv:"N"
           ~doc:
-            "Shard the offline detection pass by memory location over $(docv) \
-             parallel domains (requires --offline-detect).  Verdicts are \
-             merged deterministically and equal the single-shard result.")
+            "Shard phase-1 detection by memory location over $(docv) \
+             re-executions on parallel domains, one after another under \
+             --detector-budget or --mem-budget (requires --offline-detect).  \
+             Verdicts are merged deterministically and equal the single-shard \
+             result.")
   in
   let workers_arg =
     Arg.(
@@ -755,18 +761,9 @@ let campaign_cmd =
           ~doc:
             "Accumulate campaign artifacts into a persistent cross-campaign \
              corpus at $(docv): every distinct error fingerprint (with its \
-             minimized repro schedule), degraded-run record and saved trace \
-             is stored once and deduplicated across runs.  Inspect with \
+             minimized repro schedule) and degraded-run record is stored \
+             once and deduplicated across runs.  Inspect with \
              'racefuzzer corpus list/verify'.")
-  in
-  let save_traces_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "save-traces" ] ~docv:"DIR"
-          ~doc:
-            "Persist phase-1 binary recordings (trace-seed<N>.rfbt) into \
-             $(docv) for later re-analysis with 'racefuzzer offline'.  \
-             Implies record-then-detect (--offline-detect).")
   in
   let chaos_kill_arg =
     Arg.(
@@ -800,7 +797,7 @@ let campaign_cmd =
   let action target domains budget logfile no_cutoff p1 trials chaos_flag chaos_seed
       chaos_stop trial_deadline resume repro_dir repro_fuel static_filter
       detector_budget mem_budget no_degrade offline_detect offline_shards workers
-      worker_deadline worker_mem worker_cpu corpus save_traces chaos_kill
+      worker_deadline worker_mem worker_cpu corpus chaos_kill
       chaos_torn chaos_hang =
     match resolve_target target with
     | Error m ->
@@ -883,7 +880,7 @@ let campaign_cmd =
               ?mem_budget ~no_degrade ?repro_dir ~target ~repro_fuel ?static
               ~static_filter
               ?offline_detect:(if offline_detect then Some offline_shards else None)
-              ?proc ?save_traces ?corpus program
+              ?proc ?corpus program
           with
           | Rf_resource.Governor.Budget_stop trigger ->
               Rf_campaign.Event_log.close log;
@@ -913,7 +910,6 @@ let campaign_cmd =
           (Rf_campaign.Campaign.confirmed_fingerprint
              r.Rf_campaign.Campaign.analysis);
         Option.iter (fun path -> Fmt.pr "event log:   %s@." path) logfile;
-        Option.iter (fun dir -> Fmt.pr "traces:      %s@." dir) save_traces;
         Option.iter
           (fun dir ->
             Fmt.pr "corpus:      %s (%d entries)@." dir
@@ -952,7 +948,7 @@ let campaign_cmd =
       $ static_filter_arg $ detector_budget_arg $ mem_budget_arg $ no_degrade_arg
       $ offline_detect_arg $ offline_shards_arg $ workers_arg
       $ worker_deadline_arg $ worker_mem_arg $ worker_cpu_arg $ corpus_arg
-      $ save_traces_arg $ chaos_kill_arg $ chaos_torn_arg $ chaos_hang_arg)
+      $ chaos_kill_arg $ chaos_torn_arg $ chaos_hang_arg)
 
 (* ------------------------------------------------------------------ *)
 (* corpus                                                              *)
@@ -1015,68 +1011,6 @@ let corpus_cmd =
     Term.(const action $ op_arg $ dir_arg $ json_arg)
 
 (* ------------------------------------------------------------------ *)
-(* offline                                                             *)
-
-let offline_cmd =
-  let dir_arg =
-    Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"DIR"
-          ~doc:
-            "Directory holding *.rfbt recordings ('campaign --save-traces', \
-             or a corpus directory).")
-  in
-  let shards_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Shard detection by memory location over $(docv) domains run in \
-             parallel; merged verdicts equal the single-shard result.")
-  in
-  let action dir shards detector =
-    let mk = detector_maker detector in
-    let files =
-      match Sys.readdir dir with
-      | names ->
-          Array.to_list names
-          |> List.filter (fun n -> Filename.check_suffix n ".rfbt")
-          |> List.sort String.compare
-          |> List.map (Filename.concat dir)
-      | exception Sys_error m ->
-          Fmt.epr "%s@." m;
-          exit 4
-    in
-    if files = [] then begin
-      Fmt.epr "no *.rfbt recordings in %s@." dir;
-      exit 4
-    end;
-    match List.map Rf_events.Btrace.load files with
-    | recordings ->
-        let races =
-          Rf_detect.Offline.detect ~shards:(max 1 shards)
-            ~parallel:(shards > 1) ~make:mk recordings
-        in
-        Fmt.pr "%d recording(s), %d shard(s): %d potential racing statement pair(s)@."
-          (List.length recordings) (max 1 shards) (List.length races);
-        List.iter (fun r -> Fmt.pr "  %a@." Rf_detect.Race.pp r) races
-    | exception Rf_events.Btrace.Corrupt m ->
-        Fmt.epr "corrupt recording: %s@." m;
-        exit 4
-    | exception Sys_error m ->
-        Fmt.epr "%s@." m;
-        exit 4
-  in
-  Cmd.v
-    (Cmd.info "offline"
-       ~doc:
-         "Offline race detection over saved binary traces: replay *.rfbt \
-          recordings through a fresh detector, optionally sharded by memory \
-          location across parallel domains (--shards).  Exit 4 when a \
-          recording is corrupt or the directory holds none.")
-    Term.(const action $ dir_arg $ shards_arg $ detector_arg)
-
-(* ------------------------------------------------------------------ *)
 (* serve                                                               *)
 
 let serve_cmd =
@@ -1114,7 +1048,7 @@ let serve_cmd =
           ~doc:
             "Poll file targets for mtime changes each cycle; a changed \
              target re-runs immediately (bypassing its token bucket, at \
-             most once per cycle) with its phase-1 cache invalidated.")
+             most once per cycle).")
   in
   let rate_arg =
     Arg.(
@@ -1163,8 +1097,8 @@ let serve_cmd =
       value & opt int 1
       & info [ "phase1-seeds" ] ~docv:"N"
           ~doc:
-            "Executions recorded per target; recordings are cached under \
-             DIR/p1cache and re-analyzed instead of re-run on later waves.")
+            "Executions observed by hybrid detection in each wave's phase 1 \
+             per target.")
   in
   let domains_arg =
     Arg.(
@@ -1404,7 +1338,7 @@ let main_cmd =
        ~doc:"Race-directed random testing of concurrent programs (Sen, PLDI 2008).")
     [
       run_cmd; detect_cmd; fuzz_cmd; replay_cmd; shrink_cmd; deadlock_cmd;
-      atomicity_cmd; campaign_cmd; corpus_cmd; offline_cmd; serve_cmd;
+      atomicity_cmd; campaign_cmd; corpus_cmd; serve_cmd;
       workload_cmd; list_cmd; table1_cmd; figure2_cmd;
     ]
 

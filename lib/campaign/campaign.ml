@@ -44,7 +44,6 @@ type stats = {
   (* resource governance *)
   s_degraded : int;
   s_p1_level : string option;
-  s_p1_recording : Fuzzer.recording_stats option;
   s_resume_skipped : int;
   (* reproduction artifacts ([run ~repro_dir]) *)
   s_repro_written : int;
@@ -968,7 +967,6 @@ let schedule ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
       s_interrupted = interrupted;
       s_degraded = Atomic.get degraded_n;
       s_p1_level = None;
-      s_p1_recording = None;
       s_resume_skipped = resume_skipped;
       s_repro_written = 0;
       s_repro_failed = 0;
@@ -1004,7 +1002,7 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
     ?(log = Event_log.null ()) ?supervision ?chaos ?trial_deadline ?resume ?stop
     ?detector_budget ?mem_budget ?(no_degrade = false) ?proc ?repro_dir
     ?(target = "") ?repro_fuel ?static ?(static_filter = false) ?offline_detect
-    ?save_traces ?corpus ?phase1 (program : Fuzzer.program) : result =
+    ?corpus (program : Fuzzer.program) : result =
   let t_start = Unix.gettimeofday () in
   (* A corpus wants reproduction artifacts; without an explicit repro
      directory they are written inside the corpus itself. *)
@@ -1015,8 +1013,7 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
   in
   (* Every artifact directory exists before phase 1 starts, so one that
      cannot be created stops the campaign before any trial runs. *)
-  List.iter Atomic_file.mkdir_p
-    (List.filter_map Fun.id [ repro_dir; corpus; save_traces ]);
+  List.iter Atomic_file.mkdir_p (List.filter_map Fun.id [ repro_dir; corpus ]);
   (* Phase 1 is where detector state lives (phase-2 trials attach no
      detector), so this is where the entry budget really bites.  The
      governor is shared across the phase-1 seeds: detection precision is
@@ -1025,33 +1022,13 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
   let p1_gov, p1_deadline =
     Fuzzer.governance ?detector_budget ?mem_budget ~no_degrade ~tripped:false ()
   in
-  let detect =
-    match (offline_detect, save_traces) with
-    | None, None -> Fuzzer.Inline
-    | shards, _ ->
-        (* Saving traces requires the record-then-detect pipeline: with
-           inline detection there is no recording to persist. *)
-        Fuzzer.Recorded { shards = max 1 (Option.value ~default:1 shards) }
-  in
-  (* Phase 1 feeds phase 2 as it finds pairs when it runs inline beside
-     an in-process pool of two or more slots and no budget waits for the
-     final pair count.  Otherwise phase 1 finishes first and its pairs
-     enter the same scheduler afterwards. *)
-  let stream =
-    phase1 = None && detect = Fuzzer.Inline && proc = None && domains >= 2
-    && budget = None
-  in
-  let saved_traces = ref [] in
-  let trace_sink =
-    Option.map
-      (fun dir ~seed recording ->
-        let name = Printf.sprintf "trace-seed%d.rfbt" seed in
-        let path = Filename.concat dir name in
-        Rf_events.Btrace.save path recording;
-        saved_traces :=
-          (seed, path, Rf_events.Btrace.byte_size recording) :: !saved_traces)
-      save_traces
-  in
+  let shards = max 1 (Option.value ~default:1 offline_detect) in
+  let detect = if shards = 1 then Fuzzer.Inline else Fuzzer.Recorded { shards } in
+  (* Phase 1 feeds phase 2 as it finds pairs when it runs on one shard
+     beside an in-process pool of two or more slots and no budget waits
+     for the final pair count.  Otherwise phase 1 finishes first and its
+     pairs enter the same scheduler afterwards. *)
+  let stream = shards = 1 && proc = None && domains >= 2 && budget = None in
   (* The static pre-filter applies to each pair as it arrives: a pair
      proved [Impossible] is journaled with its reason and never fuzzed.
      The classification is a pure function of the program's AST/model,
@@ -1071,43 +1048,15 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
           | Static.Likely | Static.Unknown _ -> admit pair)
       | _ -> admit pair
     in
-    (* A caller-supplied phase-1 result (serve mode re-analyzing cached
-       recordings) replaces the live pass entirely: no execution, no
-       trace sink — the recordings already live wherever the caller keeps
-       them.  A streamed phase 1 holds interning priority, so site ids
-       follow phase 1 alone even while trials run beside it. *)
+    (* A streamed phase 1 holds interning priority, so site ids follow
+       phase 1 alone even while trials run beside it. *)
     let p1 =
-      match phase1 with
-      | Some p1 -> p1
-      | None ->
-          let observe ?on_pair () =
-            Fuzzer.phase1 ~seeds:phase1_seeds ?max_steps ?deadline:p1_deadline
-              ?governor:p1_gov ~detect ?trace_sink ?on_pair program
-          in
-          if stream then Site.with_priority (observe ~on_pair:tell) else observe ()
+      let observe ?on_pair () =
+        Fuzzer.phase1 ~seeds:phase1_seeds ?max_steps ?deadline:p1_deadline
+          ?governor:p1_gov ~detect ?on_pair program
+      in
+      if stream then Site.with_priority (observe ~on_pair:tell) else observe ()
     in
-    (match (save_traces, !saved_traces) with
-    | Some dir, traces ->
-        Event_log.emit log
-          (Event_log.Traces_saved
-             {
-               dir;
-               count = List.length traces;
-               bytes = List.fold_left (fun acc (_, _, b) -> acc + b) 0 traces;
-             })
-    | None, _ -> ());
-    (match p1.Fuzzer.p1_recording with
-    | None -> ()
-    | Some r ->
-        Event_log.emit log
-          (Event_log.Phase1_recorded
-             {
-               events = r.Fuzzer.rec_events;
-               bytes = r.Fuzzer.rec_bytes;
-               shards = r.Fuzzer.rec_shards;
-               record_wall = r.Fuzzer.rec_wall;
-               detect_wall = r.Fuzzer.detect_wall;
-             }));
     let p1_level =
       Option.map
         (fun s -> Governor.level_to_string s.Governor.g_level)
@@ -1227,8 +1176,8 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
         summary
   in
   (* Corpus absorption: one entry per distinct error fingerprint (with
-     its minimized schedule copied in), per degraded trial, and per
-     saved phase-1 trace.  Deduplication across campaigns happens inside
+     its minimized schedule copied in) and per degraded trial.
+     Deduplication across campaigns happens inside
      {!Corpus.update}; re-running the same campaign adds nothing. *)
   (match corpus with
   | None -> ()
@@ -1261,17 +1210,7 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
               r.Fuzzer.trials)
           results
       in
-      let trace_entries =
-        List.rev_map
-          (fun (seed, path, _) ->
-            Corpus.ingest_file ~dir ~kind:"trace"
-              ~key:(Printf.sprintf "%s#seed%d" target seed)
-              ~target ~seed ~src:path ())
-          !saved_traces
-      in
-      let sum =
-        Corpus.update ~dir (error_entries @ degraded_entries @ trace_entries)
-      in
+      let sum = Corpus.update ~dir (error_entries @ degraded_entries) in
       Event_log.emit log
         (Event_log.Corpus_updated
            {
@@ -1288,7 +1227,6 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
          s_campaign_wall = campaign_wall;
          s_phase1_wall = p1.Fuzzer.p1_wall;
          s_p1_level = p1_level;
-         s_p1_recording = p1.Fuzzer.p1_recording;
          s_static = static_sum;
          s_repro_written = List.length repro.Repro.written;
          s_repro_failed = repro.Repro.failed;

@@ -112,9 +112,6 @@ type stats = {
           (degraded precision, explicitly labeled) *)
   s_p1_level : string option;
       (** phase-1 final ladder level when phase 1 degraded ({!run} only) *)
-  s_p1_recording : Fuzzer.recording_stats option;
-      (** recording/offline-detection cost split when phase 1 ran
-          record-then-detect ({!run} with [~offline_detect]) *)
   s_resume_skipped : int;
       (** checksum-bad journal lines skipped while loading [~resume] *)
   s_repro_written : int;  (** minimized reproduction schedules emitted *)
@@ -222,9 +219,7 @@ val run :
   ?static:Rf_static.Static.t ->
   ?static_filter:bool ->
   ?offline_detect:int ->
-  ?save_traces:string ->
   ?corpus:string ->
-  ?phase1:Fuzzer.phase1_result ->
   Fuzzer.program ->
   result
 (** Whole-program campaign: phase 1 (sequential, like the paper's single
@@ -234,8 +229,8 @@ val run :
     {!fingerprint}.  Phase 1 is deterministic and cheap, so a resumed run
     re-executes it and replays only phase-2 trials.
 
-    Phase 1 {e streams} into phase 2 when it runs inline on an in-process
-    pool of [domains >= 2] and no [budget] is set: each pair's trials
+    Phase 1 {e streams} into phase 2 when it runs on one shard on an
+    in-process pool of [domains >= 2] and no [budget] is set: each pair's trials
     join the first wave the moment the hybrid detector first reports the
     pair, seed-major among the pairs known so far, while phase 1 runs on
     the calling domain and occupies one of the [domains] slots until it
@@ -244,16 +239,16 @@ val run :
     and results come back in the order an unstreamed run fuzzes them, so
     the analysis, both fingerprints and the report are unchanged; only
     the journal interleaves phase-1 lines with trial lines
-    ({!Event_log}).  Under [budget], [proc], [offline_detect],
-    [save_traces], a supplied [phase1] or one domain, phase 1 finishes
-    first and then feeds the same scheduler.  A [Budget_stop] (or any
+    ({!Event_log}).  Under [budget], [proc], more than one
+    [offline_detect] shard or one domain, phase 1 finishes first and
+    then feeds the same scheduler.  A [Budget_stop] (or any
     exception) escaping a streamed phase 1 stops the pool, as an
     interrupt would, before it escapes [run].
 
     [repro_dir] enables the {!Repro} pass: after aggregation, a
     minimized reproduction schedule is written per distinct error
-    fingerprint (one [Repro_written] journal event each).  The repro,
-    [corpus] and [save_traces] directories, and any missing parents, are
+    fingerprint (one [Repro_written] journal event each).  The repro and
+    [corpus] directories, and any missing parents, are
     created before phase 1; one that cannot be created raises
     [Unix.Unix_error] out of [run] before any trial runs.  [target]
     names the program inside the artifacts so [replay]/[shrink] can
@@ -278,35 +273,21 @@ val run :
     with resume: the surviving pair list is deterministic, so a filtered
     campaign's journal replays exactly like any other.
 
-    [offline_detect] switches phase 1 to record-then-detect
-    ({!Fuzzer.detect_mode}[.Recorded]): the engine runs detector-free
-    while writing compact binary recordings, and the hybrid detector
-    replays them offline in that many shards.  The candidate pair set —
-    and therefore the whole analysis and both fingerprints — is
-    identical to inline phase 1.  A [Phase1_recorded] journal event and
-    [s_p1_recording] report the cost split; the governor budget applies
-    to the offline pass, which then runs its shards sequentially.
-
-    [save_traces] persists each phase-1 binary recording as
-    [DIR/trace-seed<N>.rfbt] (forcing [Recorded] detection when
-    [offline_detect] was not given) and journals a [Traces_saved]
-    event; the files reload with {!Rf_events.Btrace.load} for offline
-    re-detection.
+    [offline_detect] detects phase 1 on that many re-executions of the
+    phase-1 seeds ({!Fuzzer.detect_mode}[.Recorded]), each shard's
+    detector owning a slice of the memory locations.  The candidate pair
+    set — and therefore the whole analysis and both fingerprints — is
+    identical to inline phase 1; one shard is inline phase 1.  A
+    governed phase 1 runs its shards one after another.
 
     [corpus] absorbs this campaign's durable artifacts into a
     persistent cross-campaign store ({!Corpus}): every distinct error
-    fingerprint with its minimized schedule, every degraded-trial
-    record, every saved trace.  Known entries dedup ([e_seen] bumps),
+    fingerprint with its minimized schedule and every degraded-trial
+    record.  Known entries dedup ([e_seen] bumps),
     so consecutive campaigns converge to one entry per distinct
     artifact; a [Corpus_updated] event reports the delta.  Without an
     explicit [repro_dir], reproduction artifacts are written inside
-    the corpus ([DIR/repros]).
-
-    [phase1] bypasses the live phase-1 pass entirely, fuzzing the
-    supplied result's candidate pairs instead — serve mode feeds
-    {!Fuzzer.phase1_of_recordings} output here so one recorded phase 1
-    serves many campaign waves.  [phase1_seeds], [save_traces] and
-    [offline_detect] are ignored when [phase1] is given. *)
+    the corpus ([DIR/repros]). *)
 
 (** {1 Determinism checking} *)
 

@@ -1,7 +1,7 @@
 (** A persistent cross-campaign corpus: every distinct error
-    fingerprint, minimized reproduction schedule, degraded-run record
-    and saved phase-1 trace a campaign produces accumulates in one
-    directory, deduplicated across runs ([--corpus DIR]).
+    fingerprint, minimized reproduction schedule and degraded-run record
+    a campaign produces accumulates in one directory, deduplicated
+    across runs ([--corpus DIR]).
 
     {2 Layout}
 
@@ -10,8 +10,12 @@
       index.json          JSONL: sealed {"corpus":1} header, then one
                           sealed flat object per entry
       repro-<fp>.sched.json   error artifacts (copied or written here)
-      trace-seed<N>.rfbt      saved phase-1 recordings
+      trace-seed<N>.rfbt      phase-1 recordings an older build saved
     v}
+
+    Older builds also stored their phase-1 binary recordings here as
+    ["trace"] entries.  Nothing writes them any more; they still list,
+    verify and revalidate, their files checked as opaque artifacts.
 
     Every index line is one flat object of the shared codec
     ({!Rf_util.Json}) sealed with the journal's FNV-1a CRC
@@ -23,8 +27,8 @@
     {2 Deduplication}
 
     Entries are keyed by ([kind], [key]): an error by its fingerprint, a
-    degraded-run record by (pair, seed, final level), a trace by
-    (target, seed).  Re-observing a known key bumps its [e_seen] count
+    degraded-run record by (pair, seed, final level), an older build's
+    trace by (target, seed).  Re-observing a known key bumps its [e_seen] count
     instead of appending — two consecutive campaigns over the same
     target converge to one entry per distinct artifact. *)
 

@@ -17,13 +17,6 @@ type event =
       degraded : bool;
       level : string;
     }
-  | Phase1_recorded of {
-      events : int;
-      bytes : int;
-      shards : int;
-      record_wall : float;
-      detect_wall : float;
-    }
   | Wave_started of { wave : int; tasks : int }
   | Trial_started of { pair : string; seed : int; domain : int }
   | Trial_finished of {
@@ -77,7 +70,6 @@ type event =
   | Worker_gave_up of { domain : int }
   | Worker_spawned of { worker : int; pid : int }
   | Worker_killed of { worker : int; pid : int; reason : string }
-  | Traces_saved of { dir : string; count : int; bytes : int }
   | Corpus_updated of { dir : string; added : int; deduped : int; total : int }
   | Resume_loaded of { entries : int; skipped : int }
   | Campaign_interrupted of { executed : int; remaining : int }
@@ -139,15 +131,6 @@ let fields_of_event = function
           ("wall", F wall);
           ("degraded", B degraded);
           ("level", S level);
-        ] )
-  | Phase1_recorded { events; bytes; shards; record_wall; detect_wall } ->
-      ( "phase1_recorded",
-        [
-          ("events", I events);
-          ("bytes", I bytes);
-          ("shards", I shards);
-          ("record_wall", F record_wall);
-          ("detect_wall", F detect_wall);
         ] )
   | Wave_started { wave; tasks } ->
       ("wave_started", [ ("wave", I wave); ("tasks", I tasks) ])
@@ -251,9 +234,6 @@ let fields_of_event = function
   | Worker_killed { worker; pid; reason } ->
       ( "worker_killed",
         [ ("worker", I worker); ("pid", I pid); ("reason", S reason) ] )
-  | Traces_saved { dir; count; bytes } ->
-      ( "traces_saved",
-        [ ("dir", S dir); ("count", I count); ("bytes", I bytes) ] )
   | Corpus_updated { dir; added; deduped; total } ->
       ( "corpus_updated",
         [
@@ -335,13 +315,6 @@ let event_of_fields fields : event option =
       let degraded = Option.value ~default:false (Json.bool fields "degraded") in
       let level = Option.value ~default:"full" (Json.str fields "level") in
       Some (Phase1_finished { potential; wall; degraded; level })
-  | Some "phase1_recorded" ->
-      let* events = Json.int fields "events" in
-      let* bytes = Json.int fields "bytes" in
-      let* shards = Json.int fields "shards" in
-      let* record_wall = Json.num fields "record_wall" in
-      let* detect_wall = Json.num fields "detect_wall" in
-      Some (Phase1_recorded { events; bytes; shards; record_wall; detect_wall })
   | Some "wave_started" ->
       let* wave = Json.int fields "wave" in
       let* tasks = Json.int fields "tasks" in
@@ -463,11 +436,6 @@ let event_of_fields fields : event option =
       let* pid = Json.int fields "pid" in
       let* reason = Json.str fields "reason" in
       Some (Worker_killed { worker; pid; reason })
-  | Some "traces_saved" ->
-      let* dir = Json.str fields "dir" in
-      let* count = Json.int fields "count" in
-      let* bytes = Json.int fields "bytes" in
-      Some (Traces_saved { dir; count; bytes })
   | Some "corpus_updated" ->
       let* dir = Json.str fields "dir" in
       let* added = Json.int fields "added" in
@@ -547,7 +515,7 @@ let load path = fst (load_result path)
 (* ------------------------------------------------------------------ *)
 (* Sinks                                                               *)
 
-type sink = Drop | Lines of out_channel * bool (* close channel on close *) | Memory
+type sink = Drop | Lines of out_channel | Memory
 
 type t = {
   mutex : Mutex.t;
@@ -569,12 +537,6 @@ let make sink =
   }
 
 let null () = make Drop
-let to_channel oc = make (Lines (oc, false))
-
-let open_file path =
-  let t = make (Lines (open_out path, true)) in
-  t
-
 let memory () = make Memory
 
 let emit t ev =
@@ -584,7 +546,7 @@ let emit t ev =
       Mutex.protect t.mutex (fun () ->
           t.seq <- t.seq + 1;
           t.mem <- ev :: t.mem)
-  | Lines (oc, _) ->
+  | Lines oc ->
       Mutex.protect t.mutex (fun () ->
           if not t.closed then begin
             t.seq <- t.seq + 1;
@@ -598,26 +560,20 @@ let emit t ev =
           end)
 
 let open_file path =
-  let t = open_file path in
+  let t = make (Lines (open_out path)) in
   emit t (Journal_opened { schema = schema_version });
   t
 
 let events t = Mutex.protect t.mutex (fun () -> List.rev t.mem)
 
-let flush_log t =
-  match t.sink with
-  | Lines (oc, _) ->
-      Mutex.protect t.mutex (fun () -> if not t.closed then flush oc)
-  | _ -> ()
-
 (* [close] shares the emit mutex so a worker mid-write can never race the
    channel teardown, and is idempotent. *)
 let close t =
   match t.sink with
-  | Lines (oc, close_ch) ->
+  | Lines oc ->
       Mutex.protect t.mutex (fun () ->
           if not t.closed then begin
             t.closed <- true;
-            if close_ch then close_out oc else flush oc
+            close_out oc
           end)
   | _ -> ()

@@ -38,6 +38,9 @@ val schema_version : int
       [Phase1_finished].  Since the sampling detector was removed these
       two fields are no longer written; the reader still accepts and
       ignores them, so v5 journals that carry them resume as before.
+      The [phase1_recorded] and [traces_saved] records of the former
+      binary recording pass are no longer written either; they load as
+      unknown whole records, skipped without counting as corrupt.
     Older journals load as observability events only — the resume gate
     compares schemas, so resuming from one simply re-runs everything. *)
 
@@ -55,16 +58,6 @@ type event =
       degraded : bool;  (** detection ran under a tripped governor *)
       level : string;  (** final ladder level ("full" when not degraded) *)
     }
-  | Phase1_recorded of {
-      events : int;  (** engine events captured in the binary recordings *)
-      bytes : int;  (** total sealed {!Rf_events.Btrace} size *)
-      shards : int;  (** offline detection shards *)
-      record_wall : float;  (** executing + recording, seconds *)
-      detect_wall : float;  (** offline detection pass, seconds *)
-    }
-      (** phase 1 ran record-then-detect ([--offline-detect]); emitted
-          just before [Phase1_finished], whose [wall] covers both
-          spans *)
   | Wave_started of { wave : int; tasks : int }
       (** [tasks] trials queued; a streamed wave 0 counts every pair that
           arrived *)
@@ -147,8 +140,6 @@ type event =
   | Worker_killed of { worker : int; pid : int; reason : string }
       (** the supervisor SIGKILLed a worker process: heartbeat deadline
           exceeded, corrupt IPC frame, or campaign interruption *)
-  | Traces_saved of { dir : string; count : int; bytes : int }
-      (** phase-1 binary recordings persisted ([--save-traces]) *)
   | Corpus_updated of { dir : string; added : int; deduped : int; total : int }
       (** the persistent corpus absorbed this campaign's artifacts
           ([--corpus]): [added] new entries, [deduped] already present *)
@@ -235,10 +226,6 @@ type t
 val null : unit -> t
 (** Drops everything (and skips rendering). *)
 
-val to_channel : out_channel -> t
-(** JSONL to a channel, flushed per line; the channel is not closed by
-    {!close}. *)
-
 val open_file : string -> t
 (** JSONL journal in a fresh file, starting with a [Journal_opened] schema
     header; closed by {!close}. *)
@@ -252,8 +239,6 @@ val emit : t -> event -> unit
 val events : t -> event list
 (** Events seen so far, oldest first; [[]] for non-memory sinks. *)
 
-val flush_log : t -> unit
-
 val close : t -> unit
-(** Flush and (for {!open_file}) close the underlying channel.
-    Idempotent; serialized against concurrent {!emit}s. *)
+(** Close an {!open_file} journal's channel.  Idempotent; serialized
+    against concurrent {!emit}s. *)

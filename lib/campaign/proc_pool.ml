@@ -24,7 +24,7 @@ module Outcome = Rf_runtime.Outcome
 module Governor = Rf_resource.Governor
 
 (* ------------------------------------------------------------------ *)
-(* Framing: the Btrace idiom over pipes.  u32:len | payload | u64:fnv. *)
+(* Framing: sealed frames over pipes.  u32:len | payload | u64:fnv. *)
 
 module Frame = struct
   exception Corrupt of string

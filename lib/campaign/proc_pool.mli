@@ -11,8 +11,8 @@
 
     {2 Wire format}
 
-    Both pipe directions carry length-prefixed FNV-1a-64-sealed frames —
-    the {!Rf_events.Btrace} framing idiom:
+    Both pipe directions carry length-prefixed FNV-1a-64-sealed frames,
+    the repository's one sealed-frame binary codec:
 
     {v
     frame   := u32:len payload[len] u64:fnv1a64(payload)   (len > 0)

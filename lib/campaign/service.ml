@@ -324,48 +324,6 @@ let default_config =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Phase-1 recording cache: record once per target, re-analyze every
-   wave.  The cache lives under the corpus but outside the index (the
-   corpus' own trace ingestion keys files by basename, which collides
-   across targets — the service needs one recording set per target). *)
-
-let p1_cache_dir ~dir target =
-  Filename.concat (Filename.concat dir "p1cache") (Fnv.hex63 target)
-
-let p1_cache_file cdir seed = Filename.concat cdir (Printf.sprintf "trace-seed%d.rfbt" seed)
-
-let p1_cache_load cdir seeds =
-  try
-    if List.for_all (fun s -> Sys.file_exists (p1_cache_file cdir s)) seeds
-    then
-      Some (List.map (fun s -> Rf_events.Btrace.load (p1_cache_file cdir s)) seeds)
-    else None
-  with Rf_events.Btrace.Corrupt _ | Sys_error _ -> None
-
-let p1_cache_invalidate cdir =
-  if Sys.file_exists cdir then
-    Array.iter
-      (fun f -> try Sys.remove (Filename.concat cdir f) with Sys_error _ -> ())
-      (Sys.readdir cdir)
-
-(* Phase 1 for one wave: re-analyze the cached recordings when they are
-   all present and intact, otherwise record afresh (caching the sealed
-   recordings for the next wave) — either way the campaign itself never
-   runs phase 1. *)
-let phase1_for ~dir ~target ~seeds program =
-  let cdir = p1_cache_dir ~dir target in
-  match p1_cache_load cdir seeds with
-  | Some recordings -> (Fuzzer.phase1_of_recordings recordings, true)
-  | None ->
-      Atomic_file.mkdir_p cdir;
-      let sink ~seed recording =
-        Rf_events.Btrace.save (p1_cache_file cdir seed) recording
-      in
-      ( Fuzzer.phase1 ~seeds ~detect:(Fuzzer.Recorded { shards = 1 })
-          ~trace_sink:sink program,
-        false )
-
-(* ------------------------------------------------------------------ *)
 (* Revalidation: replay every corpus repro, integrity-check the rest.  *)
 
 exception Check_failed of string
@@ -675,20 +633,12 @@ let serve ?(log = Event_log.null ()) ?stop config ~resolve ~dir =
             let tg =
               if not due then tg
               else begin
-                if changed then begin
-                  pr "watch: %s changed — re-running (phase-1 cache invalidated)@."
-                    name;
-                  p1_cache_invalidate (p1_cache_dir ~dir name)
-                end;
+                if changed then pr "watch: %s changed — re-running@." name;
                 match resolve name with
                 | Error m ->
                     pr "serve: cannot resolve target %s: %s — skipping@." name m;
                     tg
                 | Ok program ->
-                    let p1, cached = phase1_for ~dir ~target:name ~seeds program in
-                    pr "campaign: %s (%d candidate pair(s), phase 1 %s)@." name
-                      (List.length p1.Fuzzer.potential)
-                      (if cached then "from cache" else "recorded");
                     let proc =
                       Option.map
                         (fun sp -> { sp with Proc_pool.sp_target = name })
@@ -696,9 +646,11 @@ let serve ?(log = Event_log.null ()) ?stop config ~resolve ~dir =
                     in
                     let r =
                       Campaign.run ~domains:config.v_domains ~cutoff:true
-                        ~seeds_per_pair:per_pair ~log ?chaos ~stop ?proc
-                        ~target:name ~corpus:dir ~phase1:p1 program
+                        ~phase1_seeds:seeds ~seeds_per_pair:per_pair ~log ?chaos
+                        ~stop ?proc ~target:name ~corpus:dir program
                     in
+                    pr "campaign: %s (%d candidate pair(s))@." name
+                      (List.length r.Campaign.analysis.Fuzzer.a_phase1.Fuzzer.potential);
                     incr campaigns;
                     let active = r.Campaign.stats.Campaign.s_proc_active in
                     wact :=

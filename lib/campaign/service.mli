@@ -7,7 +7,7 @@
     artifacts for integrity; (b) schedules fresh campaign waves over the
     registered targets under per-target token-bucket pacing; and (c)
     with [--watch], polls file targets for mtime changes and re-runs
-    them immediately, invalidating their cached phase-1 recordings.
+    them immediately, outside their token bucket.
 
     Robustness is the core contract:
 
@@ -165,10 +165,9 @@ val serve :
     code (0 on clean drain — cycle bound reached or [stop] requested).
     [resolve] maps a target name (registry workload or RFL path) to a
     runnable program; targets that fail to resolve are skipped with a
-    console note.  Phase-1 recordings are cached under [DIR/p1cache/]
-    and re-analyzed ({!Racefuzzer.Fuzzer.phase1_of_recordings}) instead
-    of re-recorded on every wave; a watch change invalidates the
-    target's cache. *)
+    console note.  Each wave's campaign runs its own phase 1 over
+    [v_phase1_seeds] seeds; a [p1cache/] directory an older build left in
+    [dir] is not read. *)
 
 val status : dir:string -> int
 (** One-shot report: completed cycles, last-cycle verdict counts and

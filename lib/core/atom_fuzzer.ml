@@ -97,31 +97,17 @@ type candidate_result = {
 let is_real r = r.ac_violation_trials > 0
 let is_harmful r = r.ac_error_trials > 0
 
-let phase1 ?(seeds = [ 0 ]) ?(record = false) (program : unit -> unit) =
+let phase1 ?(seeds = [ 0 ]) (program : unit -> unit) =
   (* one detector per execution: section state is inherently per-run
      (thread and lock ids restart each run), so sharing a detector across
-     seeds would pair sections from different executions.  With [record]
-     the detector is detached from the run: the engine writes a binary
-     recording and the detector replays it afterwards — same per-seed
-     isolation, no location sharding (section state is not decomposable
-     by location), identical candidates. *)
+     seeds would pair sections from different executions. *)
   let observe seed =
     let d = Rf_detect.Atomicity.create () in
-    if record then begin
-      let w = Rf_events.Btrace.writer () in
-      ignore
-        (Engine.run
-           ~config:{ Engine.default_config with seed }
-           ~btrace:w ~strategy:(Strategy.random ()) program);
-      Rf_detect.Offline.replay (Rf_detect.Atomicity.feed d)
-        [ Rf_events.Btrace.seal w ]
-    end
-    else
-      ignore
-        (Engine.run
-           ~config:{ Engine.default_config with seed }
-           ~listeners:[ Rf_detect.Atomicity.feed d ]
-           ~strategy:(Strategy.random ()) program);
+    ignore
+      (Engine.run
+         ~config:{ Engine.default_config with seed }
+         ~listeners:[ Rf_detect.Atomicity.feed d ]
+         ~strategy:(Strategy.random ()) program);
     Rf_detect.Atomicity.candidates d
   in
   let all = List.concat_map observe seeds in

@@ -43,15 +43,10 @@ val is_harmful : candidate_result -> bool
 
 val phase1 :
   ?seeds:int list ->
-  ?record:bool ->
   (unit -> unit) ->
   Rf_detect.Atomicity.candidate list
 (** One fresh detector per execution (section state is per-run), results
-    deduplicated.  [record] (default false) runs each execution
-    detector-free against a binary recording and replays it offline
-    ({!Rf_detect.Offline.replay}) — same candidates, recording-mode cost
-    profile.  Unlike race detection the offline pass is not sharded:
-    atomicity section state spans locations. *)
+    deduplicated. *)
 
 val fuzz_candidate :
   ?seeds:int list ->

@@ -42,22 +42,25 @@ let governance ?detector_budget ?mem_budget ?wall ~no_degrade ~tripped () =
 
 (** How phase 1 attaches its detector to the executions it observes.
 
-    [Inline] is the classic configuration: the hybrid detector listens to
-    every engine event as it happens, taxing every step.  [Recorded]
-    decouples the two: the engine runs detector-free, appending a compact
-    binary recording ({!Rf_events.Btrace}) at a small constant cost per
-    step, and the detector replays the recording afterwards — sharded by
-    memory location over [shards] analysis passes ({!Rf_detect.Offline}).
-    The candidate pair set is identical either way; with [shards = 1]
-    the race list is byte-identical, report order included. *)
+    [Inline] is the classic configuration: one hybrid detector listens to
+    every engine event as it happens.  [Recorded { shards }] detects on
+    [shards] re-executions of the phase-1 seeds: an execution is a pure
+    function of (program, seed), so the seed is the recording.  Shard [k]
+    feeds its own detector every synchronization event plus the memory
+    events whose location hashes to [k].  The candidate pair set is
+    identical either way; with one shard the race list is byte-identical,
+    report order included. *)
 type detect_mode = Inline | Recorded of { shards : int }
 
-(** Cost accounting of a [Recorded] phase 1. *)
+(* [recording_stats] and [p1_recording] describe the binary recording
+   pass that detection by re-execution replaced.  The traced campaign
+   benchmark (campaign_bench/traced.ml) compiles against these names, so
+   they stay; [p1_recording] is always [None]. *)
 type recording_stats = {
-  rec_events : int;  (** events recorded across all seeds *)
-  rec_bytes : int;  (** total sealed recording size *)
-  rec_wall : float;  (** wall spent executing + recording *)
-  detect_wall : float;  (** wall spent in offline detection *)
+  rec_events : int;
+  rec_bytes : int;
+  rec_wall : float;
+  detect_wall : float;
   rec_shards : int;
 }
 
@@ -67,8 +70,7 @@ type phase1_result = {
   p1_wall : float;
   p1_degraded : Governor.snapshot option;
       (** the governor's final state when it tripped during detection *)
-  p1_recording : recording_stats option;
-      (** filled iff phase 1 ran in [Recorded] mode *)
+  p1_recording : recording_stats option;  (** always [None] *)
   p1_stats : Rf_detect.Detector.stats;
       (** end-of-run accounting: live state entries and memory events *)
 }
@@ -83,44 +85,35 @@ let potential_pairs r =
     (fun acc (race : Rf_detect.Race.t) -> Site.Pair.Set.add race.Rf_detect.Race.pair acc)
     Site.Pair.Set.empty r.potential
 
-(** Offline-only phase 1: replay previously saved recordings through the
-    detectors without executing the program at all.  This is how the serve
-    loop amortises phase 1 across campaigns — record once per target, then
-    re-analyze the saved [Btrace.t]s on every subsequent wave.  The
-    candidate set is identical to a live [Recorded] pass over the same
-    executions; [p1_outcomes] is empty because nothing ran. *)
-let phase1_of_recordings ?(shards = 1) ?governor
-    (recordings : Rf_events.Btrace.t list) : phase1_result =
-  let t0 = Unix.gettimeofday () in
-  (* A governed pass runs its shards sequentially so the shared governor
-     meters combined state deterministically; ungoverned multi-shard
-     passes fan out across domains. *)
-  let potential, stats =
-    Rf_detect.Offline.detect_stats ~shards
-      ~parallel:(governor = None && shards > 1)
-      ~make:(fun () -> Rf_detect.Detector.hybrid ?governor ())
-      recordings
-  in
-  let t1 = Unix.gettimeofday () in
-  {
-    potential;
-    p1_outcomes = [];
-    p1_wall = t1 -. t0;
-    p1_degraded = degraded_snapshot governor;
-    p1_stats = stats;
-    p1_recording =
-      Some
-        {
-          rec_events = 0;
-          rec_bytes =
-            List.fold_left
-              (fun acc r -> acc + Rf_events.Btrace.byte_size r)
-              0 recordings;
-          rec_wall = 0.0;
-          detect_wall = t1 -. t0;
-          rec_shards = shards;
-        };
-  }
+(* Dedup by statement pair, keeping the lowest-shard witness: shard
+   assignment is a pure function of the location, so the surviving
+   witness — hence the merged list — is independent of evaluation
+   order. *)
+let merge per_shard =
+  let seen = ref Site.Pair.Set.empty in
+  List.concat per_shard
+  |> List.filter (fun (r : Rf_detect.Race.t) ->
+         if Site.Pair.Set.mem r.Rf_detect.Race.pair !seen then false
+         else begin
+           seen := Site.Pair.Set.add r.Rf_detect.Race.pair !seen;
+           true
+         end)
+  |> List.sort (fun (a : Rf_detect.Race.t) (b : Rf_detect.Race.t) ->
+         Site.Pair.compare a.Rf_detect.Race.pair b.Rf_detect.Race.pair)
+
+(* Shard stats aggregate exactly: locations partition across shards, so
+   entries and memory events sum to the one-shard totals. *)
+let merge_stats per_shard =
+  List.fold_left
+    (fun acc (s : Rf_detect.Detector.stats) ->
+      {
+        Rf_detect.Detector.st_entries =
+          acc.Rf_detect.Detector.st_entries + s.Rf_detect.Detector.st_entries;
+        st_mem_events =
+          acc.Rf_detect.Detector.st_mem_events + s.Rf_detect.Detector.st_mem_events;
+      })
+    { Rf_detect.Detector.st_entries = 0; st_mem_events = 0 }
+    per_shard
 
 (** Run hybrid race detection over [seeds] executions (the paper uses one;
     more executions can only widen the candidate set).  [governor] meters
@@ -128,73 +121,74 @@ let phase1_of_recordings ?(shards = 1) ?governor
     the caller — phase 1 has no sandbox, running out of budget there is a
     campaign-level failure. *)
 let phase1 ?(seeds = [ 0 ]) ?(max_steps = Engine.default_config.max_steps)
-    ?deadline ?governor ?(detect = Inline) ?trace_sink ?on_pair
-    (program : program) : phase1_result =
+    ?deadline ?governor ?(detect = Inline) ?on_pair (program : program) : phase1_result =
   let t0 = Unix.gettimeofday () in
-  (match (trace_sink, detect) with
-  | Some _, Inline ->
-      invalid_arg "Fuzzer.phase1: trace_sink requires Recorded detection"
-  | _ -> ());
-  match detect with
-  | Inline ->
-      let d = Rf_detect.Detector.hybrid ?governor ?on_pair () in
-      let outcomes =
-        List.map
-          (fun seed ->
-            Engine.run
-              ~config:{ Engine.default_config with seed; max_steps; deadline }
-              ~listeners:[ Rf_detect.Detector.feed d ]
-              ~strategy:(Strategy.random ()) program)
-          seeds
+  let shards = match detect with Inline -> 1 | Recorded { shards } -> max 1 shards in
+  (* Shard [k]: every seed's execution, feeding one detector all sync
+     events and the memory events of the locations it owns. *)
+  let run_shard ?on_pair ?deadline k =
+    let d = Rf_detect.Detector.hybrid ?governor ?on_pair () in
+    let feed =
+      if shards = 1 then Rf_detect.Detector.feed d
+      else function
+        | Rf_events.Event.Mem { loc; _ } when Loc.hash loc mod shards <> k -> ()
+        | ev -> Rf_detect.Detector.feed d ev
+    in
+    let outcomes =
+      List.map
+        (fun seed ->
+          Engine.run
+            ~config:{ Engine.default_config with seed; max_steps; deadline }
+            ~listeners:[ feed ] ~strategy:(Strategy.random ()) program)
+        seeds
+    in
+    (outcomes, Rf_detect.Detector.races d, Rf_detect.Detector.stats d)
+  in
+  let outcomes, potential, stats =
+    if shards = 1 then run_shard ?on_pair ?deadline 0
+    else begin
+      let per_shard =
+        if governor <> None || deadline <> None then
+          (* Governed: one shard after another, sharing the governor, so
+             the combined budget trips deterministically. *)
+          List.init shards (run_shard ?deadline)
+        else begin
+          (* Priority first, so no shard domain interns a site before
+             shard 0 and site ids stay those of one execution.  Shard 0
+             runs on the calling domain.  Priority ends with it: every
+             shard runs the same executions, so the others then intern
+             nothing new, and if shard 0 raised they are not left waiting
+             for a site it never reached.  All are joined before any
+             exception escapes. *)
+          let settle f = match f () with r -> Ok r | exception e -> Error (e, Printexc.get_raw_backtrace ()) in
+          let others, first =
+            Site.with_priority (fun () ->
+                let others =
+                  List.init (shards - 1) (fun i -> Domain.spawn (fun () -> run_shard (i + 1)))
+                in
+                (others, settle (fun () -> run_shard 0)))
+          in
+          first :: List.map (fun d -> settle (fun () -> Domain.join d)) others
+          |> List.map (function Ok r -> r | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+        end
       in
-      {
-        potential = Rf_detect.Detector.races d;
-        p1_outcomes = outcomes;
-        p1_wall = Unix.gettimeofday () -. t0;
-        p1_degraded = degraded_snapshot governor;
-        p1_recording = None;
-        p1_stats = Rf_detect.Detector.stats d;
-      }
-  | Recorded { shards } ->
-      (* Record: detector-free engine runs, one sealed recording per
-         seed (locations are per-run, so recordings never share ids). *)
-      let outcomes, recordings, events =
-        List.fold_left
-          (fun (os, rs, n) seed ->
-            let w = Rf_events.Btrace.writer () in
-            let o =
-              Engine.run
-                ~config:{ Engine.default_config with seed; max_steps; deadline }
-                ~btrace:w
-                ~strategy:(Strategy.random ()) program
-            in
-            let n = n + Rf_events.Btrace.written w in
-            (o :: os, Rf_events.Btrace.seal w :: rs, n))
-          ([], [], 0) seeds
-      in
-      let outcomes = List.rev outcomes and recordings = List.rev recordings in
-      (* Hand each sealed recording out (e.g. [--save-traces]) before the
-         offline pass consumes it — the sink sees exactly the bytes the
-         detector will replay. *)
-      (match trace_sink with
-      | None -> ()
-      | Some sink -> List.iter2 (fun seed r -> sink ~seed r) seeds recordings);
-      let t1 = Unix.gettimeofday () in
-      (* Detect: the offline-only pass over the recordings just made. *)
-      let p1 = phase1_of_recordings ~shards ?governor recordings in
+      let potential = merge (List.map (fun (_, races, _) -> races) per_shard) in
       Option.iter
         (fun tell ->
-          List.iter (fun (r : Rf_detect.Race.t) -> tell r.Rf_detect.Race.pair) p1.potential)
+          List.iter (fun (r : Rf_detect.Race.t) -> tell r.Rf_detect.Race.pair) potential)
         on_pair;
-      {
-        p1 with
-        p1_outcomes = outcomes;
-        p1_wall = Unix.gettimeofday () -. t0;
-        p1_recording =
-          Option.map
-            (fun r -> { r with rec_events = events; rec_wall = t1 -. t0 })
-            p1.p1_recording;
-      }
+      let outcomes = match per_shard with (o, _, _) :: _ -> o | [] -> [] in
+      (outcomes, potential, merge_stats (List.map (fun (_, _, st) -> st) per_shard))
+    end
+  in
+  {
+    potential;
+    p1_outcomes = outcomes;
+    p1_wall = Unix.gettimeofday () -. t0;
+    p1_degraded = degraded_snapshot governor;
+    p1_recording = None;
+    p1_stats = stats;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Phase 2                                                             *)

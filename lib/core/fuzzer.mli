@@ -39,36 +39,40 @@ val governance :
 
 (** {1 Phase 1} *)
 
-(** How phase 1 attaches its detector.  [Inline] has the hybrid detector
-    listen to every engine event as it happens — the classic, per-step
-    taxed configuration.  [Recorded] is the record-then-detect pipeline:
-    the engine runs detector-free while appending a compact binary
-    recording ({!Rf_events.Btrace}) at small constant cost per step, and
-    the detector replays the recording offline, sharded by memory
-    location over [shards] passes ({!Rf_detect.Offline}).  The candidate
-    pair set is identical in both modes; with [shards = 1] the race list
-    is byte-identical, report order included. *)
+(** How phase 1 attaches its detector.  [Inline] has one hybrid detector
+    listen to every engine event as it happens.  [Recorded { shards }]
+    detects on [shards] re-executions of the phase-1 seeds: a run is a
+    pure function of (program, seed), so the seed is the recording.
+    Shard [k] of [n] feeds its own detector every synchronization event
+    plus the memory events whose location has [Loc.hash mod n = k]; one
+    shard is [Inline].  The candidate pair set is identical in both
+    modes; with [shards = 1] the race list is byte-identical, report
+    order included. *)
 type detect_mode = Inline | Recorded of { shards : int }
 
-(** Cost accounting of a [Recorded] phase 1. *)
+(** The accounting of the binary recording pass that re-execution
+    replaced.  The traced campaign benchmark compiles against these
+    names, so they stay; nothing fills them any more. *)
 type recording_stats = {
-  rec_events : int;  (** events recorded across all seeds *)
-  rec_bytes : int;  (** total sealed recording size *)
-  rec_wall : float;  (** wall spent executing + recording *)
-  detect_wall : float;  (** wall spent in offline detection *)
+  rec_events : int;
+  rec_bytes : int;
+  rec_wall : float;
+  detect_wall : float;
   rec_shards : int;
 }
 
 type phase1_result = {
   potential : Rf_detect.Race.t list;  (** deduplicated by statement pair *)
-  p1_outcomes : Outcome.t list;
+  p1_outcomes : Outcome.t list;  (** shard 0's executions, in seed order *)
   p1_wall : float;
   p1_degraded : Rf_resource.Governor.snapshot option;
       (** governor state when detection ran degraded; [None] otherwise *)
   p1_recording : recording_stats option;
-      (** filled iff phase 1 ran in [Recorded] mode *)
+      (** always [None]; kept for the traced benchmark (see
+          {!recording_stats}) *)
   p1_stats : Rf_detect.Detector.stats;
-      (** end-of-run accounting: live state entries and memory events *)
+      (** end-of-run accounting: live state entries and memory events,
+          summed over shards *)
 }
 
 val phase1 :
@@ -77,7 +81,6 @@ val phase1 :
   ?deadline:Engine.deadline ->
   ?governor:Rf_resource.Governor.t ->
   ?detect:detect_mode ->
-  ?trace_sink:(seed:int -> Rf_events.Btrace.t -> unit) ->
   ?on_pair:(Site.Pair.t -> unit) ->
   program ->
   phase1_result
@@ -88,36 +91,22 @@ val phase1 :
     governor, {!Rf_resource.Governor.Budget_stop} escapes: phase 1 has no
     sandbox, so an unshed budget overrun is the caller's failure.
 
-    [detect] (default [Inline]) selects the detection pipeline.  In
-    [Recorded] mode the governor budget applies to the offline pass —
-    that is where detector state lives — and a governed pass runs its
-    shards sequentially so the shared budget stays deterministic;
-    ungoverned multi-shard passes run one domain per shard.
+    [detect] (default [Inline]) sets the shard count.  With more than one
+    shard, a governed run ([governor] or [deadline] given) runs its
+    shards one after another, sharing the governor, so the combined
+    budget stays deterministic.  An ungoverned run takes
+    {!Rf_util.Site.with_priority}, then runs shard 0 on the calling domain
+    and every other shard on its own domain, so site ids are the ones a
+    single execution would intern.  Shards' races are merged:
+    deduplicated by statement pair (the lowest shard's witness stays) and
+    sorted by {!Site.Pair.compare}; their stats are summed, since
+    locations partition across shards.
 
-    [p1_stats] records the detector's end-of-run accounting.
-
-    [trace_sink] receives each seed's sealed binary recording before the
-    offline pass replays it (persistence hook for [--save-traces]); it
-    requires [Recorded] detection — with [Inline] there is no recording
-    to hand out, so the combination is an [Invalid_argument].
-
-    [on_pair] is told each candidate statement pair once, in discovery
-    order, and the pairs told are exactly {!potential_pairs} of the
-    result.  [Inline] detection tells a pair on the event that first
-    reports it, while later executions are still to run; [Recorded]
-    detection tells every pair after the offline pass. *)
-
-val phase1_of_recordings :
-  ?shards:int ->
-  ?governor:Rf_resource.Governor.t ->
-  Rf_events.Btrace.t list ->
-  phase1_result
-(** Offline-only phase 1 over previously saved recordings: the detectors
-    replay the [Btrace.t]s without executing anything, producing the same
-    candidate set as a live [Recorded] pass over those executions.  This
-    is how long-lived serve mode amortises phase 1 across campaign waves.
-    [p1_outcomes] is empty (no program ran); [rec_events]/[rec_wall] are
-    zero since recording happened in some earlier run. *)
+    [on_pair] is told each candidate statement pair once, and the pairs
+    told are exactly {!potential_pairs} of the result.  With one shard it
+    is told on the event that first reports the pair, while later
+    executions are still to run; with more it is told the merged pairs
+    after every shard has finished. *)
 
 val potential_pairs : phase1_result -> Site.Pair.Set.t
 

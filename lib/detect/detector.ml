@@ -55,8 +55,3 @@ let eraser ?site_cap ?governor () =
     pairs = (fun () -> Eraser.pairs d);
     stats = no_stats;
   }
-
-(** Feed a recorded trace through a detector (offline analysis). *)
-let run_on_trace t trace =
-  Trace.iter (fun ev -> feed t ev) trace;
-  races t

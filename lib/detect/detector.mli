@@ -1,6 +1,6 @@
 (** Uniform detector interface: each phase-1 analysis as a record of
-    closures usable online (as an {!Rf_runtime.Engine.run} listener) or
-    offline (over a recorded trace). *)
+    closures fed one event at a time (as an {!Rf_runtime.Engine.run}
+    listener, or over a recorded {!Rf_events.Trace}). *)
 
 open Rf_util
 open Rf_events
@@ -54,5 +54,3 @@ val eraser : ?site_cap:int -> ?governor:Rf_resource.Governor.t -> unit -> t
     degradation ladder instead of growing without bound.  Degradation is
     driven by logical counters only, so a governed run's reports are a
     deterministic function of the event stream and the budget. *)
-
-val run_on_trace : t -> Trace.t -> Race.t list

@@ -26,15 +26,6 @@ let render ppf (s : C.stats) =
   if s.C.s_degraded > 0 then
     Fmt.pf ppf "DEGRADED: %d trial(s) completed at reduced precision (resource budget)@."
       s.C.s_degraded;
-  (match s.C.s_p1_recording with
-  | Some r ->
-      Fmt.pf ppf
-        "recorded: phase 1 offline — %d event(s), %d byte(s), %d shard(s); \
-         %.3fs record + %.3fs detect@."
-        r.Racefuzzer.Fuzzer.rec_events r.Racefuzzer.Fuzzer.rec_bytes
-        r.Racefuzzer.Fuzzer.rec_shards r.Racefuzzer.Fuzzer.rec_wall
-        r.Racefuzzer.Fuzzer.detect_wall
-  | None -> ());
   (* the fault lines only appear when something actually went wrong, so a
      clean campaign's report is unchanged *)
   if s.C.s_crashes > 0 || s.C.s_exhausted > 0 then

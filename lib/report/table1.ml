@@ -179,5 +179,3 @@ let render ppf rows =
   line header;
   line (List.map (fun w -> String.make w '-') widths);
   List.iter (fun r -> line (cells_of_row r)) rows
-
-let pp_rows ppf rows = render ppf rows

@@ -36,4 +36,3 @@ val quick_config : config
 val row_of_workload : ?config:config -> Rf_workloads.Workload.t -> row
 val generate : ?config:config -> ?workloads:Rf_workloads.Workload.t list -> unit -> row list
 val render : Format.formatter -> row list -> unit
-val pp_rows : Format.formatter -> row list -> unit

@@ -19,8 +19,6 @@ let level_of_string = function
   | "lockset-only" -> Some Lockset_only
   | _ -> None
 
-let pp_level ppf l = Fmt.string ppf (level_to_string l)
-
 type trigger = Entry_budget | Heap_watermark | Injected
 
 let trigger_to_string = function
@@ -133,11 +131,3 @@ let snapshot t =
     g_peak = t.peak;
     g_evicted = t.evicted;
   }
-
-let pp_snapshot ppf s =
-  Fmt.pf ppf "level=%a trips=%d%a entries=%d peak=%d evicted=%d" pp_level
-    s.g_level s.g_trips
-    (fun ppf -> function
-      | Some tr -> Fmt.pf ppf " (%s)" (trigger_to_string tr)
-      | None -> ())
-    s.g_trigger s.g_entries s.g_peak s.g_evicted

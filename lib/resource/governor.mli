@@ -39,7 +39,6 @@ type level =
 
 val level_to_string : level -> string
 val level_of_string : string -> level option
-val pp_level : Format.formatter -> level -> unit
 
 (** What tripped a budget. *)
 type trigger =
@@ -119,4 +118,3 @@ val degraded : t -> bool
     re-compaction occurred). *)
 
 val snapshot : t -> snapshot
-val pp_snapshot : Format.formatter -> snapshot -> unit

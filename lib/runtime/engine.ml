@@ -132,7 +132,6 @@ type thread = {
   mutable pending_rcv : (int * Event.sync_reason) option;
   mutable death_msg : int option;
   mutable last_site : Site.t option;
-  mutable lockset_id : int;  (* [lockset] interned in the binary writer *)
   mutable enabled_flag : bool;  (* maintained at enabledness transitions *)
   mutable joiners : int list;  (* live threads parked joining this one *)
   entry : Strategy.entry;
@@ -153,9 +152,7 @@ type t = {
   prng : Prng.t;
   strategy : Strategy.t;
   listeners : (Event.t -> unit) list;
-  sink : bool;  (* any observer at all: trace, listener, verbose or btrace *)
-  obs : bool;  (* an [Event.t]-materializing observer (not just btrace) *)
-  bw : Btrace.writer option;  (* binary recording: direct, event-free appends *)
+  sink : bool;  (* any observer at all: trace, listener or verbose *)
   mutable threads : thread array;  (* index = tid; first n_threads slots *)
   mutable n_threads : int;
   mutable lock_states : lock_state option array;  (* index = lock id *)
@@ -191,51 +188,18 @@ let emit eng ev =
   List.iter (fun f -> f ev) eng.listeners;
   if eng.cfg.verbose then Fmt.epr "[engine] %a@." Event.pp ev
 
-(* Emission is two-channel: [emit] materializes an [Event.t] for the
-   observers (trace, listeners, verbose) while the binary writer takes
-   direct appends — no event record, no lockset snapshot.  Call sites
-   stay gated on [eng.sink] (any channel present); each helper then
-   serves whichever channels exist. *)
+(* Each helper builds its [Event.t] for the observers; call sites stay
+   gated on [eng.sink], so an unobserved run builds no event at all. *)
 
 let[@inline] emit_mem eng th site loc access =
-  (match eng.bw with
-  | Some w -> Btrace.mem w ~tid:th.tid ~site ~loc ~access ~lockset_id:th.lockset_id
-  | None -> ());
-  if eng.obs then
-    emit eng (Event.Mem { tid = th.tid; site; loc; access; lockset = th.lockset })
+  emit eng (Event.Mem { tid = th.tid; site; loc; access; lockset = th.lockset })
 
-let[@inline] emit_acquire eng ~tid ~lock ~site =
-  (match eng.bw with Some w -> Btrace.acquire w ~tid ~lock ~site | None -> ());
-  if eng.obs then emit eng (Event.Acquire { tid; lock; site })
-
-let[@inline] emit_release eng ~tid ~lock ~site =
-  (match eng.bw with Some w -> Btrace.release w ~tid ~lock ~site | None -> ());
-  if eng.obs then emit eng (Event.Release { tid; lock; site })
-
-let[@inline] emit_snd eng ~tid ~msg ~reason =
-  (match eng.bw with Some w -> Btrace.snd_ w ~tid ~msg ~reason | None -> ());
-  if eng.obs then emit eng (Event.Snd { tid; msg; reason })
-
-let[@inline] emit_rcv eng ~tid ~msg ~reason =
-  (match eng.bw with Some w -> Btrace.rcv w ~tid ~msg ~reason | None -> ());
-  if eng.obs then emit eng (Event.Rcv { tid; msg; reason })
-
-let[@inline] emit_start eng ~tid ~name =
-  (match eng.bw with Some w -> Btrace.start w ~tid ~name | None -> ());
-  if eng.obs then emit eng (Event.Start { tid; name })
-
-let[@inline] emit_exit eng ~tid =
-  (match eng.bw with Some w -> Btrace.exit_ w ~tid | None -> ());
-  if eng.obs then emit eng (Event.Exit { tid })
-
-(* Lockset changes are rare (outermost acquire / innermost release / wait /
-   reacquire / death), so the binary id is re-interned only here and every
-   [Mem] append reuses it. *)
-let[@inline] set_lockset eng th ls =
-  th.lockset <- ls;
-  match eng.bw with
-  | Some w -> th.lockset_id <- Btrace.intern_lockset w ls
-  | None -> ()
+let[@inline] emit_acquire eng ~tid ~lock ~site = emit eng (Event.Acquire { tid; lock; site })
+let[@inline] emit_release eng ~tid ~lock ~site = emit eng (Event.Release { tid; lock; site })
+let[@inline] emit_snd eng ~tid ~msg ~reason = emit eng (Event.Snd { tid; msg; reason })
+let[@inline] emit_rcv eng ~tid ~msg ~reason = emit eng (Event.Rcv { tid; msg; reason })
+let[@inline] emit_start eng ~tid ~name = emit eng (Event.Start { tid; name })
+let[@inline] emit_exit eng ~tid = emit eng (Event.Exit { tid })
 
 let fresh_msg eng =
   let g = eng.next_msg in
@@ -338,7 +302,6 @@ let new_thread eng ~name body =
       fiber = Not_started body;
       held = [];
       lockset = Lockset.empty;
-      lockset_id = 0;
       interrupt_pending = false;
       pending_rcv = None;
       death_msg = None;
@@ -378,7 +341,7 @@ let on_thread_done eng th (failure : exn option) =
       | _ -> ())
     th.held;
   th.held <- [];
-  set_lockset eng th Lockset.empty;
+  th.lockset <- Lockset.empty;
   (* Death message: join edges receive from it (paper §2.2: thread t1 calls
      t2.join() and t2 terminates => SND(g, t2), RCV(g, t1)). *)
   let g = fresh_msg eng in
@@ -402,7 +365,7 @@ let on_thread_done eng th (failure : exn option) =
 (* ------------------------------------------------------------------ *)
 (* Fiber plumbing                                                      *)
 
-(* Raised inside a fiber by an observer (listener, trace, binary writer)
+(* Raised inside a fiber by an observer (listener, trace)
    while an access runs in place ([mem_in_fiber]): the handler re-raises
    it on the engine's side, so it escapes [run] exactly as when the
    engine loop itself emitted the event, instead of unwinding the model
@@ -495,7 +458,7 @@ let exec_op (eng : t) (th : thread) : unit =
               ls.holder <- Some th.tid;
               ls.depth <- 1;
               th.held <- (Lock.id l, 1) :: th.held;
-              set_lockset eng th (Lockset.add (Lock.id l) th.lockset);
+              th.lockset <- Lockset.add (Lock.id l) th.lockset;
               if eng.sink then
                 emit_acquire eng ~tid:th.tid ~lock:(Lock.id l) ~site;
               sweep_contenders eng ls);
@@ -511,7 +474,7 @@ let exec_op (eng : t) (th : thread) : unit =
             if ls.depth = 0 then begin
               ls.holder <- None;
               th.held <- List.remove_assoc (Lock.id l) th.held;
-              set_lockset eng th (Lockset.remove (Lock.id l) th.lockset);
+              th.lockset <- Lockset.remove (Lock.id l) th.lockset;
               if eng.sink then
                 emit_release eng ~tid:th.tid ~lock:(Lock.id l) ~site;
               sweep_contenders eng ls
@@ -540,7 +503,7 @@ let exec_op (eng : t) (th : thread) : unit =
             ls.holder <- None;
             ls.depth <- 0;
             th.held <- List.remove_assoc (Lock.id l) th.held;
-            set_lockset eng th (Lockset.remove (Lock.id l) th.lockset);
+            th.lockset <- Lockset.remove (Lock.id l) th.lockset;
             if eng.sink then
               emit_release eng ~tid:th.tid ~lock:(Lock.id l) ~site;
             ls.waiters <- ls.waiters @ [ th.tid ];
@@ -557,7 +520,7 @@ let exec_op (eng : t) (th : thread) : unit =
           ls.holder <- Some th.tid;
           ls.depth <- d;
           th.held <- (Lock.id l, d) :: th.held;
-          set_lockset eng th (Lockset.add (Lock.id l) th.lockset);
+          th.lockset <- Lockset.add (Lock.id l) th.lockset;
           if eng.sink then
             emit_acquire eng ~tid:th.tid ~lock:(Lock.id l) ~site;
           sweep_contenders eng ls;
@@ -759,7 +722,7 @@ let rec loop eng =
     loop eng
   end
 
-let run ?(config = default_config) ?(listeners = []) ?btrace ~strategy
+let run ?(config = default_config) ?(listeners = []) ~strategy
     (main : unit -> unit) : Outcome.t =
   Loc.reset_counter ();
   Lock.reset_counter ();
@@ -770,11 +733,7 @@ let run ?(config = default_config) ?(listeners = []) ?btrace ~strategy
       prng = Prng.create config.seed;
       strategy;
       listeners;
-      sink =
-        config.record_trace || listeners <> [] || config.verbose
-        || btrace <> None;
-      obs = config.record_trace || listeners <> [] || config.verbose;
-      bw = btrace;
+      sink = config.record_trace || listeners <> [] || config.verbose;
       threads = [||];
       n_threads = 0;
       lock_states = [||];

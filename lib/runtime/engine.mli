@@ -80,20 +80,10 @@ exception Engine_invariant of string
 val run :
   ?config:config ->
   ?listeners:(Event.t -> unit) list ->
-  ?btrace:Btrace.writer ->
   strategy:Strategy.t ->
   (unit -> unit) ->
   Outcome.t
 (** [run ~config ~listeners ~strategy main] executes one schedule.
     [listeners] observe every event online (detectors attach here).
     Resets the domain-local {!Rf_util.Loc} and {!Lock} counters, so
-    allocation order is deterministic per run.
-
-    [btrace] attaches a binary trace writer ({!Rf_events.Btrace}): every
-    event is appended to the recording {e directly} — no [Event.t] is
-    allocated, no lockset is snapshotted, and each thread's lockset id
-    is re-interned only when its lockset changes — so recording for
-    offline detection costs a small constant per step instead of the
-    inline-detector tax.  The caller seals the writer after the run.
-    Composes with [listeners]/[record_trace]; both channels see the same
-    event sequence. *)
+    allocation order is deterministic per run. *)

@@ -1,14 +1,12 @@
 let offset = 0xCBF29CE484222325L
 let prime = 0x100000001B3L
 
-let hash64_sub s ~pos ~len =
+let hash64 s =
   let h = ref offset in
-  for i = pos to pos + len - 1 do
+  for i = 0 to String.length s - 1 do
     h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) prime
   done;
   !h
-
-let hash64 s = hash64_sub s ~pos:0 ~len:(String.length s)
 
 (* Native-int (63-bit) variant.  The journal seal, chaos keys and
    reservoir victim picks all predate this module and used native-int

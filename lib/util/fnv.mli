@@ -1,13 +1,12 @@
 (** FNV-1a-64 — the one hash used to seal every durable artifact.
 
-    The campaign journal, binary trace frames, IPC frames, chaos keys,
-    reservoir victim picks and the corpus index all seal or key their
-    payloads with the same polynomial; this module is the single
-    definition.  Two presentations are exposed:
+    The campaign journal, IPC frames, chaos keys, reservoir victim picks
+    and the corpus index all seal or key their payloads with the same
+    polynomial; this module is the single definition.  Two presentations
+    are exposed:
 
-    - {!hash64} / {!hash64_sub}: the full 64-bit digest, used for binary
-      frame seals where the checksum is stored as a little-endian
-      [int64];
+    - {!hash64}: the full 64-bit digest, used for binary frame seals
+      where the checksum is stored as a little-endian [int64];
     - the [*63] family: the historical native-[int] computation from a
       63-bit-truncated offset basis.  The journal [crc] field ({!hex63}),
       chaos fault keys and detector reservoir picks were written against
@@ -20,9 +19,6 @@ val offset : int64
 
 val prime : int64
 (** [0x100000001B3L], the FNV-1a-64 prime. *)
-
-val hash64_sub : string -> pos:int -> len:int -> int64
-(** Digest of [len] bytes of the string starting at [pos]. *)
 
 val hash64 : string -> int64
 (** Digest of the whole string. *)

@@ -19,20 +19,33 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 (* ------------------------------------------------------------------ *)
 (* Writing                                                             *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
+(* Escape [s] straight into [buf]: runs of bytes that need no escape go
+   in as one substring, so a plain key or value costs one blit. *)
+let add_escaped buf s =
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      if i > !start then Buffer.add_substring buf s !start (i - !start);
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\t' -> Buffer.add_string buf "\\t"
       | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c ->
+          Buffer.add_string buf "\\u00";
+          Buffer.add_char buf "0123456789abcdef".[Char.code c lsr 4];
+          Buffer.add_char buf "0123456789abcdef".[Char.code c land 15]);
+      start := i + 1
+    end
+  done;
+  if n > !start then Buffer.add_substring buf s !start (n - !start)
+
+let escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  add_escaped buf s;
   Buffer.contents buf
 
 let scalar buf = function
@@ -40,7 +53,7 @@ let scalar buf = function
   | F x -> Buffer.add_string buf (Printf.sprintf "%.6f" x)
   | S s ->
       Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
+      add_escaped buf s;
       Buffer.add_char buf '"'
   | B b -> Buffer.add_string buf (if b then "true" else "false")
   | Null -> Buffer.add_string buf "null"

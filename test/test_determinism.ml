@@ -7,7 +7,11 @@
    2. With early cutoff enabled, results are still bit-identical across
       domain counts (the cutoff point is logical, not temporal).
    3. Cutoff actually saves work, and budget freed by resolved pairs is
-      reallocated to unresolved ones. *)
+      reallocated to unresolved ones.
+   4. Phase-1 detection by re-execution ([--offline-detect]) is
+      shard-count invariant: one shard is inline detection, and more
+      shards, run in parallel or one after another, merge to inline's
+      pair set and stats. *)
 
 open Rf_util
 module Fuzzer = Racefuzzer.Fuzzer
@@ -282,6 +286,68 @@ let test_stats_accounting () =
   Alcotest.(check int) "per-domain trials sum to total" s.Campaign.s_trials
     (Array.fold_left ( + ) 0 s.Campaign.s_domain_trials)
 
+(* ------------------------------------------------------------------ *)
+(* Detection by re-execution.  Shard k of n re-runs the phase-1 seeds and
+   its detector sees every sync event plus the memory events of the
+   locations it owns.  Rfl_gen programs carry no static model and intern
+   their sites as they first execute, so the shard domains meet the
+   Site.with_priority gate. *)
+
+let phase1_of ?governor ~detect (prog, seed) =
+  Fuzzer.phase1 ~seeds:[ seed ] ~max_steps:100_000 ?governor ~detect
+    (Rf_lang.Lang.program ~print:ignore prog)
+
+let pair_strings (p1 : Fuzzer.phase1_result) =
+  List.map
+    (fun (r : Rf_detect.Race.t) -> Site.Pair.to_string r.Rf_detect.Race.pair)
+    p1.Fuzzer.potential
+
+let prop_one_shard_is_inline =
+  QCheck.Test.make ~name:"one shard = inline, byte for byte" ~count:50
+    QCheck.(pair Rfl_gen.arbitrary_program small_int)
+    (fun case ->
+      let inline = phase1_of ~detect:Fuzzer.Inline case in
+      let one = phase1_of ~detect:(Fuzzer.Recorded { shards = 1 }) case in
+      List.map Rf_detect.Race.to_string one.Fuzzer.potential
+      = List.map Rf_detect.Race.to_string inline.Fuzzer.potential
+      && one.Fuzzer.p1_stats = inline.Fuzzer.p1_stats)
+
+let prop_sharded_pair_set =
+  QCheck.Test.make ~name:"2/3/7 shards = inline pairs, stats" ~count:50
+    QCheck.(pair Rfl_gen.arbitrary_program small_int)
+    (fun case ->
+      let inline = phase1_of ~detect:Fuzzer.Inline case in
+      let sorted_inline =
+        List.map Site.Pair.to_string
+          (Site.Pair.Set.elements (Fuzzer.potential_pairs inline))
+      in
+      List.for_all
+        (fun shards ->
+          let sharded = phase1_of ~detect:(Fuzzer.Recorded { shards }) case in
+          Site.Pair.Set.equal (Fuzzer.potential_pairs sharded)
+            (Fuzzer.potential_pairs inline)
+          && sharded.Fuzzer.p1_stats = inline.Fuzzer.p1_stats
+          && pair_strings sharded = sorted_inline)
+        [ 2; 3; 7 ])
+
+let prop_parallel_shards_equal_sequential =
+  (* ungoverned shards run in parallel, shard 0 on the caller; a governor
+     whose budget never trips runs them one after another *)
+  QCheck.Test.make ~name:"parallel shards = sequential shards" ~count:20
+    QCheck.(pair Rfl_gen.arbitrary_program small_int)
+    (fun case ->
+      let run governor shards =
+        let p1 = phase1_of ?governor ~detect:(Fuzzer.Recorded { shards }) case in
+        (pair_strings p1, p1.Fuzzer.p1_stats, p1.Fuzzer.p1_degraded)
+      in
+      List.for_all
+        (fun shards ->
+          let governor =
+            Rf_resource.Governor.create ~max_entries:max_int ~no_degrade:true ()
+          in
+          run None shards = run (Some governor) shards)
+        [ 2; 3 ])
+
 let () =
   Alcotest.run "campaign_determinism"
     [
@@ -304,4 +370,11 @@ let () =
           Alcotest.test_case "jsonl shape" `Quick test_event_log_jsonl_shape;
           Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
         ] );
+      ( "offline",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_one_shard_is_inline;
+            prop_sharded_pair_set;
+            prop_parallel_shards_equal_sequential;
+          ] );
     ]

@@ -394,10 +394,10 @@ let test_artifact_dirs_with_missing_parents () =
   let root = Filename.temp_file "rf_dirs" "" in
   Sys.remove root;
   let under name = Filename.concat (Filename.concat root name) "deep" in
-  let repro_dir = under "repro" and corpus = under "corpus" and traces = under "traces" in
+  let repro_dir = under "repro" and corpus = under "corpus" in
   let r =
     Campaign.run ~phase1_seeds:[ 0 ] ~seeds_per_pair:(List.init 4 Fun.id) ~repro_dir
-      ~corpus ~save_traces:traces ~target:"figure1" W.Figure1.program
+      ~corpus ~target:"figure1" W.Figure1.program
   in
   let files dir = Array.to_list (Sys.readdir dir) in
   Alcotest.(check bool) "a repro was written" true
@@ -406,7 +406,6 @@ let test_artifact_dirs_with_missing_parents () =
     (List.exists (fun f -> Filename.check_suffix f ".sched.json") (files repro_dir));
   Alcotest.(check bool) "corpus index written" true
     (List.mem "index.json" (files corpus));
-  Alcotest.(check (list string)) "trace saved" [ "trace-seed0.rfbt" ] (files traces);
   ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; root ]))
 
 (* ------------------------------------------------------------------ *)
@@ -472,118 +471,140 @@ let test_heap_watermark_no_degrade () =
    non-ASCII UTF-8 bytes (written raw). *)
 let nasty = "q\"b\\s\nn\tt\rr\001\031x\127é→"
 
-(* One event per constructor, in declaration order.  Floats have exact
-   six-digit renderings so every line parses back to the same event. *)
-let journal_events =
+(* One entry per golden line: an event per constructor, in declaration
+   order, or a record this build no longer writes (the former binary
+   recording pass), whose golden line must still load as an unknown
+   whole record.  Floats have exact six-digit renderings so every line
+   parses back to the same event. *)
+type golden_entry = Written of Event_log.event | Retired of string
+
+let journal_entries =
   Event_log.
     [
-      Journal_opened { schema = 5 };
-      Campaign_started { domains = 2; base_trials = 100; budget = None; cutoff = true };
-      Phase1_finished { potential = 2; wall = 0.25; degraded = true; level = nasty };
-      Phase1_recorded
-        {
-          events = 120;
-          bytes = 4096;
-          shards = 2;
-          record_wall = 0.5;
-          detect_wall = 1.125;
-        };
-      Wave_started { wave = 0; tasks = 17 };
-      Trial_started { pair = nasty; seed = 3; domain = 1 };
-      Trial_finished
-        {
-          pair = "(figure1:5(x=), figure1:7(x(read)))";
-          seed = 41;
-          domain = 0;
-          race = true;
-          error = false;
-          deadlock = true;
-          steps = 1234;
-          switches = 7;
-          exns = 1;
-          wall = 0.0625;
-          degraded = true;
-          level = "sampled";
-          trigger = nasty;
-          evicted = 9;
-        };
-      Trial_crashed
-        { pair = "(a, b)"; seed = 2; domain = 3; exn_ = nasty; backtrace = "l1\nl2\\" };
-      Trial_exhausted
-        {
-          pair = "(a, b)";
-          seed = 5;
-          domain = 0;
-          reason = "wall deadline";
-          steps = 99;
-          wall = 2.5;
-        };
-      Pair_filtered { pair = "(a, b)"; reason = nasty };
-      Static_classified
-        {
-          universe = 9;
-          universe_impossible = 7;
-          frontier = 2;
-          likely = 1;
-          unknown = 1;
-          impossible = 0;
-          filtered = 0;
-          wall = 0.000125;
-        };
-      Pair_resolved { pair = nasty; at_trial = 0 };
-      Pair_quarantined { pair = "(a, b)"; crashes = 3; at_trial = -1 };
-      Trials_cancelled { pair = "(a, b)"; count = 96 };
-      Budget_granted { pair = "(c, d)"; extra = 12 };
-      Worker_crashed { domain = 1; attempt = 2; exn_ = nasty };
-      Worker_respawned { domain = 1; attempt = 2; backoff = 0.015625 };
-      Worker_gave_up { domain = 4 };
-      Worker_spawned { worker = 0; pid = 123456 };
-      Worker_killed { worker = 1; pid = 654321; reason = nasty };
-      Traces_saved { dir = "dir with \"quotes\""; count = 2; bytes = 77 };
-      Corpus_updated { dir = nasty; added = 1; deduped = 2; total = 3 };
-      Resume_loaded { entries = 40; skipped = 1 };
-      Campaign_interrupted { executed = 15; remaining = 85 };
-      Repro_written
-        {
-          pair = "(a, b)";
-          fingerprint = nasty;
-          seed = 6;
-          file = "repro-0123456789ab.sched.json";
-          steps_before = 115;
-          steps_after = 50;
-          switches_before = 14;
-          switches_after = 1;
-          oracle_runs = 33;
-        };
-      Campaign_finished { wall = 1.75; trials = 200; cancelled = 4; throughput = 114.25 };
+      Written (Journal_opened { schema = 5 });
+      Written (Campaign_started { domains = 2; base_trials = 100; budget = None; cutoff = true });
+      Written (Phase1_finished { potential = 2; wall = 0.25; degraded = true; level = nasty });
+      Retired "phase1_recorded";
+      Written (Wave_started { wave = 0; tasks = 17 });
+      Written (Trial_started { pair = nasty; seed = 3; domain = 1 });
+      Written
+        (Trial_finished
+           {
+             pair = "(figure1:5(x=), figure1:7(x(read)))";
+             seed = 41;
+             domain = 0;
+             race = true;
+             error = false;
+             deadlock = true;
+             steps = 1234;
+             switches = 7;
+             exns = 1;
+             wall = 0.0625;
+             degraded = true;
+             level = "sampled";
+             trigger = nasty;
+             evicted = 9;
+           });
+      Written
+        (Trial_crashed
+           { pair = "(a, b)"; seed = 2; domain = 3; exn_ = nasty; backtrace = "l1\nl2\\" });
+      Written
+        (Trial_exhausted
+           {
+             pair = "(a, b)";
+             seed = 5;
+             domain = 0;
+             reason = "wall deadline";
+             steps = 99;
+             wall = 2.5;
+           });
+      Written (Pair_filtered { pair = "(a, b)"; reason = nasty });
+      Written
+        (Static_classified
+           {
+             universe = 9;
+             universe_impossible = 7;
+             frontier = 2;
+             likely = 1;
+             unknown = 1;
+             impossible = 0;
+             filtered = 0;
+             wall = 0.000125;
+           });
+      Written (Pair_resolved { pair = nasty; at_trial = 0 });
+      Written (Pair_quarantined { pair = "(a, b)"; crashes = 3; at_trial = -1 });
+      Written (Trials_cancelled { pair = "(a, b)"; count = 96 });
+      Written (Budget_granted { pair = "(c, d)"; extra = 12 });
+      Written (Worker_crashed { domain = 1; attempt = 2; exn_ = nasty });
+      Written (Worker_respawned { domain = 1; attempt = 2; backoff = 0.015625 });
+      Written (Worker_gave_up { domain = 4 });
+      Written (Worker_spawned { worker = 0; pid = 123456 });
+      Written (Worker_killed { worker = 1; pid = 654321; reason = nasty });
+      Retired "traces_saved";
+      Written (Corpus_updated { dir = nasty; added = 1; deduped = 2; total = 3 });
+      Written (Resume_loaded { entries = 40; skipped = 1 });
+      Written (Campaign_interrupted { executed = 15; remaining = 85 });
+      Written
+        (Repro_written
+           {
+             pair = "(a, b)";
+             fingerprint = nasty;
+             seed = 6;
+             file = "repro-0123456789ab.sched.json";
+             steps_before = 115;
+             steps_after = 50;
+             switches_before = 14;
+             switches_after = 1;
+             oracle_runs = 33;
+           });
+      Written (Campaign_finished { wall = 1.75; trials = 200; cancelled = 4; throughput = 114.25 });
     ]
-
-let journal_lines () =
-  List.mapi
-    (fun i ev ->
-      Json.seal
-        (Event_log.to_json ~seq:(i + 1) ~elapsed:(float_of_int i *. 0.5) ev))
-    journal_events
 
 let golden_journal = "golden_journal.jsonl"
 
+let golden_lines path =
+  String.split_on_char '\n' (read_file path) |> List.filter (fun l -> l <> "")
+
+(* The line each entry pins: a written event rendered at its position, a
+   retired record as the golden file keeps it. *)
+let journal_lines path =
+  let golden = Array.of_list (golden_lines path) in
+  List.mapi
+    (fun i -> function
+      | Written ev ->
+          Json.seal (Event_log.to_json ~seq:(i + 1) ~elapsed:(float_of_int i *. 0.5) ev)
+      | Retired _ -> golden.(i))
+    journal_entries
+
 let test_journal_golden () =
-  let golden =
-    String.split_on_char '\n' (read_file golden_journal)
-    |> List.filter (fun l -> l <> "")
-  in
-  let got = journal_lines () in
-  Alcotest.(check int) "one line per constructor" (List.length journal_events)
+  let golden = golden_lines golden_journal in
+  Alcotest.(check int) "one line per entry" (List.length journal_entries)
     (List.length golden);
   List.iter2
-    (fun want (line, ev) ->
-      Alcotest.(check string) (Event_log.event_name ev) want line;
-      Alcotest.(check bool)
-        (Event_log.event_name ev ^ " parses back")
-        true
-        (Event_log.event_of_json line = Some ev))
+    (fun want (line, entry) ->
+      match entry with
+      | Written ev ->
+          Alcotest.(check string) (Event_log.event_name ev) want line;
+          Alcotest.(check bool)
+            (Event_log.event_name ev ^ " parses back")
+            true
+            (Event_log.event_of_json line = Some ev)
+      | Retired name ->
+          Alcotest.(check bool) (name ^ " is sealed") true
+            (Json.check_seal line = Json.Sealed_ok);
+          Alcotest.(check (option string)) (name ^ " names itself") (Some name)
+            (Option.bind (Json.parse_flat line) (fun f -> Json.str f "ev"));
+          Alcotest.(check bool) (name ^ " is unknown") true
+            (Event_log.event_of_json line = None))
     golden
-    (List.combine got journal_events)
+    (List.combine (journal_lines golden_journal) journal_entries);
+  (* The whole file loads as a journal: the retired records are skipped
+     without counting as corrupt. *)
+  let events, skipped = Event_log.load_result golden_journal in
+  Alcotest.(check int) "nothing counted corrupt" 0 skipped;
+  Alcotest.(check bool) "every written event loads, in order" true
+    (events
+    = List.filter_map (function Written ev -> Some ev | Retired _ -> None) journal_entries)
 
 (* A journal an older build wrote re-renders byte for byte through the
    flat codec: parse, drop the seal, render, seal again. *)
@@ -670,9 +691,10 @@ let () =
 let () =
   match Array.to_list Sys.argv with
   | _ :: "--write-golden" :: path :: _ ->
+      let lines = journal_lines path in
       Out_channel.with_open_bin path (fun oc ->
-          List.iter (fun l -> output_string oc (l ^ "\n")) (journal_lines ()));
-      Printf.printf "wrote %d journal lines to %s\n" (List.length journal_events) path;
+          List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+      Printf.printf "wrote %d journal lines to %s\n" (List.length lines) path;
       exit 0
   | _ -> ()
 

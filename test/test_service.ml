@@ -58,15 +58,25 @@ let rec copy_dir src dst =
       end)
     (Sys.readdir src)
 
-(* One figure1 campaign with saved traces: the corpus ends up with one
-   error repro plus one trace entry per phase-1 seed — several items of
-   both revalidation flavors (replay and integrity). *)
+(* One figure1 campaign, plus one phase-1 recording ingested as a
+   "trace" entry the way an older build's --save-traces did: the corpus
+   holds an error repro and a trace file — items of both revalidation
+   flavors (replay and integrity). *)
 let build_corpus dir =
-  let traces = Filename.concat dir "traces" in
   ignore
     (Campaign.run ~domains:2 ~cutoff:true ~phase1_seeds:(seeds 3)
        ~seeds_per_pair:(seeds 20) ~target:"figure1" ~corpus:dir
-       ~save_traces:traces W.Figure1.program)
+       W.Figure1.program);
+  let traces = Filename.concat dir "traces" in
+  Unix.mkdir traces 0o755;
+  let src = Filename.concat traces "trace-seed0.rfbt" in
+  Out_channel.with_open_bin src (fun oc ->
+      output_string oc "RFBT\001\000 opaque bytes of an older build's recording");
+  let e =
+    Corpus.ingest_file ~dir ~kind:"trace" ~key:"figure1#seed0" ~target:"figure1"
+      ~seed:0 ~src ()
+  in
+  ignore (Corpus.update ~dir [ e ])
 
 (* Revalidation-only config: the token bucket never grants a campaign,
    so cycle content is purely the corpus re-check — the deterministic
