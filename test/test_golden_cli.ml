@@ -8,10 +8,12 @@
    programs that intern sites at run time on two domains while phase 1
    streams, the bytes of a --repro-dir written by the worker tier, the
    `fuzz` budget outputs, `detect` under each detector, `corpus list
-   --json` of a campaign's corpus, and --offline-detect at one and two
-   shards: the serve fixture with its repro directory, a model that
-   interns sites at run time on two domains, and one shard on two
-   domains.
+   --json` of a campaign's corpus, one `serve` cycle over that corpus
+   (its stdout and ledger), --offline-detect at one and two shards (the
+   serve fixture with its repro directory, a model that interns sites at
+   run time on two domains, and one shard on two domains), a --budget
+   campaign with --phase1-seeds, the worker rlimit and process-fault
+   flags, and `workload`.
 
    Check (also part of dune runtest):
      dune build @golden
@@ -37,6 +39,8 @@ type pin =
       (** [Report] plus a digest of the files the row's [Repro_dir]
           holds afterwards (names and contents) *)
   | Stdout  (** exit status and a digest of the whole stdout *)
+  | Stdout_and_ledger
+      (** [Stdout] plus a digest of the scratch corpus' serve ledger *)
 
 (* A row's command line; [Journal] and [Corpus] stand for a per-check
    scratch journal and corpus directory shared by the rows of one check,
@@ -96,6 +100,12 @@ let rows : (string * pin * arg list) list =
       Report,
       args [ "campaign"; "cache4j"; "--trials"; "20"; "--corpus" ] @ [ Corpus ] );
     ("cache4j-corpus-list-json", Stdout, [ A "corpus"; A "list"; Corpus; A "--json" ]);
+    ( "cache4j-corpus-serve",
+      Stdout_and_ledger,
+      [ A "serve"; Corpus ]
+      @ args
+          [ "--cycles"; "1"; "--period"; "0"; "--domains"; "2"; "--phase1-seeds"; "2";
+            "--trials"; "5" ] );
     ( "serve-offline-shards2-repro",
       Report_and_repro,
       [ A "campaign"; Fixture "serve-offline.rfl" ]
@@ -114,6 +124,20 @@ let rows : (string * pin * arg list) list =
       Report,
       [ A "campaign"; Example "figure1.rfl" ]
       @ args [ "--domains"; "2"; "--trials"; "20"; "--offline-detect" ] );
+    ( "cache4j-d2-budget60",
+      Report,
+      args
+        [ "campaign"; "cache4j"; "--domains"; "2"; "--trials"; "10"; "--phase1-seeds"; "2";
+          "--budget"; "60" ] );
+    ( "figure1-workers2-faults",
+      Report,
+      args
+        [
+          "campaign"; "figure1"; "--workers"; "2"; "--trials"; "50"; "--worker-mem"; "4096";
+          "--worker-cpu"; "600"; "--worker-deadline"; "60"; "--chaos-kill-assignment"; "3";
+          "--chaos-torn-frame"; "7";
+        ] );
+    ("cache4j-workload", Stdout, args [ "workload"; "cache4j"; "--trials"; "5" ]);
   ]
 
 let read_lines path =
@@ -174,6 +198,11 @@ let measure ~journal ~corpus (pin, args) =
     | Report -> report ()
     | Report_and_repro -> report () @ [ "repro=" ^ digest_dir repro_dir ]
     | Stdout -> [ "stdout=" ^ out_digest ]
+    | Stdout_and_ledger ->
+        [
+          "stdout=" ^ out_digest;
+          "ledger=" ^ Digest.to_hex (Digest.file (Filename.concat corpus "serve.ledger.jsonl"));
+        ]
     | Stderr -> (
         match List.filter (fun l -> l <> "") err_lines with
         | l :: _ -> [ "stderr: " ^ l ]
