@@ -214,14 +214,20 @@ let measure_sequential ~min_wall (wl : bench_workload) =
    steps/sec is the end-to-end campaign throughput the detection-tax gate
    compares against [sequential].  The wall is the [Campaign.run] call:
    phase 1 may overlap phase 2, so the two phase walls do not add up. *)
-let measure_campaign ?offline_detect ~domains ~trials (wl : bench_workload) =
+let measure_campaign ~harness ~domains ~trials (wl : bench_workload) =
   let (r, wall), peak =
     with_peak_heap (fun () ->
         let t0 = Unix.gettimeofday () in
         let r =
-          Rf_campaign.Campaign.run ~domains ~phase1_seeds:[ 0; 1; 2 ]
-            ~seeds_per_pair:(List.init trials Fun.id)
-            ?offline_detect wl.program
+          Rf_campaign.Campaign.run
+            {
+              Rf_campaign.Campaign.default_config with
+              domains;
+              phase1_seeds = [ 0; 1; 2 ];
+              seeds_per_pair = List.init trials Fun.id;
+              cutoff = false;
+            }
+            wl.program
         in
         (r, Unix.gettimeofday () -. t0))
   in
@@ -243,8 +249,7 @@ let measure_campaign ?offline_detect ~domains ~trials (wl : bench_workload) =
   let stats = r.Rf_campaign.Campaign.stats in
   {
     r_workload = wl.bname;
-    r_harness =
-      (if offline_detect = None then "campaign" else "campaign-offline");
+    r_harness = harness;
     r_domains = domains;
     r_runs = stats.Rf_campaign.Campaign.s_trials;
     r_steps = steps;
@@ -262,8 +267,10 @@ let measure_spec ~smoke spec =
   let wl = spec.s_workload and domains = spec.s_domains in
   match spec.s_harness with
   | "sequential" -> measure_sequential ~min_wall wl
-  | "campaign" -> measure_campaign ~domains ~trials wl
-  | "campaign-offline" -> measure_campaign ~offline_detect:1 ~domains ~trials wl
+  | ("campaign" | "campaign-offline") as harness ->
+      (* one offline shard is inline detection, so both rows run the same
+         campaign *)
+      measure_campaign ~harness ~domains ~trials wl
   | h -> invalid_arg ("engine_bench: unknown harness " ^ h)
 
 (* Run one repetition of a row in a fresh process ([--row], below) and

@@ -188,8 +188,15 @@ let run_parallel ?(trials = 50) ?(domains = 4) () =
   List.iter
     (fun (w : W.Workload.t) ->
       let campaign d =
-        Rf_campaign.Campaign.run ~domains:d ~cutoff:false ~phase1_seeds
-          ~seeds_per_pair:seeds w.W.Workload.program
+        Rf_campaign.Campaign.run
+          {
+            Rf_campaign.Campaign.default_config with
+            domains = d;
+            phase1_seeds;
+            seeds_per_pair = seeds;
+            cutoff = false;
+          }
+          w.W.Workload.program
       in
       let seq = campaign 1 in
       let par = campaign domains in

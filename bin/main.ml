@@ -28,18 +28,53 @@ let strategy_of_name = function
   | s -> Error (Fmt.str "unknown strategy %S" s)
 
 (* ------------------------------------------------------------------ *)
-(* Common arguments                                                    *)
+(* Common arguments.  Each flag is declared once: here when several
+   subcommands take it, otherwise in its subcommand.  A flag that sets a
+   campaign setting takes its default from the subcommand's
+   configuration (Campaign.default_config, or Service.default_config for
+   serve). *)
+
+module Campaign = Rf_campaign.Campaign
+module Service = Rf_campaign.Service
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"RFL source file.")
 
+let target_arg =
+  Arg.(
+    required & pos 0 (some string) None
+    & info [] ~docv:"TARGET" ~doc:"RFL source file or built-in workload name.")
+
 let seed_arg =
   Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed (replayable).")
 
-let seeds_arg default =
+(* Seed and trial counts: a negative one is a usage error (exit 124). *)
+let count =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | _ -> Error (`Msg (Fmt.str "invalid value '%s', expected a non-negative integer" s))
+  in
+  Arg.conv (parse, Fmt.int)
+
+(* A count of seeds as the seed list 0..n-1. *)
+let seeds n = List.init n Fun.id
+
+let trials_arg default =
   Arg.(
-    value & opt int default
-    & info [ "trials" ] ~docv:"N" ~doc:"Number of seeds/trials per experiment.")
+    value & opt count default
+    & info [ "trials" ] ~docv:"N"
+        ~doc:
+          "Number of seeds/trials per experiment; for a campaign or a serve \
+           wave, trial seeds per candidate pair.")
+
+let phase1_seeds_arg default =
+  Arg.(
+    value & opt count default
+    & info [ "phase1-seeds" ] ~docv:"N"
+        ~doc:
+          "Executions observed by hybrid detection (in serve, by each wave's \
+           phase 1 per target).")
 
 let strategy_arg =
   Arg.(
@@ -47,6 +82,13 @@ let strategy_arg =
     & opt string "random"
     & info [ "strategy" ] ~docv:"NAME"
         ~doc:"Scheduler: random, round-robin, default, run-until-block, rapos.")
+
+(* Print [m] to stderr and exit with [code]. *)
+let fail ?(code = 1) m =
+  Fmt.epr "%s@." m;
+  exit code
+
+let or_fail ?code = function Ok x -> x | Error m -> fail ?code m
 
 let load file =
   try Ok (Rf_lang.Lang.load_file file) with
@@ -84,21 +126,59 @@ let detector_maker = function
   | "hybrid" -> fun ?governor () -> Rf_detect.Detector.hybrid ~cap:128 ?governor ()
   | "hb" | "happens-before" -> Rf_detect.Detector.hb_precise ~cap:128
   | "eraser" -> Rf_detect.Detector.eraser ~site_cap:16
-  | s ->
-      Fmt.epr "unknown detector %S@." s;
-      exit 1
+  | s -> fail (Fmt.str "unknown detector %S" s)
 
-(* Journal and worker fleet, shared by 'campaign' and 'serve'. *)
+(* Journal, worker fleet and chaos flags, shared by 'campaign' and
+   'serve'. *)
+
+let log_arg =
+  Arg.(
+    value & opt (some string) None
+    & info [ "log" ] ~docv:"FILE"
+        ~doc:
+          "Write a JSONL progress/event log to $(docv) (in serve, one log \
+           shared by all campaign waves).")
 
 let open_log = function
   | Some path -> (
       try Rf_campaign.Event_log.open_file path
-      with Sys_error m ->
-        Fmt.epr "cannot open event log: %s@." m;
-        exit 1)
+      with Sys_error m -> fail ("cannot open event log: " ^ m))
   | None -> Rf_campaign.Event_log.null ()
 
-let worker_fleet ?mem_mb ?cpu_s ~workers ~deadline target =
+let domains_arg default =
+  Arg.(
+    value & opt int default
+    & info [ "domains" ] ~docv:"N"
+        ~doc:"Worker domains draining the trial queue (in serve, of each campaign wave).")
+
+let workers_arg =
+  Arg.(
+    value & opt int 0
+    & info [ "workers" ] ~docv:"N"
+        ~doc:
+          "Shard phase-2 trials across $(docv) supervised worker processes \
+           (a hidden 'campaign-worker' mode of this executable) instead of \
+           in-process domains.  Workers are crash-isolated — a segfault, \
+           OOM or spin kills one worker, which is respawned with \
+           exponential backoff while its trial is requeued — and results \
+           merge deterministically: the campaign fingerprint is \
+           byte-identical to an in-process run.  0 (the default) keeps the \
+           in-process domain pool; when workers cannot be spawned the \
+           campaign degrades to it silently ('serve status' shows the \
+           degraded fleet).")
+
+let worker_deadline_arg =
+  Arg.(
+    value & opt float Rf_campaign.Proc_pool.default_heartbeat
+    & info [ "worker-deadline" ] ~docv:"SECS"
+        ~doc:
+          "Heartbeat deadline for --workers: a worker holding an \
+           assignment longer than $(docv) without replying is SIGKILLed \
+           and its trial requeued.")
+
+(* The phase-2 worker processes; 0 workers keeps the in-process pool.
+   The campaign names the target in the workers' init frame. *)
+let worker_fleet ?mem_mb ?cpu_s workers deadline =
   if workers <= 0 then None
   else
     Some
@@ -109,8 +189,38 @@ let worker_fleet ?mem_mb ?cpu_s ~workers ~deadline target =
         sp_rlimit_as_mb = mem_mb;
         sp_rlimit_cpu_s = cpu_s;
         sp_policy = Rf_campaign.Supervisor.default_policy;
-        sp_target = target;
+        sp_target = "";
       }
+
+let chaos_seed_arg =
+  Arg.(
+    value & opt int 0
+    & info [ "chaos-seed" ] ~docv:"N" ~doc:"Seed for the chaos fault plan.")
+
+let chaos_kill_arg =
+  Arg.(
+    value & opt (some int) None
+    & info [ "chaos-kill-assignment" ] ~docv:"N"
+        ~doc:
+          "Multi-process chaos: the worker receiving the Nth dispatched \
+           assignment (in serve, of each campaign wave) SIGKILLs itself — a \
+           real process death exercising reap, requeue and respawn.  \
+           Liveness-only: results and fingerprints are unchanged.  Usable \
+           without --chaos.")
+
+let static_filter_arg =
+  Arg.(
+    value & flag
+    & info [ "static-filter" ]
+        ~doc:
+          "Skip phase-2 fuzzing of candidate pairs the static pre-filter proves \
+           cannot race (consistent common lock, single thread, read-read, or \
+           fork/join ordering); surviving pairs are fuzzed Likely-first.  \
+           Filtered pairs are journaled with their proof reason; \
+           confirmed-race results are unchanged — the filter is sound and \
+           only removes work.  Requires a static model: built-in workloads \
+           carry one, RFL files are analyzed directly; without one the flag \
+           warns and is a no-op.")
 
 (* Resource-governance flags, shared by 'fuzz' and 'campaign'. *)
 
@@ -158,28 +268,18 @@ let run_cmd =
     Arg.(value & flag & info [ "trace" ] ~doc:"Print the full event trace.")
   in
   let action file seed strategy trace =
-    match load file with
-    | Error m ->
-        Fmt.epr "%s@." m;
-        exit 1
-    | Ok prog -> (
-        match strategy_of_name strategy with
-        | Error m ->
-            Fmt.epr "%s@." m;
-            exit 1
-        | Ok strat ->
-            let main = Rf_lang.Lang.program prog in
-            let o =
-              Rf_runtime.Engine.run
-                ~config:
-                  { Rf_runtime.Engine.default_config with seed; record_trace = trace }
-                ~strategy:strat main
-            in
-            Fmt.pr "%a@." Rf_runtime.Outcome.pp o;
-            (match o.Rf_runtime.Outcome.trace with
-            | Some tr when trace -> Fmt.pr "@.%a" Rf_events.Trace.pp tr
-            | _ -> ());
-            if not (Rf_runtime.Outcome.ok o) then exit 1)
+    let prog = or_fail (load file) in
+    let strat = or_fail (strategy_of_name strategy) in
+    let o =
+      Rf_runtime.Engine.run
+        ~config:{ Rf_runtime.Engine.default_config with seed; record_trace = trace }
+        ~strategy:strat (Rf_lang.Lang.program prog)
+    in
+    Fmt.pr "%a@." Rf_runtime.Outcome.pp o;
+    (match o.Rf_runtime.Outcome.trace with
+    | Some tr when trace -> Fmt.pr "@.%a" Rf_events.Trace.pp tr
+    | _ -> ());
+    if not (Rf_runtime.Outcome.ok o) then exit 1
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Execute an RFL program under a chosen scheduler.")
@@ -189,35 +289,28 @@ let run_cmd =
 (* detect                                                              *)
 
 let detect_cmd =
-  let target_arg =
-    Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"TARGET" ~doc:"RFL source file or built-in workload name.")
-  in
   let action target detector trials =
-    match resolve_target target with
-    | Error m ->
-        Fmt.epr "%s@." m;
-        exit 1
-    | Ok (main, _) ->
-        let d = detector_maker detector () in
-        List.iter
-          (fun seed ->
-            ignore
-              (Rf_runtime.Engine.run
-                 ~config:{ Rf_runtime.Engine.default_config with seed }
-                 ~listeners:[ Rf_detect.Detector.feed d ]
-                 ~strategy:(Rf_runtime.Strategy.random ()) main))
-          (List.init trials Fun.id);
-        let races = Rf_detect.Detector.races d in
-        Fmt.pr "%s: %d potential racing statement pair(s)@."
-          (Rf_detect.Detector.name d)
-          (List.length races);
-        List.iter (fun r -> Fmt.pr "  %a@." Rf_detect.Race.pp r) races
+    let main, _ = or_fail (resolve_target target) in
+    let d = detector_maker detector () in
+    List.iter
+      (fun seed ->
+        ignore
+          (Rf_runtime.Engine.run
+             ~config:{ Rf_runtime.Engine.default_config with seed }
+             ~listeners:[ Rf_detect.Detector.feed d ]
+             ~strategy:(Rf_runtime.Strategy.random ()) main))
+      (seeds trials);
+    let races = Rf_detect.Detector.races d in
+    Fmt.pr "%s: %d potential racing statement pair(s)@."
+      (Rf_detect.Detector.name d)
+      (List.length races);
+    List.iter (fun r -> Fmt.pr "  %a@." Rf_detect.Race.pp r) races
   in
   Cmd.v
     (Cmd.info "detect" ~doc:"Phase 1: report potential races in an RFL program.")
-    Term.(const action $ target_arg $ detector_arg $ seeds_arg 5)
+    Term.(
+      const action $ target_arg $ detector_arg
+      $ trials_arg (List.length Campaign.default_config.phase1_seeds))
 
 (* ------------------------------------------------------------------ *)
 (* fuzz                                                                *)
@@ -249,52 +342,33 @@ let print_analysis (a : Racefuzzer.Fuzzer.analysis) =
     (Site.Pair.Set.cardinal potential)
 
 let fuzz_cmd =
-  let p1_arg =
-    Arg.(
-      value & opt int 5
-      & info [ "phase1-seeds" ] ~docv:"N" ~doc:"Executions observed by hybrid detection.")
-  in
-  let static_filter_arg =
-    Arg.(
-      value & flag
-      & info [ "static-filter" ]
-          ~doc:
-            "Statically analyze the program first and skip phase-2 fuzzing of \
-             candidate pairs proved unable to race; surviving pairs are fuzzed \
-             Likely-first.")
-  in
+  let d = Campaign.default_config in
   let action file p1 trials static_filter detector_budget mem_budget no_degrade =
-    match load file with
-    | Error m ->
-        Fmt.epr "%s@." m;
-        exit 1
-    | Ok prog -> (
-        let main = Rf_lang.Lang.program ~print:ignore prog in
-        let static = Rf_static.Static.of_program prog in
-        match
-          Racefuzzer.Fuzzer.analyze
-            ~phase1_seeds:(List.init p1 Fun.id)
-            ~seeds_per_pair:(List.init trials Fun.id)
-            ~static ~static_filter ?detector_budget ?mem_budget ~no_degrade main
-        with
-        | a ->
-            pp_p1_degraded a;
-            List.iter
-              (fun (p, v) ->
-                Fmt.pr "filtered: %a — %s@." Site.Pair.pp p
-                  (Rf_static.Static.verdict_to_string v))
-              a.Racefuzzer.Fuzzer.a_filtered;
-            print_analysis a
-        | exception Rf_resource.Governor.Budget_stop trigger ->
-            Fmt.epr "resource budget exhausted (%s) under --no-degrade@."
-              (Rf_resource.Governor.trigger_to_string trigger);
-            exit 2
-        | exception e ->
-            (* The sequential driver is unsandboxed: a harness crash aborts
-               the analysis.  Use 'campaign' for fault-tolerant runs. *)
-            Fmt.epr "harness crash: %s@.%s@." (Printexc.to_string e)
-              (Printexc.get_backtrace ());
-            exit 2)
+    let prog = or_fail (load file) in
+    let main = Rf_lang.Lang.program ~print:ignore prog in
+    let static = Rf_static.Static.of_program prog in
+    match
+      Racefuzzer.Fuzzer.analyze ~phase1_seeds:(seeds p1) ~seeds_per_pair:(seeds trials)
+        ~static ~static_filter ?detector_budget ?mem_budget ~no_degrade main
+    with
+    | a ->
+        pp_p1_degraded a;
+        List.iter
+          (fun (p, v) ->
+            Fmt.pr "filtered: %a — %s@." Site.Pair.pp p
+              (Rf_static.Static.verdict_to_string v))
+          a.Racefuzzer.Fuzzer.a_filtered;
+        print_analysis a
+    | exception Rf_resource.Governor.Budget_stop trigger ->
+        Fmt.epr "resource budget exhausted (%s) under --no-degrade@."
+          (Rf_resource.Governor.trigger_to_string trigger);
+        exit 2
+    | exception e ->
+        (* The sequential driver is unsandboxed: a harness crash aborts
+           the analysis.  Use 'campaign' for fault-tolerant runs. *)
+        Fmt.epr "harness crash: %s@.%s@." (Printexc.to_string e)
+          (Printexc.get_backtrace ());
+        exit 2
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -303,7 +377,10 @@ let fuzz_cmd =
           --detector-budget/--mem-budget, phase 1 runs resource-governed and \
           degrades gracefully instead of exhausting memory.")
     Term.(
-      const action $ file_arg $ p1_arg $ seeds_arg 100 $ static_filter_arg
+      const action $ file_arg
+      $ phase1_seeds_arg (List.length d.phase1_seeds)
+      $ trials_arg (List.length d.seeds_per_pair)
+      $ static_filter_arg
       $ detector_budget_arg $ mem_budget_arg $ no_degrade_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -337,41 +414,39 @@ let is_schedule_file file =
       find 0
   | exception Sys_error _ -> false
 
+(* A recorded schedule and its target program; exit 4 when the file
+   cannot be read, 1 when the target does not resolve. *)
+let load_schedule file =
+  let sched =
+    try Rf_replay.Schedule.load file
+    with Rf_replay.Schedule.Format_error m | Sys_error m -> fail ~code:4 m
+  in
+  let target = sched.Rf_replay.Schedule.meta.Rf_replay.Schedule.m_target in
+  (sched, or_fail (schedule_program target))
+
 let replay_schedule_action file verbose =
-  match Rf_replay.Schedule.load file with
-  | exception Rf_replay.Schedule.Format_error m ->
-      Fmt.epr "%s@." m;
+  let sched, program = load_schedule file in
+  let meta = sched.Rf_replay.Schedule.meta in
+  Fmt.pr "%a@." Rf_replay.Schedule.pp sched;
+  if verbose then Fmt.pr "@.%a@." Rf_replay.Schedule.pp_narrative sched;
+  let o, status = Racefuzzer.Fuzzer.replay_schedule ~program sched in
+  Fmt.pr "%a@." Rf_runtime.Outcome.pp o;
+  let got = Rf_replay.Schedule.error_fingerprint o in
+  (match status.Rf_replay.Replayer.divergence with
+  | Some d ->
+      Fmt.epr "DIVERGED at %a@." Rf_replay.Replayer.pp_divergence d;
       exit 4
-  | exception Sys_error m ->
-      Fmt.epr "%s@." m;
-      exit 4
-  | sched -> (
-      let meta = sched.Rf_replay.Schedule.meta in
-      match schedule_program meta.Rf_replay.Schedule.m_target with
-      | Error m ->
-          Fmt.epr "%s@." m;
-          exit 1
-      | Ok program ->
-          Fmt.pr "%a@." Rf_replay.Schedule.pp sched;
-          if verbose then Fmt.pr "@.%a@." Rf_replay.Schedule.pp_narrative sched;
-          let o, status = Racefuzzer.Fuzzer.replay_schedule ~program sched in
-          Fmt.pr "%a@." Rf_runtime.Outcome.pp o;
-          let got = Rf_replay.Schedule.error_fingerprint o in
-          (match status.Rf_replay.Replayer.divergence with
-          | Some d ->
-              Fmt.epr "DIVERGED at %a@." Rf_replay.Replayer.pp_divergence d;
-              exit 4
-          | None -> ());
-          let want = meta.Rf_replay.Schedule.m_error in
-          if got = want then
-            Fmt.pr "reproduced: %s@."
-              (match want with Some e -> e | None -> "clean run (no error recorded)")
-          else begin
-            Fmt.epr "MISMATCH: schedule records %s, replay produced %s@."
-              (match want with Some e -> e | None -> "no error")
-              (match got with Some e -> e | None -> "no error");
-            exit 4
-          end)
+  | None -> ());
+  let want = meta.Rf_replay.Schedule.m_error in
+  if got = want then
+    Fmt.pr "reproduced: %s@."
+      (match want with Some e -> e | None -> "clean run (no error recorded)")
+  else begin
+    Fmt.epr "MISMATCH: schedule records %s, replay produced %s@."
+      (match want with Some e -> e | None -> "no error")
+      (match got with Some e -> e | None -> "no error");
+    exit 4
+  end
 
 let replay_cmd =
   let pair_arg =
@@ -389,43 +464,37 @@ let replay_cmd =
   let action file seed pair_opt verbose =
     if is_schedule_file file then replay_schedule_action file verbose
     else
-      match load file with
-      | Error m ->
-          Fmt.epr "%s@." m;
-          exit 1
-      | Ok prog -> (
-          let l1, l2 =
-            match pair_opt with
-            | Some p -> p
-            | None ->
-                Fmt.epr "--pair L1:L2 is required to replay an RFL file from a seed \
-                         (schedule files carry their pair)@.";
-                exit 1
-          in
-          let base = Filename.basename file in
-          (* sites are registered as statements execute: warm the registry
-             with a few throwaway runs so line lookup sees all sites *)
-          let warm = Rf_lang.Lang.program ~print:ignore prog in
+      let prog = or_fail (load file) in
+      let l1, l2 =
+        match pair_opt with
+        | Some p -> p
+        | None ->
+            fail
+              "--pair L1:L2 is required to replay an RFL file from a seed (schedule \
+               files carry their pair)"
+      in
+      let base = Filename.basename file in
+      (* sites are registered as statements execute: warm the registry
+         with a few throwaway runs so line lookup sees all sites *)
+      let warm = Rf_lang.Lang.program ~print:ignore prog in
+      List.iter
+        (fun s ->
+          ignore
+            (Rf_runtime.Engine.run
+               ~config:{ Rf_runtime.Engine.default_config with seed = s }
+               ~strategy:(Rf_runtime.Strategy.random ()) warm))
+        [ 0; 1; 2 ];
+      let sites_at l = Site.find_by_line ~file:base ~line:l in
+      match (sites_at l1, sites_at l2) with
+      | s1 :: _, s2 :: _ ->
+          let main = Rf_lang.Lang.program prog in
+          let pair = Site.Pair.make s1 s2 in
+          let o, report = Racefuzzer.Fuzzer.replay ~seed ~program:main pair in
           List.iter
-            (fun s ->
-              ignore
-                (Rf_runtime.Engine.run
-                   ~config:{ Rf_runtime.Engine.default_config with seed = s }
-                   ~strategy:(Rf_runtime.Strategy.random ()) warm))
-            [ 0; 1; 2 ];
-          let sites_at l = Site.find_by_line ~file:base ~line:l in
-          match (sites_at l1, sites_at l2) with
-          | s1 :: _, s2 :: _ ->
-              let main = Rf_lang.Lang.program prog in
-              let pair = Site.Pair.make s1 s2 in
-              let o, report = Racefuzzer.Fuzzer.replay ~seed ~program:main pair in
-              List.iter
-                (fun h -> Fmt.pr "%a@." Racefuzzer.Algo.pp_hit h)
-                (Racefuzzer.Algo.hits report);
-              Fmt.pr "%a@." Rf_runtime.Outcome.pp o
-          | _ ->
-              Fmt.epr "no statement sites found on lines %d/%d of %s@." l1 l2 base;
-              exit 1)
+            (fun h -> Fmt.pr "%a@." Racefuzzer.Algo.pp_hit h)
+            (Racefuzzer.Algo.hits report);
+          Fmt.pr "%a@." Rf_runtime.Outcome.pp o
+      | _ -> fail (Fmt.str "no statement sites found on lines %d/%d of %s" l1 l2 base)
   in
   Cmd.v
     (Cmd.info "replay"
@@ -456,41 +525,27 @@ let shrink_cmd =
       & info [ "fuel" ] ~docv:"N" ~doc:"Maximum oracle executions spent minimizing.")
   in
   let action file out fuel =
-    match Rf_replay.Schedule.load file with
-    | exception Rf_replay.Schedule.Format_error m ->
-        Fmt.epr "%s@." m;
+    let sched, program = load_schedule file in
+    match Racefuzzer.Fuzzer.minimize_schedule ~fuel ~program sched with
+    | None ->
+        Fmt.epr "cannot reproduce the schedule's error (%s) — nothing to minimize@."
+          (match sched.Rf_replay.Schedule.meta.Rf_replay.Schedule.m_error with
+          | Some e -> e
+          | None -> "none recorded");
         exit 4
-    | exception Sys_error m ->
-        Fmt.epr "%s@." m;
-        exit 4
-    | sched -> (
-        let meta = sched.Rf_replay.Schedule.meta in
-        match schedule_program meta.Rf_replay.Schedule.m_target with
-        | Error m ->
-            Fmt.epr "%s@." m;
-            exit 1
-        | Ok program -> (
-            match Racefuzzer.Fuzzer.minimize_schedule ~fuel ~program sched with
-            | None ->
-                Fmt.epr "cannot reproduce the schedule's error (%s) — nothing to \
-                         minimize@."
-                  (match meta.Rf_replay.Schedule.m_error with
-                  | Some e -> e
-                  | None -> "none recorded");
-                exit 4
-            | Some (minimized, stats) ->
-                let out =
-                  match out with
-                  | Some o -> o
-                  | None ->
-                      (if Filename.check_suffix file ".sched.json" then
-                         Filename.chop_suffix file ".sched.json"
-                       else file)
-                      ^ ".min.sched.json"
-                in
-                Rf_replay.Schedule.save out minimized;
-                Fmt.pr "%a@." Rf_replay.Shrinker.pp_stats stats;
-                Fmt.pr "minimized schedule: %s@." out))
+    | Some (minimized, stats) ->
+        let out =
+          match out with
+          | Some o -> o
+          | None ->
+              (if Filename.check_suffix file ".sched.json" then
+                 Filename.chop_suffix file ".sched.json"
+               else file)
+              ^ ".min.sched.json"
+        in
+        Rf_replay.Schedule.save out minimized;
+        Fmt.pr "%a@." Rf_replay.Shrinker.pp_stats stats;
+        Fmt.pr "minimized schedule: %s@." out
   in
   Cmd.v
     (Cmd.info "shrink"
@@ -507,97 +562,74 @@ let shrink_cmd =
 
 let deadlock_cmd =
   let action file trials =
-    match load file with
-    | Error m ->
-        Fmt.epr "%s@." m;
-        exit 1
-    | Ok prog ->
-        let main = Rf_lang.Lang.program ~print:ignore prog in
-        let results =
-          Racefuzzer.Deadlock_fuzzer.analyze
-            ~phase1_seeds:(List.init 5 Fun.id)
-            ~seeds_per_candidate:(List.init trials Fun.id)
-            main
-        in
-        if results = [] then Fmt.pr "no potential lock-order cycles found@."
-        else
-          List.iter
-            (fun (r : Racefuzzer.Deadlock_fuzzer.candidate_result) ->
-              Fmt.pr "%a@."
-                Rf_detect.Goodlock.pp_candidate r.Racefuzzer.Deadlock_fuzzer.dc_candidate;
-              Fmt.pr "  realized in %d/%d trials -> %s@."
-                r.Racefuzzer.Deadlock_fuzzer.dc_deadlock_trials
-                r.Racefuzzer.Deadlock_fuzzer.dc_trials
-                (if Racefuzzer.Deadlock_fuzzer.is_real r then "REAL DEADLOCK"
-                 else "false alarm");
-              Option.iter
-                (fun seed -> Fmt.pr "  replay with seed %d@." seed)
-                r.Racefuzzer.Deadlock_fuzzer.dc_seed)
-            results
+    let main = Rf_lang.Lang.program ~print:ignore (or_fail (load file)) in
+    let results =
+      Racefuzzer.Deadlock_fuzzer.analyze ~phase1_seeds:Campaign.default_config.phase1_seeds
+        ~seeds_per_candidate:(seeds trials) main
+    in
+    if results = [] then Fmt.pr "no potential lock-order cycles found@."
+    else
+      List.iter
+        (fun (r : Racefuzzer.Deadlock_fuzzer.candidate_result) ->
+          Fmt.pr "%a@."
+            Rf_detect.Goodlock.pp_candidate r.Racefuzzer.Deadlock_fuzzer.dc_candidate;
+          Fmt.pr "  realized in %d/%d trials -> %s@."
+            r.Racefuzzer.Deadlock_fuzzer.dc_deadlock_trials
+            r.Racefuzzer.Deadlock_fuzzer.dc_trials
+            (if Racefuzzer.Deadlock_fuzzer.is_real r then "REAL DEADLOCK"
+             else "false alarm");
+          Option.iter
+            (fun seed -> Fmt.pr "  replay with seed %d@." seed)
+            r.Racefuzzer.Deadlock_fuzzer.dc_seed)
+        results
   in
   Cmd.v
     (Cmd.info "deadlock"
        ~doc:
          "Deadlock-directed testing: find lock-order cycles and try to realize \
           them (paper §1 generalization).")
-    Term.(const action $ file_arg $ seeds_arg 50)
+    Term.(const action $ file_arg $ trials_arg 50)
 
 (* ------------------------------------------------------------------ *)
 (* atomicity                                                           *)
 
 let atomicity_cmd =
   let action file trials =
-    match load file with
-    | Error m ->
-        Fmt.epr "%s@." m;
-        exit 1
-    | Ok prog ->
-        let main = Rf_lang.Lang.program ~print:ignore prog in
-        let results =
-          Racefuzzer.Atom_fuzzer.analyze
-            ~phase1_seeds:(List.init 5 Fun.id)
-            ~seeds_per_candidate:(List.init trials Fun.id)
-            main
-        in
-        if results = [] then Fmt.pr "no split transactions found@."
-        else
-          List.iter
-            (fun (r : Racefuzzer.Atom_fuzzer.candidate_result) ->
-              Fmt.pr "%a@." Rf_detect.Atomicity.pp_candidate
-                r.Racefuzzer.Atom_fuzzer.ac_candidate;
-              Fmt.pr "  violated in %d/%d trials (%d with uncaught exceptions) -> %s@."
-                r.Racefuzzer.Atom_fuzzer.ac_violation_trials
-                r.Racefuzzer.Atom_fuzzer.ac_trials
-                r.Racefuzzer.Atom_fuzzer.ac_error_trials
-                (if Racefuzzer.Atom_fuzzer.is_harmful r then "REAL, HARMFUL"
-                 else if Racefuzzer.Atom_fuzzer.is_real r then "REAL (benign here)"
-                 else "not realized");
-              Option.iter
-                (fun seed -> Fmt.pr "  replay with seed %d@." seed)
-                r.Racefuzzer.Atom_fuzzer.ac_seed)
-            results
+    let main = Rf_lang.Lang.program ~print:ignore (or_fail (load file)) in
+    let results =
+      Racefuzzer.Atom_fuzzer.analyze ~phase1_seeds:Campaign.default_config.phase1_seeds
+        ~seeds_per_candidate:(seeds trials) main
+    in
+    if results = [] then Fmt.pr "no split transactions found@."
+    else
+      List.iter
+        (fun (r : Racefuzzer.Atom_fuzzer.candidate_result) ->
+          Fmt.pr "%a@." Rf_detect.Atomicity.pp_candidate
+            r.Racefuzzer.Atom_fuzzer.ac_candidate;
+          Fmt.pr "  violated in %d/%d trials (%d with uncaught exceptions) -> %s@."
+            r.Racefuzzer.Atom_fuzzer.ac_violation_trials
+            r.Racefuzzer.Atom_fuzzer.ac_trials
+            r.Racefuzzer.Atom_fuzzer.ac_error_trials
+            (if Racefuzzer.Atom_fuzzer.is_harmful r then "REAL, HARMFUL"
+             else if Racefuzzer.Atom_fuzzer.is_real r then "REAL (benign here)"
+             else "not realized");
+          Option.iter
+            (fun seed -> Fmt.pr "  replay with seed %d@." seed)
+            r.Racefuzzer.Atom_fuzzer.ac_seed)
+        results
   in
   Cmd.v
     (Cmd.info "atomicity"
        ~doc:
          "Atomicity-directed testing: find split lock-protected transactions and \
           land interfering writes in the gap (paper §1 generalization).")
-    Term.(const action $ file_arg $ seeds_arg 50)
+    Term.(const action $ file_arg $ trials_arg 50)
 
 (* ------------------------------------------------------------------ *)
 (* campaign                                                            *)
 
 let campaign_cmd =
-  let target_arg =
-    Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"TARGET" ~doc:"RFL source file or built-in workload name.")
-  in
-  let domains_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "domains" ] ~docv:"N" ~doc:"Worker domains draining the trial queue.")
-  in
+  let d = Campaign.default_config in
   let budget_arg =
     Arg.(
       value & opt (some int) None
@@ -606,11 +638,6 @@ let campaign_cmd =
             "Total trial budget across all pairs; trials freed by early cutoff are \
              reallocated to unresolved pairs (default: pairs x trials).")
   in
-  let log_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "log" ] ~docv:"FILE" ~doc:"Write a JSONL progress/event log to $(docv).")
-  in
   let no_cutoff_arg =
     Arg.(
       value & flag
@@ -618,11 +645,6 @@ let campaign_cmd =
           ~doc:
             "Disable early cutoff: run every granted trial, making the result \
              bit-identical to the sequential 'fuzz' analysis.")
-  in
-  let p1_arg =
-    Arg.(
-      value & opt int 5
-      & info [ "phase1-seeds" ] ~docv:"N" ~doc:"Executions observed by hybrid detection.")
   in
   let chaos_arg =
     Arg.(
@@ -633,11 +655,6 @@ let campaign_cmd =
              exercise the campaign's sandboxing, supervision and quarantine paths. \
              Faults are pure functions of --chaos-seed, so chaos runs are \
              reproducible.")
-  in
-  let chaos_seed_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "chaos-seed" ] ~docv:"N" ~doc:"Seed for the chaos fault plan.")
   in
   let chaos_stop_arg =
     Arg.(
@@ -674,22 +691,9 @@ let campaign_cmd =
   in
   let repro_fuel_arg =
     Arg.(
-      value & opt int 400
+      value & opt int d.repro_fuel
       & info [ "repro-fuel" ] ~docv:"N"
           ~doc:"Maximum oracle executions per schedule minimization.")
-  in
-  let static_filter_arg =
-    Arg.(
-      value & flag
-      & info [ "static-filter" ]
-          ~doc:
-            "Skip phase-2 fuzzing of candidate pairs the static pre-filter proves \
-             cannot race (consistent common lock, single thread, read-read, or \
-             fork/join ordering).  Filtered pairs are journaled with their proof \
-             reason; confirmed-race results are unchanged — the filter is sound \
-             and only removes work.  Requires a static model: built-in workloads \
-             carry one, RFL files are analyzed directly; without one the flag \
-             warns and is a no-op.")
   in
   let offline_detect_arg =
     Arg.(
@@ -706,7 +710,7 @@ let campaign_cmd =
   in
   let offline_shards_arg =
     Arg.(
-      value & opt int 1
+      value & opt int d.offline_shards
       & info [ "offline-shards" ] ~docv:"N"
           ~doc:
             "Shard phase-1 detection by memory location over $(docv) \
@@ -714,30 +718,6 @@ let campaign_cmd =
              --detector-budget or --mem-budget (requires --offline-detect).  \
              Verdicts are merged deterministically and equal the single-shard \
              result.")
-  in
-  let workers_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "workers" ] ~docv:"N"
-          ~doc:
-            "Shard phase-2 trials across $(docv) supervised worker processes \
-             (a hidden 'campaign-worker' mode of this executable) instead of \
-             in-process domains.  Workers are crash-isolated — a segfault, \
-             OOM or spin kills one worker, which is respawned with \
-             exponential backoff while its trial is requeued — and results \
-             merge deterministically: the campaign fingerprint is \
-             byte-identical to an in-process run.  0 (the default) keeps the \
-             in-process domain pool; when workers cannot be spawned the \
-             campaign degrades to it silently.")
-  in
-  let worker_deadline_arg =
-    Arg.(
-      value & opt float Rf_campaign.Proc_pool.default_heartbeat
-      & info [ "worker-deadline" ] ~docv:"SECS"
-          ~doc:
-            "Heartbeat deadline for --workers: a worker holding an \
-             assignment longer than $(docv) without replying is SIGKILLed \
-             and its trial requeued.")
   in
   let worker_mem_arg =
     Arg.(
@@ -765,16 +745,6 @@ let campaign_cmd =
              once and deduplicated across runs.  Inspect with \
              'racefuzzer corpus list/verify'.")
   in
-  let chaos_kill_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "chaos-kill-assignment" ] ~docv:"N"
-          ~doc:
-            "Multi-process chaos: the worker receiving the Nth dispatched \
-             assignment SIGKILLs itself — a real process death exercising \
-             reap, requeue and respawn.  Liveness-only: results and \
-             fingerprints are unchanged.  Usable without --chaos.")
-  in
   let chaos_torn_arg =
     Arg.(
       value & opt (some int) None
@@ -794,138 +764,149 @@ let campaign_cmd =
              hangs forever, forcing the --worker-deadline SIGKILL path.  \
              Liveness-only; usable without --chaos.")
   in
-  let action target domains budget logfile no_cutoff p1 trials chaos_flag chaos_seed
-      chaos_stop trial_deadline resume repro_dir repro_fuel static_filter
-      detector_budget mem_budget no_degrade offline_detect offline_shards workers
-      worker_deadline worker_mem worker_cpu corpus chaos_kill
-      chaos_torn chaos_hang =
-    match resolve_target target with
-    | Error m ->
-        Fmt.epr "%s@." m;
-        exit 1
-    | Ok (program, static) ->
-        let static = Lazy.force static in
-        (* Resuming from the very file we are about to (re)write would
-           truncate the journal before it can be read: move it aside. *)
-        let resume =
-          match (resume, logfile) with
-          | Some r, Some l when r = l ->
-              let prev = r ^ ".prev" in
-              (try Sys.rename r prev
-               with Sys_error m ->
-                 Fmt.epr "cannot rotate journal for resume: %s@." m;
-                 exit 1);
-              Some prev
-          | r, _ -> r
+  let chaos =
+    (* Proc faults are liveness-only (they never change results), so
+       they are usable without --chaos: alone they ride an otherwise
+       empty plan, preserving fingerprint parity with fault-free runs. *)
+    let make chaos_flag chaos_seed stop_after kill torn hang =
+      if not (chaos_flag || kill <> None || torn <> None || hang <> None) then None
+      else
+        let base =
+          if chaos_flag then Rf_campaign.Chaos.default chaos_seed
+          else Rf_campaign.Chaos.plan chaos_seed
         in
-        (match resume with
-        | Some path when not (Sys.file_exists path) ->
-            Fmt.epr "resume journal %S not found@." path;
-            exit 4
-        | _ -> ());
-        let log = open_log logfile in
-        let chaos =
-          (* Proc faults are liveness-only (they never change results), so
-             they are usable without --chaos: alone they ride an otherwise
-             empty plan, preserving fingerprint parity with fault-free
-             runs. *)
-          let proc_faults =
-            chaos_kill <> None || chaos_torn <> None || chaos_hang <> None
-          in
-          if not (chaos_flag || proc_faults) then None
-          else
-            let base =
-              if chaos_flag then Rf_campaign.Chaos.default chaos_seed
-              else Rf_campaign.Chaos.plan chaos_seed
-            in
-            Some
-              {
-                base with
-                Rf_campaign.Chaos.c_stop_after = chaos_stop;
-                c_kill_assignment = chaos_kill;
-                c_torn_frame = chaos_torn;
-                c_hang_assignment = chaos_hang;
-              }
-        in
-        let proc =
-          worker_fleet ?mem_mb:worker_mem ?cpu_s:worker_cpu ~workers
-            ~deadline:worker_deadline target
-        in
-        let static_filter =
-          if static_filter && static = None then begin
-            Fmt.epr
-              "WARNING: --static-filter ignored — %S has no static model@."
-              target;
-            false
-          end
-          else static_filter
-        in
-        let stop = Rf_campaign.Campaign.stop_switch () in
-        let on_signal =
-          (* Graceful SIGINT/SIGTERM: in-process workers drain, worker
-             processes are killed and reaped (no orphans) before the final
-             checkpoint write, the journal is flushed, and a partial report
-             is printed; a second ^C kills as usual once the process is
-             back out of the campaign. *)
-          Sys.Signal_handle (fun _ -> Rf_campaign.Campaign.request_stop stop)
-        in
-        let (_ : Sys.signal_behavior) = Sys.signal Sys.sigint on_signal in
-        let (_ : Sys.signal_behavior) = Sys.signal Sys.sigterm on_signal in
-        let r =
-          try
-            Rf_campaign.Campaign.run ~domains ~cutoff:(not no_cutoff) ?budget
-              ~phase1_seeds:(List.init p1 Fun.id)
-              ~seeds_per_pair:(List.init trials Fun.id)
-              ~log ?chaos ?trial_deadline ?resume ~stop ?detector_budget
-              ?mem_budget ~no_degrade ?repro_dir ~target ~repro_fuel ?static
-              ~static_filter
-              ?offline_detect:(if offline_detect then Some offline_shards else None)
-              ?proc ?corpus program
-          with
-          | Rf_resource.Governor.Budget_stop trigger ->
-              Rf_campaign.Event_log.close log;
-              Fmt.epr "resource budget exhausted in phase 1 (%s) under --no-degrade@."
-                (Rf_resource.Governor.trigger_to_string trigger);
-              exit 2
-          | Sys_error m ->
-              Rf_campaign.Event_log.close log;
-              Fmt.epr "cannot load campaign artifact: %s@." m;
-              exit 4
-          | Unix.Unix_error (e, "mkdir", dir) ->
-              Rf_campaign.Event_log.close log;
-              Fmt.epr "cannot create artifact directory %s: %s@." dir
-                (Unix.error_message e);
-              exit 4
-        in
-        Rf_campaign.Event_log.close log;
-        Sys.set_signal Sys.sigint Sys.Signal_default;
-        Sys.set_signal Sys.sigterm Sys.Signal_default;
-        print_analysis r.Rf_campaign.Campaign.analysis;
-        Fmt.pr "@.%a" Rf_report.Campaign_report.render r.Rf_campaign.Campaign.stats;
-        Fmt.pr "%a" Rf_report.Campaign_report.precision r;
-        Fmt.pr "%a" Rf_report.Repro_report.render r.Rf_campaign.Campaign.repro;
-        Fmt.pr "fingerprint: %s@."
-          (Rf_campaign.Campaign.fingerprint r.Rf_campaign.Campaign.analysis);
-        Fmt.pr "confirmed:   %s@."
-          (Rf_campaign.Campaign.confirmed_fingerprint
-             r.Rf_campaign.Campaign.analysis);
-        Option.iter (fun path -> Fmt.pr "event log:   %s@." path) logfile;
-        Option.iter
-          (fun dir ->
-            Fmt.pr "corpus:      %s (%d entries)@." dir
-              (List.length (Rf_campaign.Corpus.load dir)))
-          corpus;
-        let s = r.Rf_campaign.Campaign.stats in
-        if s.Rf_campaign.Campaign.s_interrupted then begin
-          Option.iter
-            (fun path -> Fmt.pr "interrupted — resume with:  --resume %s@." path)
-            logfile;
-          exit 130
-        end;
-        if
-          s.Rf_campaign.Campaign.s_quarantined > 0
-          || s.Rf_campaign.Campaign.s_crashes > 0
-        then exit 3
+        Some
+          {
+            base with
+            Rf_campaign.Chaos.c_stop_after = stop_after;
+            c_kill_assignment = kill;
+            c_torn_frame = torn;
+            c_hang_assignment = hang;
+          }
+    in
+    Term.(
+      const make $ chaos_arg $ chaos_seed_arg $ chaos_stop_arg $ chaos_kill_arg
+      $ chaos_torn_arg $ chaos_hang_arg)
+  in
+  let proc =
+    let make workers deadline mem_mb cpu_s = worker_fleet ?mem_mb ?cpu_s workers deadline in
+    Term.(const make $ workers_arg $ worker_deadline_arg $ worker_mem_arg $ worker_cpu_arg)
+  in
+  (* Every campaign setting but the target and its static model, which
+     the action resolves. *)
+  let config =
+    let make domains budget no_cutoff p1 trials chaos trial_deadline resume repro_dir
+        repro_fuel static_filter detector_budget mem_budget no_degrade offline_detect
+        offline_shards proc corpus =
+      {
+        d with
+        Campaign.domains;
+        phase1_seeds = seeds p1;
+        seeds_per_pair = seeds trials;
+        cutoff = not no_cutoff;
+        budget;
+        chaos;
+        trial_deadline;
+        resume;
+        detector_budget;
+        mem_budget;
+        no_degrade;
+        proc;
+        repro_dir;
+        repro_fuel;
+        static_filter;
+        (* one shard is inline detection *)
+        offline_shards = (if offline_detect then offline_shards else 1);
+        corpus;
+      }
+    in
+    Term.(
+      const make $ domains_arg d.domains $ budget_arg $ no_cutoff_arg
+      $ phase1_seeds_arg (List.length d.phase1_seeds)
+      $ trials_arg (List.length d.seeds_per_pair)
+      $ chaos $ trial_deadline_arg $ resume_arg $ repro_dir_arg $ repro_fuel_arg
+      $ static_filter_arg $ detector_budget_arg $ mem_budget_arg $ no_degrade_arg
+      $ offline_detect_arg $ offline_shards_arg $ proc $ corpus_arg)
+  in
+  let action target logfile (config : Campaign.config) =
+    let program, static = or_fail (resolve_target target) in
+    let static = Lazy.force static in
+    (* Resuming from the very file we are about to (re)write would
+       truncate the journal before it can be read: move it aside. *)
+    let resume =
+      match (config.resume, logfile) with
+      | Some r, Some l when r = l ->
+          let prev = r ^ ".prev" in
+          (try Sys.rename r prev
+           with Sys_error m -> fail ("cannot rotate journal for resume: " ^ m));
+          Some prev
+      | r, _ -> r
+    in
+    (match resume with
+    | Some path when not (Sys.file_exists path) ->
+        fail ~code:4 (Fmt.str "resume journal %S not found" path)
+    | _ -> ());
+    let log = open_log logfile in
+    let static_filter =
+      if config.static_filter && static = None then begin
+        Fmt.epr "WARNING: --static-filter ignored — %S has no static model@." target;
+        false
+      end
+      else config.static_filter
+    in
+    let stop = Campaign.stop_switch () in
+    let on_signal =
+      (* Graceful SIGINT/SIGTERM: in-process workers drain, worker
+         processes are killed and reaped (no orphans) before the final
+         checkpoint write, the journal is flushed, and a partial report
+         is printed; a second ^C kills as usual once the process is
+         back out of the campaign. *)
+      Sys.Signal_handle (fun _ -> Campaign.request_stop stop)
+    in
+    let (_ : Sys.signal_behavior) = Sys.signal Sys.sigint on_signal in
+    let (_ : Sys.signal_behavior) = Sys.signal Sys.sigterm on_signal in
+    let r =
+      try
+        Campaign.run ~log ~stop
+          { config with target; static; static_filter; resume }
+          program
+      with
+      | Rf_resource.Governor.Budget_stop trigger ->
+          Rf_campaign.Event_log.close log;
+          fail ~code:2
+            (Fmt.str "resource budget exhausted in phase 1 (%s) under --no-degrade"
+               (Rf_resource.Governor.trigger_to_string trigger))
+      | Sys_error m ->
+          Rf_campaign.Event_log.close log;
+          fail ~code:4 ("cannot load campaign artifact: " ^ m)
+      | Unix.Unix_error (e, "mkdir", dir) ->
+          Rf_campaign.Event_log.close log;
+          fail ~code:4
+            (Fmt.str "cannot create artifact directory %s: %s" dir (Unix.error_message e))
+    in
+    Rf_campaign.Event_log.close log;
+    Sys.set_signal Sys.sigint Sys.Signal_default;
+    Sys.set_signal Sys.sigterm Sys.Signal_default;
+    print_analysis r.Campaign.analysis;
+    Fmt.pr "@.%a" Rf_report.Campaign_report.render r.Campaign.stats;
+    Fmt.pr "%a" Rf_report.Campaign_report.precision r;
+    Fmt.pr "%a" Rf_report.Repro_report.render r.Campaign.repro;
+    Fmt.pr "fingerprint: %s@." (Campaign.fingerprint r.Campaign.analysis);
+    Fmt.pr "confirmed:   %s@." (Campaign.confirmed_fingerprint r.Campaign.analysis);
+    Option.iter (fun path -> Fmt.pr "event log:   %s@." path) logfile;
+    Option.iter
+      (fun dir ->
+        Fmt.pr "corpus:      %s (%d entries)@." dir
+          (List.length (Rf_campaign.Corpus.load dir)))
+      config.corpus;
+    let s = r.Campaign.stats in
+    if s.Campaign.s_interrupted then begin
+      Option.iter
+        (fun path -> Fmt.pr "interrupted — resume with:  --resume %s@." path)
+        logfile;
+      exit 130
+    end;
+    if s.Campaign.s_quarantined > 0 || s.Campaign.s_crashes > 0 then exit 3
   in
   Cmd.v
     (Cmd.info "campaign"
@@ -941,14 +922,7 @@ let campaign_cmd =
           journal or artifact cannot be loaded or an artifact directory \
           cannot be created (checked before phase 1), 130 when interrupted \
           (SIGINT, SIGTERM or --chaos-stop-after).")
-    Term.(
-      const action $ target_arg $ domains_arg $ budget_arg $ log_arg $ no_cutoff_arg
-      $ p1_arg $ seeds_arg 100 $ chaos_arg $ chaos_seed_arg $ chaos_stop_arg
-      $ trial_deadline_arg $ resume_arg $ repro_dir_arg $ repro_fuel_arg
-      $ static_filter_arg $ detector_budget_arg $ mem_budget_arg $ no_degrade_arg
-      $ offline_detect_arg $ offline_shards_arg $ workers_arg
-      $ worker_deadline_arg $ worker_mem_arg $ worker_cpu_arg $ corpus_arg
-      $ chaos_kill_arg $ chaos_torn_arg $ chaos_hang_arg)
+    Term.(const action $ target_arg $ log_arg $ config)
 
 (* ------------------------------------------------------------------ *)
 (* corpus                                                              *)
@@ -1014,6 +988,7 @@ let corpus_cmd =
 (* serve                                                               *)
 
 let serve_cmd =
+  let d = Service.default_config in
   let pos0_arg =
     Arg.(
       required & pos 0 (some string) None
@@ -1029,7 +1004,7 @@ let serve_cmd =
   in
   let cycles_arg =
     Arg.(
-      value & opt int 0
+      value & opt int d.v_cycles
       & info [ "cycles" ] ~docv:"N"
           ~doc:
             "Exit 0 after $(docv) completed cycles (counted in the ledger, \
@@ -1038,7 +1013,7 @@ let serve_cmd =
   in
   let period_arg =
     Arg.(
-      value & opt float 1.0
+      value & opt float d.v_period
       & info [ "period" ] ~docv:"SECS" ~doc:"Sleep between cycles.")
   in
   let watch_arg =
@@ -1052,92 +1027,40 @@ let serve_cmd =
   in
   let rate_arg =
     Arg.(
-      value & opt float 1.0
+      value & opt float d.v_rate
       & info [ "rate" ] ~docv:"T"
           ~doc:"Token-bucket refill per target per cycle (campaign pacing).")
   in
   let burst_arg =
     Arg.(
-      value & opt float 2.0
+      value & opt float d.v_burst
       & info [ "burst" ] ~docv:"T" ~doc:"Token-bucket capacity per target.")
   in
   let retry_max_arg =
     Arg.(
-      value & opt int 3
+      value & opt int d.v_retry.rp_max_attempts
       & info [ "retry-max" ] ~docv:"N"
           ~doc:"Replay attempts per corpus item per cycle before it fails.")
   in
   let retry_base_arg =
     Arg.(
-      value & opt float 0.01
+      value & opt float d.v_retry.rp_base
       & info [ "retry-base" ] ~docv:"SECS"
           ~doc:"First backoff delay; doubles per attempt, jittered, capped.")
   in
   let strikes_arg =
     Arg.(
-      value & opt int 3
+      value & opt int d.v_retry.rp_strikes
       & info [ "strikes" ] ~docv:"N"
           ~doc:"Failed cycles before an item is quarantined.")
   in
-  let target_arg =
+  let targets_arg =
     Arg.(
       value & opt_all string []
       & info [ "target" ] ~docv:"NAME"
           ~doc:
             "Extra campaign target (workload name or RFL file) beyond those \
              the corpus already names; repeatable.")
-  in
-  let trials_arg =
-    Arg.(
-      value & opt int 20
-      & info [ "trials" ] ~docv:"N" ~doc:"Seeds per pair in campaign waves.")
-  in
-  let p1_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "phase1-seeds" ] ~docv:"N"
-          ~doc:
-            "Executions observed by hybrid detection in each wave's phase 1 \
-             per target.")
-  in
-  let domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N" ~doc:"In-process campaign width.")
-  in
-  let workers_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "workers" ] ~docv:"N"
-          ~doc:
-            "Run campaign waves across $(docv) supervised worker processes; \
-             a fleet that fails its handshake degrades to in-process (shown \
-             in 'serve status').")
-  in
-  let worker_deadline_arg =
-    Arg.(
-      value & opt float Rf_campaign.Proc_pool.default_heartbeat
-      & info [ "worker-deadline" ] ~docv:"SECS"
-          ~doc:"Heartbeat deadline for --workers.")
-  in
-  let log_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "log" ] ~docv:"FILE"
-          ~doc:"JSONL event log shared by all campaign waves.")
-  in
-  let chaos_seed_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "chaos-seed" ] ~docv:"N" ~doc:"Seed for the chaos fault plan.")
-  in
-  let chaos_kill_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "chaos-kill-assignment" ] ~docv:"N"
-          ~doc:
-            "Chaos: the worker receiving the Nth assignment of each \
-             campaign wave SIGKILLs itself (liveness-only).")
   in
   let die_reval_arg =
     Arg.(
@@ -1175,62 +1098,71 @@ let serve_cmd =
             "Chaos: during the Nth cycle every watched target reports \
              changed at once (re-runs must coalesce to one per target).")
   in
-  let action pos0 pos1 cycles period watch rate burst retry_max retry_base
-      strikes targets trials p1 domains workers worker_deadline logfile
-      chaos_seed chaos_kill die_reval fail_reval torn_index torn_ledger
-      watch_storm =
+  (* The waves' campaign settings.  A count of 0 runs one. *)
+  let campaign =
+    let c = d.v_campaign in
+    let chaos seed kill die_reval fail_reval torn_index torn_ledger watch_storm =
+      let faults = [ kill; die_reval; fail_reval; torn_index; torn_ledger; watch_storm ] in
+      if List.for_all Option.is_none faults then None
+      else
+        Some
+          {
+            (Rf_campaign.Chaos.plan seed) with
+            Rf_campaign.Chaos.c_kill_assignment = kill;
+            c_die_reval = die_reval;
+            c_fail_reval = fail_reval;
+            c_torn_index_cycle = torn_index;
+            c_torn_ledger_cycle = torn_ledger;
+            c_watch_storm = watch_storm;
+          }
+    in
+    let make trials p1 domains workers deadline chaos =
+      {
+        c with
+        Campaign.domains = max 1 domains;
+        phase1_seeds = seeds (max 1 p1);
+        seeds_per_pair = seeds (max 1 trials);
+        proc = worker_fleet workers deadline;
+        chaos;
+      }
+    in
+    Term.(
+      const make
+      $ trials_arg (List.length c.seeds_per_pair)
+      $ phase1_seeds_arg (List.length c.phase1_seeds)
+      $ domains_arg c.domains $ workers_arg $ worker_deadline_arg
+      $ (const chaos $ chaos_seed_arg $ chaos_kill_arg $ die_reval_arg $ fail_reval_arg
+        $ torn_index_arg $ torn_ledger_arg $ watch_storm_arg))
+  in
+  let action pos0 pos1 cycles period watch rate burst retry_max retry_base strikes
+      targets logfile v_campaign =
     if pos0 = "status" then begin
       match pos1 with
-      | None ->
-          Fmt.epr "serve status: missing corpus directory@.";
-          exit 1
-      | Some dir -> exit (Rf_campaign.Service.status ~dir)
+      | None -> fail "serve status: missing corpus directory"
+      | Some dir -> exit (Service.status ~dir)
     end
     else begin
       let dir = pos0 in
       let log = open_log logfile in
-      let chaos =
-        let any =
-          chaos_kill <> None || die_reval <> None || fail_reval <> None
-          || torn_index <> None || torn_ledger <> None || watch_storm <> None
-        in
-        if not any then None
-        else
-          Some
-            {
-              (Rf_campaign.Chaos.plan chaos_seed) with
-              Rf_campaign.Chaos.c_kill_assignment = chaos_kill;
-              c_die_reval = die_reval;
-              c_fail_reval = fail_reval;
-              c_torn_index_cycle = torn_index;
-              c_torn_ledger_cycle = torn_ledger;
-              c_watch_storm = watch_storm;
-            }
-      in
-      let proc = worker_fleet ~workers ~deadline:worker_deadline "" in
       let config =
         {
-          Rf_campaign.Service.v_cycles = max 0 cycles;
+          Service.v_cycles = max 0 cycles;
           v_period = period;
           v_watch = watch;
           v_rate = rate;
           v_burst = burst;
           v_retry =
             {
-              Rf_campaign.Service.Retry.default with
-              Rf_campaign.Service.Retry.rp_max_attempts = max 1 retry_max;
+              d.v_retry with
+              rp_max_attempts = max 1 retry_max;
               rp_base = retry_base;
               rp_strikes = max 1 strikes;
             };
           v_targets = targets;
-          v_domains = max 1 domains;
-          v_phase1_seeds = max 1 p1;
-          v_seeds_per_pair = max 1 trials;
-          v_proc = proc;
-          v_chaos = chaos;
+          v_campaign;
         }
       in
-      let stop = Rf_campaign.Campaign.stop_switch () in
+      let stop = Campaign.stop_switch () in
       (* First SIGINT/SIGTERM: drain — finish the in-flight item, persist
          the ledger, exit 0.  Second: exit 130/143 immediately. *)
       let signalled = ref 0 in
@@ -1238,7 +1170,7 @@ let serve_cmd =
         incr signalled;
         if !signalled > 1 then
           exit (if signum = Sys.sigterm then 143 else 130)
-        else Rf_campaign.Campaign.request_stop stop
+        else Campaign.request_stop stop
       in
       let (_ : Sys.signal_behavior) =
         Sys.signal Sys.sigint (Sys.Signal_handle on_signal)
@@ -1246,10 +1178,7 @@ let serve_cmd =
       let (_ : Sys.signal_behavior) =
         Sys.signal Sys.sigterm (Sys.Signal_handle on_signal)
       in
-      let code =
-        Rf_campaign.Service.serve ~log ~stop config
-          ~resolve:schedule_program ~dir
-      in
+      let code = Service.serve ~log ~stop config ~resolve:schedule_program ~dir in
       Rf_campaign.Event_log.close log;
       exit code
     end
@@ -1261,8 +1190,8 @@ let serve_cmd =
           re-validates every corpus repro by replay (still-racy / fixed / \
           regressed, journaled in a crash-safe ledger), schedules fresh \
           campaign waves over the corpus' targets with token-bucket pacing, \
-          and with --watch re-runs changed file targets reusing cached \
-          phase-1 recordings.  SIGKILL + restart resumes mid-cycle from the \
+          and with --watch re-runs changed file targets at once, outside \
+          their token bucket.  SIGKILL + restart resumes mid-cycle from the \
           ledger with no lost or duplicated work.  'serve status DIR' prints \
           a one-shot report (exit 1 when the corpus fails strict verify).  \
           Exit status: 0 on clean drain (cycle budget reached or first \
@@ -1270,10 +1199,7 @@ let serve_cmd =
     Term.(
       const action $ pos0_arg $ pos1_arg $ cycles_arg $ period_arg $ watch_arg
       $ rate_arg $ burst_arg $ retry_max_arg $ retry_base_arg $ strikes_arg
-      $ target_arg $ trials_arg $ p1_arg $ domains_arg $ workers_arg
-      $ worker_deadline_arg $ log_arg $ chaos_seed_arg $ chaos_kill_arg
-      $ die_reval_arg $ fail_reval_arg $ torn_index_arg $ torn_ledger_arg
-      $ watch_storm_arg)
+      $ targets_arg $ log_arg $ campaign)
 
 (* ------------------------------------------------------------------ *)
 (* workloads                                                           *)
@@ -1290,16 +1216,16 @@ let workload_cmd =
     | Some w ->
         Fmt.pr "%a@.@." Rf_workloads.Workload.pp w;
         let a =
-          Racefuzzer.Fuzzer.analyze
-            ~phase1_seeds:(List.init 5 Fun.id)
-            ~seeds_per_pair:(List.init trials Fun.id)
-            w.Rf_workloads.Workload.program
+          Racefuzzer.Fuzzer.analyze ~phase1_seeds:Campaign.default_config.phase1_seeds
+            ~seeds_per_pair:(seeds trials) w.Rf_workloads.Workload.program
         in
         print_analysis a
   in
   Cmd.v
     (Cmd.info "workload" ~doc:"Analyze a built-in Table-1 workload analogue.")
-    Term.(const action $ name_arg $ seeds_arg 100)
+    Term.(
+      const action $ name_arg
+      $ trials_arg (List.length Campaign.default_config.seeds_per_pair))
 
 let list_cmd =
   let action () =
@@ -1330,7 +1256,7 @@ let figure2_cmd =
   in
   Cmd.v
     (Cmd.info "figure2" ~doc:"Regenerate the paper's Figure 2 probability series.")
-    Term.(const action $ seeds_arg 200)
+    Term.(const action $ trials_arg 200)
 
 let main_cmd =
   Cmd.group

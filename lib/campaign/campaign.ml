@@ -45,11 +45,11 @@ type stats = {
   s_degraded : int;
   s_p1_level : string option;
   s_resume_skipped : int;
-  (* reproduction artifacts ([run ~repro_dir]) *)
+  (* reproduction artifacts ([repro_dir]) *)
   s_repro_written : int;
   s_repro_failed : int;
   s_repro_oracle_runs : int;
-  (* static pre-filter ([run ~static]) *)
+  (* static pre-filter ([static]) *)
   s_static : static_summary option;
 }
 
@@ -73,6 +73,74 @@ type result = {
   stats : stats;
   repro : Repro.summary;
 }
+
+type config = {
+  domains : int;
+  phase1_seeds : int list;
+  seeds_per_pair : int list;
+  cutoff : bool;
+  budget : int option;
+  max_steps : int;
+  supervision : Supervisor.policy;
+  chaos : Chaos.plan option;
+  trial_deadline : float option;
+  resume : string option;
+  detector_budget : int option;
+  mem_budget : float option;
+  no_degrade : bool;
+  proc : Proc_pool.spec option;
+  repro_dir : string option;
+  target : string;
+  repro_fuel : int;
+  static : Static.t option;
+  static_filter : bool;
+  offline_shards : int;
+  corpus : string option;
+}
+
+let default_config =
+  {
+    domains = 4;
+    phase1_seeds = List.init 5 Fun.id;
+    seeds_per_pair = List.init 100 Fun.id;
+    cutoff = true;
+    budget = None;
+    max_steps = Engine.default_config.max_steps;
+    supervision = Supervisor.default_policy;
+    chaos = None;
+    trial_deadline = None;
+    resume = None;
+    detector_budget = None;
+    mem_budget = None;
+    no_degrade = false;
+    proc = None;
+    repro_dir = None;
+    target = "";
+    repro_fuel = 400;
+    static = None;
+    static_filter = false;
+    offline_shards = 1;
+    corpus = None;
+  }
+
+(* The one trial configuration of both tiers: the in-process tier runs
+   [Proc_pool.execute] with it, worker processes receive it in their
+   init frame and resolve [i_target].  Each trial gets a fresh governor
+   ([Fuzzer.governance]), which keeps degradation a pure function of
+   (pair, seed), never of which domain ran what before. *)
+let trial_init c =
+  {
+    Proc_pool.i_target = c.target;
+    i_max_steps = c.max_steps;
+    i_postpone = None;
+    i_detector_budget = c.detector_budget;
+    i_mem_budget = c.mem_budget;
+    i_no_degrade = c.no_degrade;
+    i_trial_wall =
+      (match c.trial_deadline with
+      | Some _ as w -> w
+      | None -> Option.bind c.chaos (fun p -> p.Chaos.c_trial_deadline));
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Per-pair campaign state.
@@ -236,55 +304,30 @@ let load_resume path =
    — the initial grant divides the budget by the final pair count — and
    at least two slots. *)
 
-let schedule ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
-    ?budget ?(max_steps = Engine.default_config.max_steps)
-    ?(log = Event_log.null ()) ?(supervision = Supervisor.default_policy) ?chaos
-    ?trial_deadline ?resume ?stop ?detector_budget ?mem_budget
-    ?(no_degrade = false) ?proc ~stream ~(program : Fuzzer.program) produce =
-  let base_seeds = Array.of_list seeds in
+let schedule ~log ~stop c ~stream ~(program : Fuzzer.program) produce =
+  let { cutoff; budget; chaos; proc; _ } = c in
+  let base_seeds = Array.of_list c.seeds_per_pair in
   let nbase = Array.length base_seeds in
   (* Extra trials past the base list draw fresh seeds above its maximum,
      so reallocated budget never re-runs a base seed. *)
   let extra_seed_base = 1 + Array.fold_left max 0 base_seeds in
   let seed_of idx = if idx < nbase then base_seeds.(idx) else extra_seed_base + (idx - nbase) in
-  let stop = match stop with Some s -> s | None -> stop_switch () in
   (* Set when [produce] raises: the pool stops as if interrupted, and the
      exception then escapes [schedule]. *)
   let aborted = stop_switch () in
   let halted () = stop_requested stop || stop_requested aborted in
-  let qn = supervision.Supervisor.quarantine_crashes in
+  let qn = c.supervision.Supervisor.quarantine_crashes in
   let resume_tbl, resume_skipped =
-    match resume with
+    match c.resume with
     | Some path -> load_resume path
     | None -> (Hashtbl.create 1, 0)
   in
   let chaos_state = Option.map (fun plan -> (plan, Chaos.state ())) chaos in
-  let trial_wall =
-    match trial_deadline with
-    | Some _ as w -> w
-    | None -> Option.bind chaos (fun c -> c.Chaos.c_trial_deadline)
-  in
-  (* One trial configuration for both tiers: the in-process tier runs
-     [Proc_pool.execute] with it, worker processes receive it in their
-     init frame.  Each trial gets a fresh governor ([Fuzzer.governance]),
-     which keeps degradation a pure function of (pair, seed), never of
-     which domain ran what before. *)
-  let init =
-    {
-      Proc_pool.i_target =
-        (match proc with Some sp -> sp.Proc_pool.sp_target | None -> "");
-      i_max_steps = max_steps;
-      i_postpone = None;
-      i_detector_budget = detector_budget;
-      i_mem_budget = mem_budget;
-      i_no_degrade = no_degrade;
-      i_trial_wall = trial_wall;
-    }
-  in
+  let init = trial_init c in
   let ndomains =
     match proc with
     | Some sp -> max 1 sp.Proc_pool.sp_workers
-    | None -> max 1 domains
+    | None -> max 1 c.domains
   in
   let mutex = Mutex.create () in
   (* ---------------------------------------------------------------- *)
@@ -602,7 +645,7 @@ let schedule ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
     (* Slots [first..first+domains-1] under one supervisor. *)
     let supervise ?(first = 0) ~domains body =
       let (_ : Supervisor.outcome) =
-        Supervisor.supervise ~policy:supervision
+        Supervisor.supervise ~policy:c.supervision
           ~on_crash:(fun ~domain -> on_crash ~domain:(first + domain))
           ~on_respawn:(fun ~domain -> on_respawn ~domain:(first + domain))
           ~on_give_up:(fun ~domain -> on_give_up ~domain:(first + domain))
@@ -811,7 +854,7 @@ let schedule ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
   (* Journal what --resume reused, and above all how many torn lines it
      skipped: a long-lived resume chain must not eat corruption silently
      (the final report repeats the warning from s_resume_skipped). *)
-  if resume <> None then
+  if c.resume <> None then
     Event_log.emit log
       (Event_log.Resume_loaded
          { entries = Hashtbl.length resume_tbl; skipped = resume_skipped });
@@ -982,14 +1025,11 @@ let schedule ?(domains = 1) ?(seeds = List.init 100 Fun.id) ?(cutoff = false)
   | Some (Ok x) -> (x, results, stats)
   | _ -> assert false (* produced by now: before the start, or by wave 0 *)
 
-let fuzz_pairs ?domains ?seeds ?cutoff ?budget ?max_steps ?log
-    ?supervision ?chaos ?trial_deadline ?resume ?stop ?detector_budget
-    ?mem_budget ?no_degrade ?proc ~(program : Fuzzer.program)
-    (pairs : Site.Pair.t list) : Fuzzer.pair_result list * stats =
+let fuzz_pairs ?(log = Event_log.null ()) ?(stop = stop_switch ()) c
+    ~(program : Fuzzer.program) (pairs : Site.Pair.t list) :
+    Fuzzer.pair_result list * stats =
   let (), results, stats =
-    schedule ?domains ?seeds ?cutoff ?budget ?max_steps ?log
-      ?supervision ?chaos ?trial_deadline ?resume ?stop ?detector_budget
-      ?mem_budget ?no_degrade ?proc ~stream:false ~program (fun admit ->
+    schedule ~log ~stop c ~stream:false ~program (fun admit ->
         List.iter admit pairs;
         ((), pairs))
   in
@@ -997,12 +1037,9 @@ let fuzz_pairs ?domains ?seeds ?cutoff ?budget ?max_steps ?log
 
 (* ------------------------------------------------------------------ *)
 
-let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 Fun.id)
-    ?(cutoff = false) ?budget ?max_steps
-    ?(log = Event_log.null ()) ?supervision ?chaos ?trial_deadline ?resume ?stop
-    ?detector_budget ?mem_budget ?(no_degrade = false) ?proc ?repro_dir
-    ?(target = "") ?repro_fuel ?static ?(static_filter = false) ?offline_detect
-    ?corpus (program : Fuzzer.program) : result =
+let run ?(log = Event_log.null ()) ?(stop = stop_switch ()) c
+    (program : Fuzzer.program) : result =
+  let { repro_dir; corpus; static; target; _ } = c in
   let t_start = Unix.gettimeofday () in
   (* A corpus wants reproduction artifacts; without an explicit repro
      directory they are written inside the corpus itself. *)
@@ -1020,15 +1057,16 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
      a whole-phase property, and the entry budget is a cap on detector
      state, which persists across seeds. *)
   let p1_gov, p1_deadline =
-    Fuzzer.governance ?detector_budget ?mem_budget ~no_degrade ~tripped:false ()
+    Fuzzer.governance ?detector_budget:c.detector_budget ?mem_budget:c.mem_budget
+      ~no_degrade:c.no_degrade ~tripped:false ()
   in
-  let shards = max 1 (Option.value ~default:1 offline_detect) in
+  let shards = max 1 c.offline_shards in
   let detect = if shards = 1 then Fuzzer.Inline else Fuzzer.Recorded { shards } in
   (* Phase 1 feeds phase 2 as it finds pairs when it runs on one shard
      beside an in-process pool of two or more slots and no budget waits
      for the final pair count.  Otherwise phase 1 finishes first and its
      pairs enter the same scheduler afterwards. *)
-  let stream = shards = 1 && proc = None && domains >= 2 && budget = None in
+  let stream = shards = 1 && c.proc = None && c.domains >= 2 && c.budget = None in
   (* The static pre-filter applies to each pair as it arrives: a pair
      proved [Impossible] is journaled with its reason and never fuzzed.
      The classification is a pure function of the program's AST/model,
@@ -1036,7 +1074,7 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
   let produce admit =
     let tell pair =
       match static with
-      | Some st when static_filter -> (
+      | Some st when c.static_filter -> (
           match Static.classify st pair with
           | Static.Impossible _ as v ->
               Event_log.emit log
@@ -1052,8 +1090,8 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
        phase 1 alone even while trials run beside it. *)
     let p1 =
       let observe ?on_pair () =
-        Fuzzer.phase1 ~seeds:phase1_seeds ?max_steps ?deadline:p1_deadline
-          ?governor:p1_gov ~detect ?on_pair program
+        Fuzzer.phase1 ~seeds:c.phase1_seeds ~max_steps:c.max_steps
+          ?deadline:p1_deadline ?governor:p1_gov ~detect ?on_pair program
       in
       if stream then Site.with_priority (observe ~on_pair:tell) else observe ()
     in
@@ -1092,7 +1130,7 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
               Static.no_counts pairs
           in
           let filtered =
-            if static_filter then snd (Fuzzer.partition_frontier ~static:st pairs)
+            if c.static_filter then snd (Fuzzer.partition_frontier ~static:st pairs)
             else []
           in
           let st_wall = Unix.gettimeofday () -. t0 in
@@ -1125,9 +1163,7 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
     ((p1, p1_level, static_sum, filtered), ordered)
   in
   let (p1, p1_level, static_sum, filtered), results, stats =
-    schedule ~domains ~seeds:seeds_per_pair ~cutoff ?budget ?max_steps ~log
-      ?supervision ?chaos ?trial_deadline ?resume ?stop
-      ?detector_budget ?mem_budget ~no_degrade ?proc ~stream ~program produce
+    schedule ~log ~stop c ~stream ~program produce
   in
   let campaign_wall = Unix.gettimeofday () -. t_start in
   let collect p =
@@ -1153,8 +1189,8 @@ let run ?(domains = 1) ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 
     | None -> Repro.no_summary
     | Some dir ->
         let summary =
-          Repro.write_all ?fuel:repro_fuel ~dir ~target ?max_steps ~program
-            results
+          Repro.write_all ~fuel:c.repro_fuel ~dir ~target ~max_steps:c.max_steps
+            ~program results
         in
         List.iter
           (fun (e : Repro.entry) ->

@@ -20,7 +20,7 @@
 
     {2 Early cutoff}
 
-    With [~cutoff:true], once a pair is classified both {e real} and
+    With [cutoff] on, once a pair is classified both {e real} and
     {e harmful}, its remaining queued trials are cancelled.  The cutoff
     point is defined {e logically}, not temporally: the pair's trial list
     is truncated at the smallest trial index whose prefix contains a race
@@ -43,7 +43,7 @@
     Worker domains are supervised ({!Supervisor}): a dead worker's
     in-flight task is requeued and the worker respawned with exponential
     backoff.  A campaign can be stopped gracefully ({!request_stop}) and
-    later resumed from its journal ([~resume]), replaying finished trials
+    later resumed from its journal ([resume]), replaying finished trials
     instead of re-executing them — the resumed analysis fingerprints
     identically to an uninterrupted run. *)
 
@@ -113,12 +113,12 @@ type stats = {
   s_p1_level : string option;
       (** phase-1 final ladder level when phase 1 degraded ({!run} only) *)
   s_resume_skipped : int;
-      (** checksum-bad journal lines skipped while loading [~resume] *)
+      (** checksum-bad journal lines skipped while loading [resume] *)
   s_repro_written : int;  (** minimized reproduction schedules emitted *)
   s_repro_failed : int;  (** witnesses whose minimization failed to reproduce *)
   s_repro_oracle_runs : int;  (** engine runs spent minimizing *)
   s_static : static_summary option;
-      (** static pre-filter precision summary ({!run} with [~static]) *)
+      (** static pre-filter precision summary ({!run} with [static]) *)
 }
 
 and static_summary = {
@@ -135,159 +135,153 @@ and static_summary = {
 type result = {
   analysis : Fuzzer.analysis;
   stats : stats;
-  repro : Repro.summary;  (** {!Repro.no_summary} without [~repro_dir] *)
+  repro : Repro.summary;  (** {!Repro.no_summary} without [repro_dir] *)
 }
 
+(** {1 Configuration} *)
+
+type config = {
+  domains : int;
+      (** in-process domains draining the trial queue; values below 1
+          run one *)
+  phase1_seeds : int list;
+      (** the phase-1 executions' seeds ({!run} only) *)
+  seeds_per_pair : int list;
+      (** each pair's base trial seeds; trials a [budget] grants past
+          the list use fresh seeds above its maximum *)
+  cutoff : bool;
+      (** early cutoff (above): a pair classified real and harmful runs
+          no more trials, and the trials it frees are reallocated to
+          unresolved pairs *)
+  budget : int option;
+      (** total trials across all pairs; [None] grants every pair its
+          base list *)
+  max_steps : int;  (** engine step budget of every execution *)
+  supervision : Supervisor.policy;
+      (** worker respawn budget, backoff curve and quarantine threshold *)
+  chaos : Chaos.plan option;
+      (** deterministic fault injection ({!Chaos}); {!Service.serve}
+          reads its service-tier faults from the same plan *)
+  trial_deadline : float option;
+      (** wall-clock watchdog on every trial, seconds; without it a
+          chaos plan's deadline applies *)
+  resume : string option;
+      (** a journal whose [Trial_*] records are replayed instead of
+          re-executed; checksum-bad lines are skipped and counted in
+          [s_resume_skipped] *)
+  detector_budget : int option;
+      (** logical detector-state entries per trial, and for phase 1 as a
+          whole.  Over it a run degrades down the ladder and completes
+          with journal-labeled results ([s_degraded], [s_p1_level]); the
+          trip is a pure function of (pair, seed), so degradation keeps
+          cross-domain and resume determinism *)
+  mem_budget : float option;
+      (** heap watermark in MB, polled at the engine's watchdog points: a
+          physical backstop behind [detector_budget], and not
+          determinism-preserving *)
+  no_degrade : bool;
+      (** a budget trip cancels the trial (a [Trial_exhausted] record)
+          instead of degrading it, and in phase 1 raises
+          {!Rf_resource.Governor.Budget_stop} out of {!run} *)
+  proc : Proc_pool.spec option;
+      (** run phase 2 on crash-isolated worker processes ({!Proc_pool})
+          instead of in-process domains; [domains] is then unused *)
+  repro_dir : string option;
+      (** write a minimized reproduction schedule per distinct error
+          fingerprint here ({!Repro}; {!run} only) *)
+  target : string;
+      (** the program's name (workload or RFL path): worker processes
+          resolve it, and artifacts record it so [replay]/[shrink] can *)
+  repro_fuel : int;
+      (** oracle executions per schedule minimization
+          ({!Repro.write_all}) *)
+  static : Rf_static.Static.t option;
+      (** a static model of the program ({!run} only): the frontier is
+          classified (a [Static_classified] record and [s_static]) and
+          fuzzed Likely-first *)
+  static_filter : bool;
+      (** with [static], skip pairs proved [Impossible] before any trial
+          (one [Pair_filtered] record each; they land in
+          [analysis.a_filtered]).  The surviving list is deterministic,
+          so a filtered journal resumes like any other *)
+  offline_shards : int;
+      (** detect phase 1 on this many re-executions of its seeds, each
+          shard's detector owning a slice of the memory locations
+          ({!Fuzzer.detect_mode}).  The pair set, and so the analysis, is
+          the same for any count; 1 (or less) is inline detection, and a
+          governed phase 1 runs its shards one after another ({!run}
+          only) *)
+  corpus : string option;
+      (** a persistent cross-campaign store ({!Corpus}) that absorbs
+          every distinct error fingerprint with its minimized schedule
+          and every degraded trial, deduplicated across campaigns;
+          without [repro_dir] the schedules are written to [DIR/repros]
+          ({!run} only) *)
+}
+
+val default_config : config
+(** What [racefuzzer campaign TARGET] runs: 4 domains, phase-1 seeds
+    0–4, trial seeds 0–99, cutoff on, repro fuel 400, one shard,
+    {!Supervisor.default_policy} and the engine's default [max_steps];
+    everything else off. *)
+
 val fuzz_pairs :
-  ?domains:int ->
-  ?seeds:int list ->
-  ?cutoff:bool ->
-  ?budget:int ->
-  ?max_steps:int ->
   ?log:Event_log.t ->
-  ?supervision:Supervisor.policy ->
-  ?chaos:Chaos.plan ->
-  ?trial_deadline:float ->
-  ?resume:string ->
   ?stop:stop_switch ->
-  ?detector_budget:int ->
-  ?mem_budget:float ->
-  ?no_degrade:bool ->
-  ?proc:Proc_pool.spec ->
+  config ->
   program:Fuzzer.program ->
   Site.Pair.t list ->
   Fuzzer.pair_result list * stats
-(** Fuzz a fixed candidate set.  [seeds] (default 100) is the per-pair
-    base seed list; [budget] caps the total number of trials across all
-    pairs (default [pairs * seeds]; trials beyond the base list use fresh
-    seeds above the base maximum).  Results come back in input pair
-    order.
+(** Fuzz a fixed candidate set: {!run}'s phase 2 without phase 1.  It
+    reads the trial fields of the configuration — [domains],
+    [seeds_per_pair], [cutoff], [budget], [max_steps], [supervision],
+    [chaos], [trial_deadline], [resume], [detector_budget], [mem_budget],
+    [no_degrade], [proc] and [target] — and ignores the rest.  Results
+    come back in input pair order.  [stop] is polled by workers and the
+    wave loop for graceful interruption; [log] receives the journal.
 
-    [supervision] (default {!Supervisor.default_policy}) sets the worker
-    respawn budget, backoff curve and quarantine threshold.  [chaos]
-    injects deterministic faults ({!Chaos}).  [trial_deadline] attaches a
-    wall-clock watchdog to every trial (seconds; chaos plans can also
-    carry one).  [resume] replays the [Trial_*] records of an existing
-    journal instead of re-executing those trials; checksum-bad journal
-    lines are skipped and counted in [s_resume_skipped].  [stop] is
-    polled by workers and the wave loop for graceful interruption.
-
-    [detector_budget] caps logical detector-state entries per trial;
-    [mem_budget] (MB) arms the heap-watermark backstop at the engine's
-    watchdog poll points.  Either gives each trial a fresh
-    {!Rf_resource.Governor.t}: on a trip the trial degrades down the
-    ladder and completes with [s_degraded]-counted, journal-labeled
-    results; with [~no_degrade:true] it is cancelled instead (a
-    [Trial_exhausted] record).  Degradation from the entry budget or from
-    chaos budget trips is a pure function of (pair, seed), preserving
-    cross-domain and resume determinism; the heap watermark is a
-    physical backstop and is documented as not determinism-preserving.
-
-    [proc] switches phase 2 to the multi-process tier ({!Proc_pool}):
-    trials ship to crash-isolated worker processes instead of running on
-    in-process domains, with heartbeat supervision, per-worker rlimits
-    and backoff respawn.  Both tiers run each trial through one body
-    ({!Proc_pool.execute}) and settle its {!Proc_pool.tresult} record the
-    same way a resume settles a journaled one, so the analysis — and both
-    fingerprints — are byte-identical to the in-process run, including
-    under worker SIGKILL chaos and across a kill on one tier resumed on
-    the other.  If no worker completes its handshake the campaign silently
-    degrades to the in-process pool at the same width; if the whole fleet
-    dies past its respawn budget mid-wave, the remaining trials finish
+    Both tiers run each trial through one body ({!Proc_pool.execute})
+    and settle its {!Proc_pool.tresult} record the same way a resume
+    settles a journaled one, so the analysis — and both fingerprints —
+    are byte-identical to the in-process run, including under worker
+    SIGKILL chaos and across a kill on one tier resumed on the other.
+    If no worker completes its handshake the campaign silently degrades
+    to the in-process pool at the same width; if the whole fleet dies
+    past its respawn budget mid-wave, the remaining trials finish
     inline. *)
 
-val run :
-  ?domains:int ->
-  ?phase1_seeds:int list ->
-  ?seeds_per_pair:int list ->
-  ?cutoff:bool ->
-  ?budget:int ->
-  ?max_steps:int ->
-  ?log:Event_log.t ->
-  ?supervision:Supervisor.policy ->
-  ?chaos:Chaos.plan ->
-  ?trial_deadline:float ->
-  ?resume:string ->
-  ?stop:stop_switch ->
-  ?detector_budget:int ->
-  ?mem_budget:float ->
-  ?no_degrade:bool ->
-  ?proc:Proc_pool.spec ->
-  ?repro_dir:string ->
-  ?target:string ->
-  ?repro_fuel:int ->
-  ?static:Rf_static.Static.t ->
-  ?static_filter:bool ->
-  ?offline_detect:int ->
-  ?corpus:string ->
-  Fuzzer.program ->
-  result
+val run : ?log:Event_log.t -> ?stop:stop_switch -> config -> Fuzzer.program -> result
 (** Whole-program campaign: phase 1 (sequential, like the paper's single
     observed execution) and a campaign over all potential pairs.
-    With [~cutoff:false] (the default) and no faults, the analysis equals
+    With [cutoff = false] and no faults, the analysis equals
     [Fuzzer.analyze ~phase1_seeds ~seeds_per_pair] exactly — see
     {!fingerprint}.  Phase 1 is deterministic and cheap, so a resumed run
     re-executes it and replays only phase-2 trials.
 
     Phase 1 {e streams} into phase 2 when it runs on one shard on an
-    in-process pool of [domains >= 2] and no [budget] is set: each pair's trials
-    join the first wave the moment the hybrid detector first reports the
-    pair, seed-major among the pairs known so far, while phase 1 runs on
-    the calling domain and occupies one of the [domains] slots until it
-    returns.  Site ids still follow phase 1 alone
+    in-process pool of [domains >= 2] and no [budget] is set: each pair's
+    trials join the first wave the moment the hybrid detector first
+    reports the pair, seed-major among the pairs known so far, while
+    phase 1 runs on the calling domain and occupies one of the [domains]
+    slots until it returns.  Site ids still follow phase 1 alone
     ({!Rf_util.Site.with_priority}), the pair set is the final frontier,
     and results come back in the order an unstreamed run fuzzes them, so
     the analysis, both fingerprints and the report are unchanged; only
     the journal interleaves phase-1 lines with trial lines
     ({!Event_log}).  Under [budget], [proc], more than one
-    [offline_detect] shard or one domain, phase 1 finishes first and
-    then feeds the same scheduler.  A [Budget_stop] (or any
-    exception) escaping a streamed phase 1 stops the pool, as an
-    interrupt would, before it escapes [run].
+    [offline_shards] or one domain, phase 1 finishes first and then
+    feeds the same scheduler.  A [Budget_stop] (or any exception)
+    escaping a streamed phase 1 stops the pool, as an interrupt would,
+    before it escapes [run].
 
-    [repro_dir] enables the {!Repro} pass: after aggregation, a
-    minimized reproduction schedule is written per distinct error
-    fingerprint (one [Repro_written] journal event each).  The repro and
-    [corpus] directories, and any missing parents, are
+    The repro and corpus directories, and any missing parents, are
     created before phase 1; one that cannot be created raises
-    [Unix.Unix_error] out of [run] before any trial runs.  [target]
-    names the program inside the artifacts so [replay]/[shrink] can
-    resolve it later; [repro_fuel] bounds minimization work per artifact
-    ({!Repro.write_all}).  The pass runs sequentially after the trial
-    queue drains and never affects the analysis or its fingerprint.
-
-    [detector_budget]/[mem_budget]/[no_degrade] govern resources as in
-    {!fuzz_pairs}; in addition phase 1 — where the detector (and hence
-    the OOM risk) actually lives — runs under a governor shared across
-    the phase-1 seeds, and its final ladder level is reported in
-    [s_p1_level] and the [Phase1_finished] journal record.  Under
-    [~no_degrade:true] a phase-1 budget trip raises
-    {!Rf_resource.Governor.Budget_stop} out of [run].
-
-    [static] attaches a {!Rf_static.Static} model of the program: the
-    phase-1 frontier is classified (a [Static_classified] journal record
-    and [s_static] summary), surviving pairs are fuzzed Likely-first,
-    and with [~static_filter:true] pairs proved [Impossible] are skipped
-    before any trial runs (one [Pair_filtered] record each, and the
-    skipped pairs land in [analysis.a_filtered]).  Filtering composes
-    with resume: the surviving pair list is deterministic, so a filtered
-    campaign's journal replays exactly like any other.
-
-    [offline_detect] detects phase 1 on that many re-executions of the
-    phase-1 seeds ({!Fuzzer.detect_mode}[.Recorded]), each shard's
-    detector owning a slice of the memory locations.  The candidate pair
-    set — and therefore the whole analysis and both fingerprints — is
-    identical to inline phase 1; one shard is inline phase 1.  A
-    governed phase 1 runs its shards one after another.
-
-    [corpus] absorbs this campaign's durable artifacts into a
-    persistent cross-campaign store ({!Corpus}): every distinct error
-    fingerprint with its minimized schedule and every degraded-trial
-    record.  Known entries dedup ([e_seen] bumps),
-    so consecutive campaigns converge to one entry per distinct
-    artifact; a [Corpus_updated] event reports the delta.  Without an
-    explicit [repro_dir], reproduction artifacts are written inside
-    the corpus ([DIR/repros]). *)
+    [Unix.Unix_error] out of [run] before any trial runs.  After
+    aggregation the repro pass writes one minimized schedule per
+    distinct error fingerprint (one [Repro_written] journal event each),
+    sequentially after the trial queue drains, and never affects the
+    analysis or its fingerprint; the corpus then absorbs the artifacts
+    (a [Corpus_updated] event reports the delta). *)
 
 (** {1 Determinism checking} *)
 

@@ -14,7 +14,7 @@
     header and can be {!load}ed back: [Trial_finished] / [Trial_crashed] /
     [Trial_exhausted] records carry everything deterministic aggregation
     needs, which is what makes checkpoint/resume
-    ([Campaign.fuzz_pairs ~resume]) possible.
+    (the [resume] field of a [Campaign.config]) possible.
 
     Line order.  [Journal_opened] comes first, [Campaign_started] precedes
     every trial line, and exactly one [Phase1_finished] comes before

@@ -155,7 +155,9 @@ type spec = {
   sp_rlimit_as_mb : int option;  (** per-worker address-space cap *)
   sp_rlimit_cpu_s : int option;  (** per-worker CPU-seconds cap *)
   sp_policy : Supervisor.policy;  (** respawn budget + backoff curve *)
-  sp_target : string;  (** forwarded to workers in {!init} *)
+  sp_target : string;
+      (** unread: workers resolve {!init}'s [i_target].  The field stays
+          only because [campaign_bench/traced.ml] builds this record *)
 }
 
 val default_heartbeat : float

@@ -300,11 +300,7 @@ type config = {
   v_burst : float;
   v_retry : Retry.policy;
   v_targets : string list;
-  v_domains : int;
-  v_phase1_seeds : int;
-  v_seeds_per_pair : int;
-  v_proc : Proc_pool.spec option;
-  v_chaos : Chaos.plan option;
+  v_campaign : Campaign.config;
 }
 
 let default_config =
@@ -316,11 +312,14 @@ let default_config =
     v_burst = 2.0;
     v_retry = Retry.default;
     v_targets = [];
-    v_domains = 1;
-    v_phase1_seeds = 1;
-    v_seeds_per_pair = 20;
-    v_proc = None;
-    v_chaos = None;
+    v_campaign =
+      {
+        Campaign.default_config with
+        domains = 1;
+        phase1_seeds = [ 0 ];
+        seeds_per_pair = List.init 20 Fun.id;
+        cutoff = true;
+      };
   }
 
 (* ------------------------------------------------------------------ *)
@@ -394,7 +393,7 @@ let pr fmt = Fmt.pr fmt
 let serve ?(log = Event_log.null ()) ?stop config ~resolve ~dir =
   let stop = match stop with Some s -> s | None -> Campaign.stop_switch () in
   let retry = config.v_retry in
-  let chaos = config.v_chaos in
+  let chaos = config.v_campaign.Campaign.chaos in
   let ledger, lskipped = Ledger.load dir in
   if lskipped > 0 then
     pr "serve: %d corrupt ledger line(s) skipped (healed on next write)@."
@@ -411,8 +410,6 @@ let serve ?(log = Event_log.null ()) ?stop config ~resolve ~dir =
   let chaos_n field =
     match chaos with None -> None | Some c -> field c
   in
-  let seeds = List.init (max 1 config.v_phase1_seeds) Fun.id in
-  let per_pair = List.init (max 1 config.v_seeds_per_pair) Fun.id in
   let completed () = List.length ledger.Ledger.l_cycles in
   let should_continue () =
     (not (Campaign.stop_requested stop))
@@ -639,15 +636,10 @@ let serve ?(log = Event_log.null ()) ?stop config ~resolve ~dir =
                     pr "serve: cannot resolve target %s: %s — skipping@." name m;
                     tg
                 | Ok program ->
-                    let proc =
-                      Option.map
-                        (fun sp -> { sp with Proc_pool.sp_target = name })
-                        config.v_proc
-                    in
                     let r =
-                      Campaign.run ~domains:config.v_domains ~cutoff:true
-                        ~phase1_seeds:seeds ~seeds_per_pair:per_pair ~log ?chaos
-                        ~stop ?proc ~target:name ~corpus:dir program
+                      Campaign.run ~log ~stop
+                        { config.v_campaign with target = name; corpus = Some dir }
+                        program
                     in
                     pr "campaign: %s (%d candidate pair(s))@." name
                       (List.length r.Campaign.analysis.Fuzzer.a_phase1.Fuzzer.potential);
@@ -655,7 +647,7 @@ let serve ?(log = Event_log.null ()) ?stop config ~resolve ~dir =
                     let active = r.Campaign.stats.Campaign.s_proc_active in
                     wact :=
                       if !wact < 0 then active else Stdlib.min !wact active;
-                    (match config.v_proc with
+                    (match config.v_campaign.Campaign.proc with
                     | Some sp when active < sp.Proc_pool.sp_workers ->
                         pr
                           "fleet degraded: %d/%d worker(s) — ran %s@."
@@ -680,7 +672,9 @@ let serve ?(log = Event_log.null ()) ?stop config ~resolve ~dir =
        sealed: the restart resumes them from the per-item ledger. *)
     if not (Campaign.stop_requested stop) then begin
       let wreq =
-        match config.v_proc with Some sp -> sp.Proc_pool.sp_workers | None -> 0
+        match config.v_campaign.Campaign.proc with
+        | Some sp -> sp.Proc_pool.sp_workers
+        | None -> 0
       in
       let count v = Option.value ~default:0 (Hashtbl.find_opt tally v) in
       let c =

@@ -141,18 +141,18 @@ type config = {
   v_burst : float;  (** token-bucket capacity *)
   v_retry : Retry.policy;
   v_targets : string list;  (** targets beyond those the corpus names *)
-  v_domains : int;
-  v_phase1_seeds : int;
-  v_seeds_per_pair : int;
-  v_proc : Proc_pool.spec option;
-      (** worker-fleet template; [sp_target] is overridden per target *)
-  v_chaos : Chaos.plan option;
+  v_campaign : Campaign.config;
+      (** every wave's campaign settings; a wave runs
+          [{ v_campaign with target = name; corpus = Some dir }].  The
+          service-tier faults of [chaos] (kill-mid-revalidation, torn
+          index and ledger lines, watch storms) drive the service
+          itself *)
 }
 
 val default_config : config
-(** One cycle budget of everything small: period 1s, rate 1 burst 2,
-    {!Retry.default}, 1 domain, 1 phase-1 seed, 20 trials per pair, no
-    fleet, no watch, run forever. *)
+(** Everything small: period 1s, rate 1 burst 2, {!Retry.default}, no
+    watch, run forever; waves on 1 domain with phase-1 seed 0, trial
+    seeds 0–19 and cutoff on, otherwise {!Campaign.default_config}. *)
 
 val serve :
   ?log:Event_log.t ->
@@ -166,8 +166,8 @@ val serve :
     [resolve] maps a target name (registry workload or RFL path) to a
     runnable program; targets that fail to resolve are skipped with a
     console note.  Each wave's campaign runs its own phase 1 over
-    [v_phase1_seeds] seeds; a [p1cache/] directory an older build left in
-    [dir] is not read. *)
+    [v_campaign]'s [phase1_seeds]; a [p1cache/] directory an older build
+    left in [dir] is not read. *)
 
 val status : dir:string -> int
 (** One-shot report: completed cycles, last-cycle verdict counts and

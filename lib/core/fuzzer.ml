@@ -441,12 +441,12 @@ let pair_policy = function
    stream stays exactly where the last replayed step restored it. *)
 let replay_fallback () = Strategy.run_until_block ()
 
-let record_trial ?(target = "") ?postpone_timeout
+let record_trial ?(target = "")
     ?(max_steps = Engine.default_config.max_steps) ~(program : program)
     (pair : Site.Pair.t) seed : trial * Schedule.t =
   let report = Algo.fresh_report () in
   let strategy, recorder =
-    Recorder.wrap (Algo.strategy ?postpone_timeout ~pair ~report ())
+    Recorder.wrap (Algo.strategy ~pair ~report ())
   in
   let outcome =
     Engine.run
@@ -575,9 +575,8 @@ let restrict_analysis ~keep (a : analysis) : analysis =
   }
 
 let analyze ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 Fun.id)
-    ?postpone_timeout ?max_steps ?detector_budget ?mem_budget
-    ?(no_degrade = false) ?static ?(static_filter = false) ?detect
-    (program : program) : analysis =
+    ?max_steps ?detector_budget ?mem_budget ?(no_degrade = false) ?static
+    ?(static_filter = false) (program : program) : analysis =
   (* Resource governance lives in phase 1: that is where the detector —
      and hence the unbounded analysis state — is.  Phase-2 trials carry
      no detector, so they run ungoverned here (the campaign orchestrator
@@ -586,7 +585,7 @@ let analyze ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 Fun.id)
     governance ?detector_budget ?mem_budget ~no_degrade ~tripped:false ()
   in
   let p1 =
-    phase1 ~seeds:phase1_seeds ?max_steps ?deadline ?governor ?detect program
+    phase1 ~seeds:phase1_seeds ?max_steps ?deadline ?governor program
   in
   let pairs = Site.Pair.Set.elements (potential_pairs p1) in
   let pairs, filtered =
@@ -600,7 +599,7 @@ let analyze ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 Fun.id)
   in
   let results =
     List.map
-      (fun pair -> fuzz_pair ~seeds:seeds_per_pair ?postpone_timeout ?max_steps ~program pair)
+      (fun pair -> fuzz_pair ~seeds:seeds_per_pair ?max_steps ~program pair)
       pairs
   in
   let collect p =

@@ -249,7 +249,6 @@ val replay :
 
 val record_trial :
   ?target:string ->
-  ?postpone_timeout:int option ->
   ?max_steps:int ->
   program:program ->
   Site.Pair.t ->
@@ -330,14 +329,12 @@ val restrict_analysis : keep:(Site.Pair.t -> bool) -> analysis -> analysis
 val analyze :
   ?phase1_seeds:int list ->
   ?seeds_per_pair:int list ->
-  ?postpone_timeout:int option ->
   ?max_steps:int ->
   ?detector_budget:int ->
   ?mem_budget:float ->
   ?no_degrade:bool ->
   ?static:Rf_static.Static.t ->
   ?static_filter:bool ->
-  ?detect:detect_mode ->
   program ->
   analysis
 (** [detector_budget] caps phase-1 detector-state entries; [mem_budget]

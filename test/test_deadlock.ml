@@ -327,7 +327,16 @@ let test_deadlockfuzzer_pinned_outcomes () =
 
 (* One pair's trials fuzzed by a campaign over [domains] domains. *)
 let campaign_pair ~domains ~seeds ~program pair =
-  match Rf_campaign.Campaign.fuzz_pairs ~domains ~seeds ~program [ pair ] with
+  match
+    Rf_campaign.Campaign.fuzz_pairs
+      {
+        Rf_campaign.Campaign.default_config with
+        domains;
+        seeds_per_pair = seeds;
+        cutoff = false;
+      }
+      ~program [ pair ]
+  with
   | [ r ], _ -> r
   | _ -> Alcotest.fail "one pair in, one result out"
 

@@ -11,7 +11,9 @@
    4. Phase-1 detection by re-execution ([--offline-detect]) is
       shard-count invariant: one shard is inline detection, and more
       shards, run in parallel or one after another, merge to inline's
-      pair set and stats. *)
+      pair set and stats.
+   5. Campaign.run and Campaign.fuzz_pairs read one configuration the
+      same way. *)
 
 open Rf_util
 module Fuzzer = Racefuzzer.Fuzzer
@@ -21,6 +23,11 @@ module Chaos = Rf_campaign.Chaos
 module W = Rf_workloads
 
 let fp = Campaign.fingerprint
+
+(* A campaign on [domains] over the two seed lists, everything else at
+   its default. *)
+let config ~domains ~cutoff ~phase1_seeds ~seeds_per_pair =
+  { Campaign.default_config with domains; cutoff; phase1_seeds; seeds_per_pair }
 
 (* A pool of cheap workloads with interesting race topology: figure1 has
    one real+harmful pair and one false alarm; figure2 has one real pair
@@ -56,12 +63,10 @@ let prop_campaign_equals_analyze =
       let phase1_seeds = List.init p1 Fun.id in
       let seeds_per_pair = List.init trials (fun i -> seed0 + i) in
       let a = Fuzzer.analyze ~phase1_seeds ~seeds_per_pair program in
-      let c1 =
-        Campaign.run ~domains:1 ~cutoff:false ~phase1_seeds ~seeds_per_pair program
+      let run domains =
+        Campaign.run (config ~domains ~cutoff:false ~phase1_seeds ~seeds_per_pair) program
       in
-      let c4 =
-        Campaign.run ~domains:4 ~cutoff:false ~phase1_seeds ~seeds_per_pair program
-      in
+      let c1 = run 1 and c4 = run 4 in
       fp a = fp c1.Campaign.analysis && fp a = fp c4.Campaign.analysis)
 
 (* 2. Cutoff mode is still domain-count invariant. *)
@@ -72,7 +77,7 @@ let prop_cutoff_domain_invariant =
       let phase1_seeds = List.init p1 Fun.id in
       let seeds_per_pair = List.init trials (fun i -> seed0 + i) in
       let run d =
-        Campaign.run ~domains:d ~cutoff:true ~phase1_seeds ~seeds_per_pair program
+        Campaign.run (config ~domains:d ~cutoff:true ~phase1_seeds ~seeds_per_pair) program
       in
       let c1 = run 1 and c2 = run 2 and c4 = run 4 in
       fp c1.Campaign.analysis = fp c2.Campaign.analysis
@@ -87,7 +92,7 @@ let test_equals_analyze_exact () =
   let phase1_seeds = seeds 10 and seeds_per_pair = seeds 40 in
   let a = Fuzzer.analyze ~phase1_seeds ~seeds_per_pair W.Figure1.program in
   let c =
-    Campaign.run ~domains:4 ~cutoff:false ~phase1_seeds ~seeds_per_pair
+    Campaign.run (config ~domains:4 ~cutoff:false ~phase1_seeds ~seeds_per_pair)
       W.Figure1.program
   in
   Alcotest.(check string) "fingerprints equal" (fp a) (fp c.Campaign.analysis);
@@ -96,8 +101,9 @@ let test_equals_analyze_exact () =
 
 let test_cutoff_cancels_and_truncates () =
   let c =
-    Campaign.run ~domains:1 ~cutoff:true ~phase1_seeds:(seeds 10)
-      ~seeds_per_pair:(seeds 40) W.Figure1.program
+    Campaign.run
+      (config ~domains:1 ~cutoff:true ~phase1_seeds:(seeds 10) ~seeds_per_pair:(seeds 40))
+      W.Figure1.program
   in
   let s = c.Campaign.stats in
   Alcotest.(check bool) "some trials cancelled" true (s.Campaign.s_cancelled > 0);
@@ -118,8 +124,13 @@ let test_budget_reallocation () =
      its unused budget must flow to the unresolved false-alarm pair. *)
   let log = Event_log.memory () in
   let c =
-    Campaign.run ~domains:1 ~cutoff:true ~phase1_seeds:(seeds 10)
-      ~seeds_per_pair:(seeds 20) ~budget:40 ~log W.Figure1.program
+    Campaign.run ~log
+      {
+        (config ~domains:1 ~cutoff:true ~phase1_seeds:(seeds 10) ~seeds_per_pair:(seeds 20))
+        with
+        budget = Some 40;
+      }
+      W.Figure1.program
   in
   let false_r =
     List.find
@@ -155,7 +166,13 @@ let test_late_trial_lowers_cut () =
   in
   let log = Event_log.memory () in
   let results, _ =
-    Campaign.fuzz_pairs ~domains:2 ~cutoff:true ~seeds:(seeds 10) ~chaos ~log
+    Campaign.fuzz_pairs ~log
+      {
+        Campaign.default_config with
+        domains = 2;
+        seeds_per_pair = seeds 10;
+        chaos = Some chaos;
+      }
       ~program:W.Figure1.program [ W.Figure1.real_pair ]
   in
   let cuts =
@@ -202,8 +219,15 @@ let test_late_crash_lowers_quarantine () =
   in
   let log = Event_log.memory () in
   let _ =
-    Campaign.fuzz_pairs ~domains:2 ~cutoff:false ~seeds:(seeds trials) ~chaos
-      ~log ~program:W.Figure1.program [ W.Figure1.real_pair ]
+    Campaign.fuzz_pairs ~log
+      {
+        Campaign.default_config with
+        domains = 2;
+        seeds_per_pair = seeds trials;
+        cutoff = false;
+        chaos = Some chaos;
+      }
+      ~program:W.Figure1.program [ W.Figure1.real_pair ]
   in
   let bounds =
     List.filter_map
@@ -222,8 +246,9 @@ let test_event_log_jsonl_shape () =
   let path = Filename.temp_file "campaign" ".jsonl" in
   let log = Event_log.open_file path in
   let _ =
-    Campaign.run ~domains:2 ~cutoff:true ~phase1_seeds:(seeds 5)
-      ~seeds_per_pair:(seeds 10) ~log W.Figure1.program
+    Campaign.run ~log
+      (config ~domains:2 ~cutoff:true ~phase1_seeds:(seeds 5) ~seeds_per_pair:(seeds 10))
+      W.Figure1.program
   in
   Event_log.close log;
   let ic = open_in path in
@@ -275,8 +300,9 @@ let test_event_log_jsonl_shape () =
 
 let test_stats_accounting () =
   let c =
-    Campaign.run ~domains:2 ~cutoff:false ~phase1_seeds:(seeds 10)
-      ~seeds_per_pair:(seeds 15) W.Figure1.program
+    Campaign.run
+      (config ~domains:2 ~cutoff:false ~phase1_seeds:(seeds 10) ~seeds_per_pair:(seeds 15))
+      W.Figure1.program
   in
   let s = c.Campaign.stats in
   Alcotest.(check int) "pairs = potential" 2 s.Campaign.s_pairs;
@@ -285,6 +311,50 @@ let test_stats_accounting () =
   Alcotest.(check int) "nothing discarded" 0 s.Campaign.s_discarded;
   Alcotest.(check int) "per-domain trials sum to total" s.Campaign.s_trials
     (Array.fold_left ( + ) 0 s.Campaign.s_domain_trials)
+
+(* [fuzz_pairs] over [run]'s pairs, in [run]'s fuzzing order (Likely-first
+   under the static model), returns [run]'s pair results: the two entry
+   points read the trial fields of one configuration the same way.  The
+   configuration sets cutoff, a budget (which grants by pair order) and
+   a non-default supervision policy. *)
+let test_fuzz_pairs_matches_run () =
+  let supervision =
+    { Rf_campaign.Supervisor.default_policy with quarantine_crashes = 1; max_respawns = 1 }
+  in
+  let registered name =
+    let w = Option.get (W.Registry.find name) in
+    (name, w.W.Workload.program, w.W.Workload.static)
+  in
+  List.iter
+    (fun (name, program, static) ->
+      List.iter
+        (fun domains ->
+          let c =
+            {
+              Campaign.default_config with
+              domains;
+              phase1_seeds = seeds 2;
+              seeds_per_pair = seeds 20;
+              budget = Some 25;
+              supervision;
+              static;
+            }
+          in
+          let a = (Campaign.run c program).Campaign.analysis in
+          let results, _ =
+            Campaign.fuzz_pairs c ~program
+              (List.map (fun (p : Fuzzer.pair_result) -> p.Fuzzer.pr_pair) a.Fuzzer.results)
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s on %d domain(s)" name domains)
+            (fp a)
+            (fp { a with Fuzzer.results }))
+        [ 1; 2 ])
+    [
+      registered "figure1";
+      ("figure2-k25", (fun () -> W.Figure2.program ~k:25 ()), None);
+      registered "cache4j";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Detection by re-execution.  Shard k of n re-runs the phase-1 seeds and
@@ -364,6 +434,8 @@ let () =
             test_late_trial_lowers_cut;
           Alcotest.test_case "late crash lowers journaled quarantine" `Quick
             test_late_crash_lowers_quarantine;
+          Alcotest.test_case "fuzz_pairs reads run's config" `Quick
+            test_fuzz_pairs_matches_run;
         ] );
       ( "observability",
         [

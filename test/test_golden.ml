@@ -38,11 +38,23 @@ let target name =
    phase-1 seeds and the target's static model unless the row says
    otherwise. *)
 let campaign ?(domains = 2) ?(phase1_seeds = seeds 5) ~trials ?detector_budget
-    ?no_degrade ?static_filter ?offline_detect ?chaos name () =
+    ?(no_degrade = false) ?(static_filter = false) ?(offline_shards = 1) ?chaos name
+    () =
   let program, static = target name in
-  Campaign.run ~domains ~cutoff:true ~phase1_seeds
-    ~seeds_per_pair:(seeds trials) ?detector_budget ?no_degrade ?static
-    ?static_filter ?offline_detect ?chaos program
+  Campaign.run
+    {
+      Campaign.default_config with
+      domains;
+      phase1_seeds;
+      seeds_per_pair = seeds trials;
+      detector_budget;
+      no_degrade;
+      static;
+      static_filter;
+      offline_shards;
+      chaos;
+    }
+    program
 
 (* Site-interning order: campaign fingerprints print and sort pairs by
    site id, and ids are handed out in first-interned order.  This row
@@ -54,50 +66,32 @@ let serve_compiled_first () =
   let prog = Rf_lang.Lang.load_file (Filename.concat !fixtures "serve-offline.rfl") in
   let program = Rf_lang.Lang.program ~print:ignore prog in
   let static = Rf_static.Static.of_program prog in
-  Campaign.run ~domains:1 ~cutoff:false ~phase1_seeds:(seeds 5)
-    ~seeds_per_pair:(seeds 5) ~static ~static_filter:true ~offline_detect:2 program
+  Campaign.run
+    {
+      Campaign.default_config with
+      domains = 1;
+      cutoff = false;
+      seeds_per_pair = seeds 5;
+      static = Some static;
+      static_filter = true;
+      offline_shards = 2;
+    }
+    program
 
-(* Site ids when phase 1 and phase 2 overlap: no static model interns
-   this program's sites, so each is interned by the first execution that
+(* Site ids when phase 1 and phase 2 overlap (fixtures/late-pairs.rfl,
+   also a target of the serve CLI row): no static model interns this
+   program's sites, so each is interned by the first execution that
    reaches it.  Who takes the lock first decides which branch writes, so
    phase-1 seed 0 sees 5 of the 11 pairs and later seeds the rest.  The
    pair on [a] is found first, and every thread then spins before the
    branches, so phase-2 trials of that pair reach the branches long
    before phase 1 does, often the other way round.  The ids, and with
    them pair orientation and order, must still follow phase 1 alone. *)
-let late_pairs_src =
-  {|shared int a;
-shared int b;
-shared int c;
-shared int d;
-shared int turn;
-shared int s1;
-shared int s2;
-shared int s3;
-lock L;
-thread t1 {
-  a = 1;
-  for (let i = 0; i < 3000; i = i + 1) { s1 = s1 + 1; }
-  sync (L) { turn = turn + 1; if (turn == 1) { b = 1; } else { c = 1; } }
-  d = d + 1;
-}
-thread t2 {
-  a = 2;
-  for (let i = 0; i < 3000; i = i + 1) { s2 = s2 + 1; }
-  sync (L) { turn = turn + 1; if (turn == 1) { b = 2; } else { d = 1; } }
-  c = c + 1;
-}
-thread t3 {
-  for (let i = 0; i < 3000; i = i + 1) { s3 = s3 + 1; }
-  if (b == 1) { c = 2; }
-  if (b == 2) { d = 2; }
-}
-|}
-
 let late_pairs_unmodelled () =
-  let prog = Rf_lang.Lang.load_string ~file:"late-pairs.rfl" late_pairs_src in
-  Campaign.run ~domains:2 ~cutoff:false ~phase1_seeds:(seeds 5)
-    ~seeds_per_pair:(seeds 4) (Rf_lang.Lang.program ~print:ignore prog)
+  let prog = Rf_lang.Lang.load_file (Filename.concat !fixtures "late-pairs.rfl") in
+  Campaign.run
+    { Campaign.default_config with domains = 2; cutoff = false; seeds_per_pair = seeds 4 }
+    (Rf_lang.Lang.program ~print:ignore prog)
 
 let rows : (string * (unit -> Campaign.result)) list =
   [
@@ -107,14 +101,14 @@ let rows : (string * (unit -> Campaign.result)) list =
     ("cache4j-static-filter", campaign ~trials:50 ~static_filter:true "cache4j");
     ("serve-small-inline", campaign ~trials:10 "stress-serve-small");
     ( "serve-small-offline2",
-      campaign ~trials:10 ~offline_detect:2 "stress-serve-small" );
+      campaign ~trials:10 ~offline_shards:2 "stress-serve-small" );
     ( "serve-small-budget40",
       campaign ~trials:3 ~detector_budget:40 "stress-serve-small" );
     ( "serve-small-budget40-nodegrade",
       campaign ~trials:3 ~detector_budget:40 ~no_degrade:true
         "stress-serve-small" );
     ( "serve-small-budget40-offline2",
-      campaign ~trials:3 ~detector_budget:40 ~offline_detect:2
+      campaign ~trials:3 ~detector_budget:40 ~offline_shards:2
         "stress-serve-small" );
     ( "figure1-chaos7",
       campaign ~trials:100 ~chaos:(Rf_campaign.Chaos.default 7) "figure1" );

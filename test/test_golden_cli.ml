@@ -9,11 +9,12 @@
    streams, the bytes of a --repro-dir written by the worker tier, the
    `fuzz` budget outputs, `detect` under each detector, `corpus list
    --json` of a campaign's corpus, one `serve` cycle over that corpus
-   (its stdout and ledger), --offline-detect at one and two shards (the
+   and a fixture whose phase-1 frontier grows with --phase1-seeds (its
+   stdout and ledger), --offline-detect at one and two shards (the
    serve fixture with its repro directory, a model that interns sites at
    run time on two domains, and one shard on two domains), a --budget
    campaign with --phase1-seeds, the worker rlimit and process-fault
-   flags, and `workload`.
+   flags, `workload`, and the usage error of a negative count.
 
    Check (also part of dune runtest):
      dune build @golden
@@ -105,7 +106,8 @@ let rows : (string * pin * arg list) list =
       [ A "serve"; Corpus ]
       @ args
           [ "--cycles"; "1"; "--period"; "0"; "--domains"; "2"; "--phase1-seeds"; "2";
-            "--trials"; "5" ] );
+            "--trials"; "5"; "--target" ]
+      @ [ Fixture "late-pairs.rfl" ] );
     ( "serve-offline-shards2-repro",
       Report_and_repro,
       [ A "campaign"; Fixture "serve-offline.rfl" ]
@@ -138,6 +140,10 @@ let rows : (string * pin * arg list) list =
           "--chaos-torn-frame"; "7";
         ] );
     ("cache4j-workload", Stdout, args [ "workload"; "cache4j"; "--trials"; "5" ]);
+    ("figure1-trials-negative", Stderr, args [ "campaign"; "figure1"; "--trials=-1" ]);
+    ( "chain-fuzz-phase1-negative",
+      Stderr,
+      [ A "fuzz"; Example "chain.rfl"; A "--phase1-seeds=-1" ] );
   ]
 
 let read_lines path =
@@ -199,10 +205,8 @@ let measure ~journal ~corpus (pin, args) =
     | Report_and_repro -> report () @ [ "repro=" ^ digest_dir repro_dir ]
     | Stdout -> [ "stdout=" ^ out_digest ]
     | Stdout_and_ledger ->
-        [
-          "stdout=" ^ out_digest;
-          "ledger=" ^ Digest.to_hex (Digest.file (Filename.concat corpus "serve.ledger.jsonl"));
-        ]
+        let ledger = Filename.concat corpus "serve.ledger.jsonl" in
+        [ "stdout=" ^ out_digest; "ledger=" ^ Digest.to_hex (Digest.file ledger) ]
     | Stderr -> (
         match List.filter (fun l -> l <> "") err_lines with
         | l :: _ -> [ "stderr: " ^ l ]

@@ -266,8 +266,16 @@ let test_shutdown_does_not_sleep () =
 (* Fingerprint parity across execution tiers                           *)
 
 let run_fig1 ?chaos ?proc ?corpus ?log () =
-  Campaign.run ~domains:2 ~cutoff:true ~phase1_seeds:(seeds 5)
-    ~seeds_per_pair:(seeds 20) ?chaos ?proc ?corpus ?log ~target:"figure1"
+  Campaign.run ?log
+    {
+      Campaign.default_config with
+      domains = 2;
+      seeds_per_pair = seeds 20;
+      chaos;
+      proc;
+      corpus;
+      target = "figure1";
+    }
     W.Figure1.program
 
 let test_proc_campaign_fingerprint_parity () =
@@ -306,10 +314,16 @@ let test_proc_campaign_survives_worker_sigkill () =
 (* figure1 under the --chaos preset, 100 trials per pair on two slots;
    [stop_after] is the deterministic kill. *)
 let run_fig1_chaos ?proc ?resume ?log ?stop_after () =
-  Campaign.run ~domains:2 ~cutoff:true ~phase1_seeds:(seeds 5)
-    ~seeds_per_pair:(seeds 100)
-    ~chaos:{ (Chaos.default 7) with Chaos.c_stop_after = stop_after }
-    ?proc ?resume ?log ~target:"figure1" W.Figure1.program
+  Campaign.run ?log
+    {
+      Campaign.default_config with
+      domains = 2;
+      chaos = Some { (Chaos.default 7) with Chaos.c_stop_after = stop_after };
+      proc;
+      resume;
+      target = "figure1";
+    }
+    W.Figure1.program
 
 (* Kill a run after 15 trials on one tier, resume its journal on the
    other tier, and compare against the uninterrupted run. *)
@@ -358,11 +372,19 @@ let test_resume_across_tiers () =
 let test_resume_journal_from_earlier_build () =
   let w = Option.get (W.Registry.find "figure1") in
   let r =
-    Campaign.run ~domains:2 ~cutoff:true ~phase1_seeds:(seeds 5)
-      ~seeds_per_pair:(seeds 40) ~chaos:(Chaos.default 3)
-      ~detector_budget:100000 ~no_degrade:true
-      ?static:w.W.Workload.static ~target:"figure1"
-      ~resume:"resume_figure1_chaos3.jsonl" w.W.Workload.program
+    Campaign.run
+      {
+        Campaign.default_config with
+        domains = 2;
+        seeds_per_pair = seeds 40;
+        chaos = Some (Chaos.default 3);
+        detector_budget = Some 100000;
+        no_degrade = true;
+        static = w.W.Workload.static;
+        target = "figure1";
+        resume = Some "resume_figure1_chaos3.jsonl";
+      }
+      w.W.Workload.program
   in
   Alcotest.(check int) "every journaled trial replayed" 20
     r.Campaign.stats.Campaign.s_replayed;

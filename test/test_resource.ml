@@ -192,8 +192,17 @@ let test_campaign_governed_domain_invariant () =
   let program = W.Figure1.program in
   let chaos = Chaos.plan ~budget_rate:1.0 7 in
   let run domains =
-    Campaign.run ~domains ~phase1_seeds:[ 0 ] ~seeds_per_pair:[ 0; 1; 2; 3 ]
-      ~chaos ~detector_budget:100_000 program
+    Campaign.run
+      {
+        Campaign.default_config with
+        domains;
+        phase1_seeds = [ 0 ];
+        seeds_per_pair = [ 0; 1; 2; 3 ];
+        cutoff = false;
+        chaos = Some chaos;
+        detector_budget = Some 100_000;
+      }
+      program
   in
   let r1 = run 1 in
   let r4 = run 4 in
@@ -360,24 +369,28 @@ let test_corrupt_journal_line_skipped () =
 let test_resume_preserves_degraded_trials () =
   let program = W.Figure1.program in
   let chaos stop_after = Chaos.plan ?stop_after ~budget_rate:0.5 3 in
-  let seeds = List.init 8 Fun.id in
-  let full =
-    Campaign.run ~domains:2 ~phase1_seeds:[ 0 ] ~seeds_per_pair:seeds
-      ~chaos:(chaos None) ~detector_budget:100_000 program
+  let run ?log ?resume stop_after =
+    Campaign.run ?log
+      {
+        Campaign.default_config with
+        domains = 2;
+        phase1_seeds = [ 0 ];
+        seeds_per_pair = List.init 8 Fun.id;
+        cutoff = false;
+        chaos = Some (chaos stop_after);
+        detector_budget = Some 100_000;
+        resume;
+      }
+      program
   in
+  let full = run None in
   let journal = Filename.temp_file "rf_resume" ".jsonl" in
   let log = Event_log.open_file journal in
-  let interrupted =
-    Campaign.run ~domains:2 ~phase1_seeds:[ 0 ] ~seeds_per_pair:seeds
-      ~chaos:(chaos (Some 3)) ~detector_budget:100_000 ~log program
-  in
+  let interrupted = run ~log (Some 3) in
   Event_log.close log;
   Alcotest.(check bool) "interrupted run stopped early" true
     interrupted.Campaign.stats.Campaign.s_interrupted;
-  let resumed =
-    Campaign.run ~domains:2 ~phase1_seeds:[ 0 ] ~seeds_per_pair:seeds
-      ~chaos:(chaos None) ~detector_budget:100_000 ~resume:journal program
-  in
+  let resumed = run ~resume:journal None in
   Sys.remove journal;
   Alcotest.(check bool) "resume replayed journal trials" true
     (resumed.Campaign.stats.Campaign.s_replayed > 0);
@@ -396,8 +409,18 @@ let test_artifact_dirs_with_missing_parents () =
   let under name = Filename.concat (Filename.concat root name) "deep" in
   let repro_dir = under "repro" and corpus = under "corpus" in
   let r =
-    Campaign.run ~phase1_seeds:[ 0 ] ~seeds_per_pair:(List.init 4 Fun.id) ~repro_dir
-      ~corpus ~target:"figure1" W.Figure1.program
+    Campaign.run
+      {
+        Campaign.default_config with
+        domains = 1;
+        phase1_seeds = [ 0 ];
+        seeds_per_pair = List.init 4 Fun.id;
+        cutoff = false;
+        repro_dir = Some repro_dir;
+        corpus = Some corpus;
+        target = "figure1";
+      }
+      W.Figure1.program
   in
   let files dir = Array.to_list (Sys.readdir dir) in
   Alcotest.(check bool) "a repro was written" true
@@ -650,10 +673,19 @@ let test_recording_lines_resume () =
   let resumed journal =
     let w = Option.get (W.Registry.find "figure1") in
     let r =
-      Campaign.run ~domains:2 ~cutoff:true ~phase1_seeds:(List.init 5 Fun.id)
-        ~seeds_per_pair:(List.init 40 Fun.id) ~chaos:(Chaos.default 3)
-        ~detector_budget:100000 ~no_degrade:true ?static:w.W.Workload.static
-        ~target:"figure1" ~resume:journal w.W.Workload.program
+      Campaign.run
+        {
+          Campaign.default_config with
+          domains = 2;
+          seeds_per_pair = List.init 40 Fun.id;
+          chaos = Some (Chaos.default 3);
+          detector_budget = Some 100000;
+          no_degrade = true;
+          static = w.W.Workload.static;
+          target = "figure1";
+          resume = Some journal;
+        }
+        w.W.Workload.program
     in
     ( r.Campaign.stats.Campaign.s_replayed,
       Campaign.fingerprint r.Campaign.analysis,

@@ -64,8 +64,15 @@ let rec copy_dir src dst =
    flavors (replay and integrity). *)
 let build_corpus dir =
   ignore
-    (Campaign.run ~domains:2 ~cutoff:true ~phase1_seeds:(seeds 3)
-       ~seeds_per_pair:(seeds 20) ~target:"figure1" ~corpus:dir
+    (Campaign.run
+       {
+         Campaign.default_config with
+         domains = 2;
+         phase1_seeds = seeds 3;
+         seeds_per_pair = seeds 20;
+         target = "figure1";
+         corpus = Some dir;
+       }
        W.Figure1.program);
   let traces = Filename.concat dir "traces" in
   Unix.mkdir traces 0o755;
@@ -89,7 +96,7 @@ let reval_only ?chaos ?(cycles = 1) ?(retry = Retry.default) () =
     v_rate = 0.0;
     v_burst = 0.0;
     v_retry = retry;
-    v_chaos = chaos;
+    v_campaign = { Service.default_config.v_campaign with chaos };
   }
 
 (* ------------------------------------------------------------------ *)

@@ -546,11 +546,19 @@ let chain_prog = lazy (load ~file:"chain.rfl" chain_src)
 let chain_static = lazy (Static.of_program (Lazy.force chain_prog))
 
 let run_chain ?log ?resume ~static_filter () =
-  Campaign.run ~domains:2 ~cutoff:false ~phase1_seeds:[ 0; 1; 2 ]
-    ~seeds_per_pair:(List.init 6 Fun.id) ~max_steps ~detector_budget:8 ?log
-    ?resume
-    ~static:(Lazy.force chain_static)
-    ~static_filter
+  Campaign.run ?log
+    {
+      Campaign.default_config with
+      domains = 2;
+      cutoff = false;
+      phase1_seeds = [ 0; 1; 2 ];
+      seeds_per_pair = List.init 6 Fun.id;
+      max_steps;
+      detector_budget = Some 8;
+      resume;
+      static = Some (Lazy.force chain_static);
+      static_filter;
+    }
     (main_of (Lazy.force chain_prog))
 
 let test_campaign_filter_projection () =

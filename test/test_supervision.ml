@@ -392,9 +392,16 @@ let test_supervisor_gives_up_past_budget () =
 (* ------------------------------------------------------------------ *)
 (* Chaos campaigns                                                     *)
 
-let run_fig1 ?chaos ?supervision ?log ?resume () =
-  Campaign.run ~domains:2 ~cutoff:true ~phase1_seeds:(seeds 5)
-    ~seeds_per_pair:(seeds 20) ?chaos ?supervision ?log ?resume
+let run_fig1 ?chaos ?(supervision = Supervisor.default_policy) ?log ?resume () =
+  Campaign.run ?log
+    {
+      Campaign.default_config with
+      domains = 2;
+      seeds_per_pair = seeds 20;
+      chaos;
+      supervision;
+      resume;
+    }
     W.Figure1.program
 
 let test_chaos_crashes_are_quarantined () =
@@ -454,7 +461,14 @@ let test_counts_ignore_speculative_trials () =
     (fun (name, chaos) ->
       let counts domains =
         let _, s =
-          Campaign.fuzz_pairs ~domains ~cutoff:true ~seeds:(seeds 12) ~supervision ~chaos
+          Campaign.fuzz_pairs
+            {
+              Campaign.default_config with
+              domains;
+              seeds_per_pair = seeds 12;
+              supervision;
+              chaos = Some chaos;
+            }
             ~program:W.Figure1.program [ W.Figure1.real_pair ]
         in
         Campaign.(s.s_crashes, s.s_quarantined, s.s_resolved)
