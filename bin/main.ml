@@ -208,6 +208,9 @@ let chaos_kill_arg =
            Liveness-only: results and fingerprints are unchanged.  Usable \
            without --chaos.")
 
+(* Static-filter and resource-governance flags, shared by 'fuzz' and
+   'campaign'. *)
+
 let static_filter_arg =
   Arg.(
     value & flag
@@ -221,8 +224,6 @@ let static_filter_arg =
            only removes work.  Requires a static model: built-in workloads \
            carry one, RFL files are analyzed directly; without one the flag \
            warns and is a no-op.")
-
-(* Resource-governance flags, shared by 'fuzz' and 'campaign'. *)
 
 let detector_budget_arg =
   Arg.(
@@ -792,8 +793,8 @@ let campaign_cmd =
     let make workers deadline mem_mb cpu_s = worker_fleet ?mem_mb ?cpu_s workers deadline in
     Term.(const make $ workers_arg $ worker_deadline_arg $ worker_mem_arg $ worker_cpu_arg)
   in
-  (* Every campaign setting but the target and its static model, which
-     the action resolves. *)
+  (* The campaign settings the flags set; the action adds the target,
+     its static model and the rotated resume journal. *)
   let config =
     let make domains budget no_cutoff p1 trials chaos trial_deadline resume repro_dir
         repro_fuel static_filter detector_budget mem_budget no_degrade offline_detect
