@@ -82,7 +82,7 @@ let serve_compiled_first () =
    also a target of the serve CLI row): no static model interns this
    program's sites, so each is interned by the first execution that
    reaches it.  Who takes the lock first decides which branch writes, so
-   phase-1 seed 0 sees 5 of the 11 pairs and later seeds the rest.  The
+   phase-1 seed 0 sees 7 of the 11 pairs and later seeds the rest.  The
    pair on [a] is found first, and every thread then spins before the
    branches, so phase-2 trials of that pair reach the branches long
    before phase 1 does, often the other way round.  The ids, and with
