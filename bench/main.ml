@@ -136,12 +136,19 @@ let run_ablation () =
   Fmt.pr "%-12s %8s %8s@." "timeout" "P(race)" "P(error)";
   List.iter
     (fun timeout ->
-      let r =
-        Racefuzzer.Fuzzer.fuzz_pair ~seeds
-          ~postpone_timeout:(match timeout with 0 -> None | t -> Some t)
-          ~program:(fun () -> W.Figure2.program ~k:100 ())
-          W.Figure2.race_pair
+      let pair = W.Figure2.race_pair in
+      let trial seed =
+        match
+          Racefuzzer.Fuzzer.run_trial
+            ~postpone_timeout:(match timeout with 0 -> None | t -> Some t)
+            ~max_steps:Rf_runtime.Engine.default_config.max_steps
+            ~program:(fun () -> W.Figure2.program ~k:100 ())
+            pair seed
+        with
+        | Racefuzzer.Fuzzer.Completed t -> t
+        | _ -> failwith "postpone-timeout ablation: a trial did not complete"
       in
+      let r = Racefuzzer.Fuzzer.aggregate_trials ~pair ~wall:0.0 (List.map trial seeds) in
       let n = List.length r.Racefuzzer.Fuzzer.trials in
       Fmt.pr "%-12s %8.2f %8.2f@."
         (if timeout = 0 then "none" else string_of_int timeout)

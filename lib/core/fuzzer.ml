@@ -293,9 +293,8 @@ let run_trial ?postpone_timeout ?deadline ?governor ?(listeners = [])
         }
   | exception e -> Harness_crash (e, Printexc.get_backtrace ())
 
-let run_trial_exn ?postpone_timeout ~max_steps ~(program : program)
-    (pair : Site.Pair.t) seed : trial =
-  match run_trial ?postpone_timeout ~max_steps ~program pair seed with
+let run_trial_exn ~max_steps ~(program : program) (pair : Site.Pair.t) seed : trial =
+  match run_trial ~max_steps ~program pair seed with
   | Completed t -> t
   | Harness_crash (e, _) -> raise e
   | Budget_exhausted _ -> assert false (* no deadline was passed *)
@@ -374,11 +373,11 @@ let aggregate_trials ~pair ~wall trials : pair_result =
 (** Fuzz one candidate pair across [seeds].  Engine switch points are
     restricted to synchronization operations plus the pair's two sites —
     the paper's low-overhead configuration (§4). *)
-let fuzz_pair ?(seeds = List.init 100 Fun.id) ?postpone_timeout
+let fuzz_pair ?(seeds = List.init 100 Fun.id)
     ?(max_steps = Engine.default_config.max_steps) ~(program : program)
     (pair : Site.Pair.t) : pair_result =
   let t0 = Unix.gettimeofday () in
-  let trials = List.map (run_trial_exn ?postpone_timeout ~max_steps ~program pair) seeds in
+  let trials = List.map (run_trial_exn ~max_steps ~program pair) seeds in
   aggregate_trials ~pair ~wall:(Unix.gettimeofday () -. t0) trials
 
 (** Re-run a single phase-2 execution from its seed: the paper's replay

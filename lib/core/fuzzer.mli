@@ -186,7 +186,6 @@ val run_trial :
     run — phase 2 normally runs detector-free. *)
 
 val run_trial_exn :
-  ?postpone_timeout:int option ->
   max_steps:int ->
   program:program ->
   Site.Pair.t ->
@@ -222,7 +221,6 @@ val aggregate_trials : pair:Site.Pair.t -> wall:float -> trial list -> pair_resu
 
 val fuzz_pair :
   ?seeds:int list ->
-  ?postpone_timeout:int option ->
   ?max_steps:int ->
   program:program ->
   Site.Pair.t ->
