@@ -148,7 +148,9 @@ let run_ablation () =
         | Racefuzzer.Fuzzer.Completed t -> t
         | _ -> failwith "postpone-timeout ablation: a trial did not complete"
       in
-      let r = Racefuzzer.Fuzzer.aggregate_trials ~pair ~wall:0.0 (List.map trial seeds) in
+      let r =
+        Racefuzzer.Fuzzer.aggregate_trials ~pair ~wall:0.0 (List.map trial seeds)
+      in
       let n = List.length r.Racefuzzer.Fuzzer.trials in
       Fmt.pr "%-12s %8.2f %8.2f@."
         (if timeout = 0 then "none" else string_of_int timeout)

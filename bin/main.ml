@@ -565,7 +565,8 @@ let deadlock_cmd =
   let action file trials =
     let main = Rf_lang.Lang.program ~print:ignore (or_fail (load file)) in
     let results =
-      Racefuzzer.Deadlock_fuzzer.analyze ~phase1_seeds:Campaign.default_config.phase1_seeds
+      Racefuzzer.Deadlock_fuzzer.analyze
+        ~phase1_seeds:Campaign.default_config.phase1_seeds
         ~seeds_per_candidate:(seeds trials) main
     in
     if results = [] then Fmt.pr "no potential lock-order cycles found@."
@@ -598,7 +599,8 @@ let atomicity_cmd =
   let action file trials =
     let main = Rf_lang.Lang.program ~print:ignore (or_fail (load file)) in
     let results =
-      Racefuzzer.Atom_fuzzer.analyze ~phase1_seeds:Campaign.default_config.phase1_seeds
+      Racefuzzer.Atom_fuzzer.analyze
+        ~phase1_seeds:Campaign.default_config.phase1_seeds
         ~seeds_per_candidate:(seeds trials) main
     in
     if results = [] then Fmt.pr "no split transactions found@."
@@ -790,8 +792,11 @@ let campaign_cmd =
       $ chaos_torn_arg $ chaos_hang_arg)
   in
   let proc =
-    let make workers deadline mem_mb cpu_s = worker_fleet ?mem_mb ?cpu_s workers deadline in
-    Term.(const make $ workers_arg $ worker_deadline_arg $ worker_mem_arg $ worker_cpu_arg)
+    let make workers deadline mem_mb cpu_s =
+      worker_fleet ?mem_mb ?cpu_s workers deadline
+    in
+    Term.(
+      const make $ workers_arg $ worker_deadline_arg $ worker_mem_arg $ worker_cpu_arg)
   in
   (* The campaign settings the flags set; the action adds the target,
      its static model and the rotated resume journal. *)
@@ -1103,8 +1108,10 @@ let serve_cmd =
   let campaign =
     let c = d.v_campaign in
     let chaos seed kill die_reval fail_reval torn_index torn_ledger watch_storm =
-      let faults = [ kill; die_reval; fail_reval; torn_index; torn_ledger; watch_storm ] in
-      if List.for_all Option.is_none faults then None
+      if
+        List.for_all Option.is_none
+          [ kill; die_reval; fail_reval; torn_index; torn_ledger; watch_storm ]
+      then None
       else
         Some
           {
