@@ -563,6 +563,11 @@ type t = {
   pending : event Queue.t;
       (** events observed by internal polls ({!await_ready}) and handed to
           the caller on the next {!poll} *)
+  chunk : Bytes.t;
+      (** the one buffer every pipe read goes through.  A block this size
+          is allocated straight into the major heap: one made per poll,
+          that is per trial result, would cost a major collection every
+          dozen or so results *)
 }
 
 (* Per-worker rlimits without setrlimit bindings: spawn through the
@@ -629,6 +634,7 @@ let create spec ~init =
               w_attempt = 0;
             });
       pending = Queue.create ();
+      chunk = Bytes.create 65536;
     }
   in
   Array.iter (fun w -> spawn t w) t.workers;
@@ -721,16 +727,15 @@ let poll_once t ~timeout events =
       | r, _, _ -> r
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
   in
-  let chunk = Bytes.create 65536 in
   Array.iter
     (fun w ->
       if live w && List.memq w.w_rd readable then
-        match restart_read w.w_rd chunk 0 (Bytes.length chunk) with
+        match restart_read w.w_rd t.chunk 0 (Bytes.length t.chunk) with
         | 0 -> kill_worker t w ~killed:false ~reason:"worker closed its pipe" events
         | exception Unix.Unix_error _ ->
             kill_worker t w ~killed:false ~reason:"worker pipe read error" events
         | n -> (
-            Buffer.add_subbytes w.w_buf chunk 0 n;
+            Buffer.add_subbytes w.w_buf t.chunk 0 n;
             w.w_last <- now ();
             match drain_frames w events with
             | () -> ()
@@ -813,7 +818,6 @@ let shutdown t ~grace =
      left as the select timeout, so the fleet stops as soon as its last
      worker does.  A late result or heartbeat is drained and dropped. *)
   let deadline = now () +. grace in
-  let chunk = Bytes.create 4096 in
   let rec wait_voluntary () =
     let running = List.filter (fun w -> live w && w.w_pid > 0) (Array.to_list t.workers) in
     let left = deadline -. now () in
@@ -826,7 +830,7 @@ let shutdown t ~grace =
       List.iter
         (fun w ->
           if List.memq w.w_rd readable then
-            match restart_read w.w_rd chunk 0 (Bytes.length chunk) with
+            match restart_read w.w_rd t.chunk 0 (Bytes.length t.chunk) with
             | n when n > 0 -> ()
             | _ | (exception Unix.Unix_error _) ->
                 close_fds w;

@@ -207,7 +207,11 @@ val poll : t -> timeout:float -> event list
 (** Multiplex the fleet: drain readable pipes, decode complete frames,
     enforce heartbeat deadlines, execute due respawns, reap the dead.
     Blocks at most [timeout] seconds; returns accumulated events (possibly
-    none). *)
+    none).  Every pipe read (here, in {!await_ready} and in {!shutdown})
+    goes into one 64 KB buffer that {!create} makes: a block that size is
+    allocated straight into the major heap, and one per call, that is per
+    trial result, would cost the supervisor a major collection every
+    dozen or so results. *)
 
 val shutdown : t -> grace:float -> unit
 (** Orderly teardown: Shutdown frames to idle workers, up to [grace]

@@ -5,7 +5,9 @@
       misparsed; intact frames round-trip through a streaming buffer.
    2. Real worker processes: a SIGKILLed worker surfaces as Ev_died
       with its in-flight assignment requeued, a torn result frame is
-      rejected with a checksum-mismatch reason, and the fleet respawns.
+      rejected with a checksum-mismatch reason, and the fleet respawns;
+      the supervisor's side of a round trip allocates no major-heap
+      block.
    3. Fingerprint parity: a campaign over real worker processes — even
       one whose workers are SIGKILLed mid-wave by chaos — produces the
       exact fingerprints of the in-process run.
@@ -261,6 +263,50 @@ let test_shutdown_does_not_sleep () =
     !pids;
   if total > float_of_int n *. 0.005 then
     Alcotest.failf "%d shutdowns took %.1f ms" n (total *. 1000.)
+
+(* The supervisor's half of a round trip allocates no major-heap block:
+   the pool reads every pipe into one buffer it owns.  A 64 KB buffer
+   made per poll goes straight into the major heap, 8,193 words a trial
+   result; with such a buffer this test read about 8,200 words per round
+   trip and 20 major collections.  On OCaml 5.1 [Gc.quick_stat]'s
+   [major_words] is sampled at major slices and misses a block allocated
+   since the last one; [Gc.counters] adds the calling domain's live
+   count, so the words come from it, once it has been seen to count one
+   such block.  [major_collections] counts completed cycles, a global
+   counter read as it stands; the full major first leaves no cycle half
+   done to end inside the loop. *)
+let test_round_trips_allocate_no_major_block () =
+  let major_words () =
+    let _, _, w = Gc.counters () in
+    w
+  in
+  let w = major_words () in
+  ignore (Sys.opaque_identity (Bytes.create 65536));
+  if major_words () -. w < 8192. then
+    Alcotest.fail "Gc.counters misses a direct major-heap allocation";
+  with_pool ~workers:1 (fun t ->
+      let n = 200 in
+      Gc.full_major ();
+      let w0 = major_words () in
+      let c0 = (Gc.quick_stat ()).Gc.major_collections in
+      for id = 1 to n do
+        Proc_pool.assign t ~worker:0 (mk_assignment ~id ());
+        match
+          poll_until t ~deadline:15. (function
+            | Proc_pool.Ev_result _ -> true
+            | _ -> false)
+        with
+        | Proc_pool.Ev_result { ev_id; _ } when ev_id = id -> ()
+        | _ -> Alcotest.failf "round trip %d: another assignment's result" id
+      done;
+      let per_trip = (major_words () -. w0) /. float_of_int n in
+      let collections = (Gc.quick_stat ()).Gc.major_collections - c0 in
+      if per_trip > 256. then
+        Alcotest.failf "%.0f major-heap words per round trip (bound 256)"
+          per_trip;
+      if collections > 2 then
+        Alcotest.failf "%d major collections over %d round trips (bound 2)"
+          collections n)
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprint parity across execution tiers                           *)
@@ -543,6 +589,8 @@ let () =
           Alcotest.test_case "torn result frame detected" `Quick
             test_torn_result_frame_kills_the_worker;
           Alcotest.test_case "shutdown waits on pipes" `Quick test_shutdown_does_not_sleep;
+          Alcotest.test_case "round trips allocate no major block" `Quick
+            test_round_trips_allocate_no_major_block;
         ] );
       ( "parity",
         [
