@@ -48,7 +48,8 @@ let target_arg =
 let seed_arg =
   Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed (replayable).")
 
-(* Seed and trial counts: a negative one is a usage error (exit 124). *)
+(* Seed and trial counts, budgets and fuel: a negative one is a usage
+   error (exit 124). *)
 let count =
   let parse s =
     match int_of_string_opt s with
@@ -227,7 +228,7 @@ let static_filter_arg =
 
 let detector_budget_arg =
   Arg.(
-    value & opt (some int) None
+    value & opt (some count) None
     & info [ "detector-budget" ] ~docv:"N"
         ~doc:
           "Cap detector analysis state at $(docv) logical entries.  Over budget, \
@@ -635,7 +636,7 @@ let campaign_cmd =
   let d = Campaign.default_config in
   let budget_arg =
     Arg.(
-      value & opt (some int) None
+      value & opt (some count) None
       & info [ "budget" ] ~docv:"N"
           ~doc:
             "Total trial budget across all pairs; trials freed by early cutoff are \
@@ -694,7 +695,7 @@ let campaign_cmd =
   in
   let repro_fuel_arg =
     Arg.(
-      value & opt int d.repro_fuel
+      value & opt count d.repro_fuel
       & info [ "repro-fuel" ] ~docv:"N"
           ~doc:"Maximum oracle executions per schedule minimization.")
   in

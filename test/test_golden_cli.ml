@@ -14,7 +14,8 @@
    serve fixture with its repro directory, a model that interns sites at
    run time on two domains, and one shard on two domains), a --budget
    campaign with --phase1-seeds, the worker rlimit and process-fault
-   flags, `workload`, and the usage error of a negative count.
+   flags, `workload`, and the usage error of a negative count, budget
+   or fuel.
 
    Check (also part of dune runtest):
      dune build @golden
@@ -144,6 +145,13 @@ let rows : (string * pin * arg list) list =
     ( "chain-fuzz-phase1-negative",
       Stderr,
       [ A "fuzz"; Example "chain.rfl"; A "--phase1-seeds=-1" ] );
+    ("figure1-budget-negative", Stderr, args [ "campaign"; "figure1"; "--budget=-5" ]);
+    ( "figure1-repro-fuel-negative",
+      Stderr,
+      args [ "campaign"; "figure1"; "--repro-fuel=-3" ] );
+    ( "figure1-detector-budget-negative",
+      Stderr,
+      args [ "campaign"; "figure1"; "--detector-budget=-1" ] );
   ]
 
 let read_lines path =
