@@ -94,6 +94,7 @@ let rows : (string * pin * arg list) list =
       @ [ Repro_dir ] );
     ("chain-fuzz-budget8", Stdout, fuzz_chain);
     ("chain-fuzz-budget8-nodegrade", Stdout, fuzz_chain @ [ A "--no-degrade" ]);
+    ("figure1-fuzz", Stdout, [ A "fuzz"; Example "figure1.rfl"; A "--trials"; A "20" ]);
     ("figure1-detect-hybrid", Stdout, detect_figure1 "hybrid");
     ("figure1-detect-hb", Stdout, detect_figure1 "hb");
     ("figure1-detect-eraser", Stdout, detect_figure1 "eraser");
@@ -141,6 +142,7 @@ let rows : (string * pin * arg list) list =
           "--chaos-torn-frame"; "7";
         ] );
     ("cache4j-workload", Stdout, args [ "workload"; "cache4j"; "--trials"; "5" ]);
+    ("jspider-workload", Stdout, args [ "workload"; "jspider"; "--trials"; "10" ]);
     ("figure1-trials-negative", Stderr, args [ "campaign"; "figure1"; "--trials=-1" ]);
     ( "chain-fuzz-phase1-negative",
       Stderr,

@@ -9,8 +9,9 @@
       the supervisor's side of a round trip allocates no major-heap
       block.
    3. Fingerprint parity: a campaign over real worker processes — even
-      one whose workers are SIGKILLed mid-wave by chaos — produces the
-      exact fingerprints of the in-process run.
+      one whose workers are SIGKILLed mid-wave by chaos, or whose whole
+      fleet dies so that the wave finishes inline — produces the exact
+      fingerprints of the in-process run.
    4. Corpus: (kind, key) dedup across consecutive campaigns, strict
       [verify] after tampering, and SIGKILL during an index rewrite
       leaves the previous index byte-intact and loadable. *)
@@ -354,6 +355,25 @@ let test_proc_campaign_survives_worker_sigkill () =
   Alcotest.(check string) "confirmed parity under SIGKILL" (cfp inproc)
     (cfp killed)
 
+(* Both workers die on their first assignments and may not respawn, so
+   the fleet is gone mid-wave: the rest of the wave must finish inline on
+   the calling domain, with the in-process fingerprints. *)
+let test_proc_fleet_gone_finishes_inline () =
+  let inproc = run_fig1 () in
+  let chaos = Chaos.plan ~death_every:1 ~max_deaths:2 0 in
+  let proc =
+    {
+      (spec ()) with
+      Proc_pool.sp_policy = { Supervisor.default_policy with max_respawns = 0 };
+    }
+  in
+  let r = run_fig1 ~chaos ~proc () in
+  let s = r.Campaign.stats in
+  Alcotest.(check int) "both worker slots gave up" 2 s.Campaign.s_worker_gave_up;
+  Alcotest.(check bool) "the wave finished" false s.Campaign.s_interrupted;
+  Alcotest.(check string) "fingerprint parity, fleet gone" (fp inproc) (fp r);
+  Alcotest.(check string) "confirmed parity, fleet gone" (cfp inproc) (cfp r)
+
 (* ------------------------------------------------------------------ *)
 (* Resume across tiers and versions                                    *)
 
@@ -598,6 +618,8 @@ let () =
             test_proc_campaign_fingerprint_parity;
           Alcotest.test_case "parity under worker SIGKILL" `Quick
             test_proc_campaign_survives_worker_sigkill;
+          Alcotest.test_case "fleet gone finishes inline" `Quick
+            test_proc_fleet_gone_finishes_inline;
         ] );
       ( "resume",
         [
