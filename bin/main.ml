@@ -48,8 +48,8 @@ let target_arg =
 let seed_arg =
   Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed (replayable).")
 
-(* Seed and trial counts, budgets and fuel: a negative one is a usage
-   error (exit 124). *)
+(* Seed, trial, domain, worker and shard counts, budgets and fuel: a
+   negative one is a usage error (exit 124). *)
 let count =
   let parse s =
     match int_of_string_opt s with
@@ -148,13 +148,13 @@ let open_log = function
 
 let domains_arg default =
   Arg.(
-    value & opt int default
+    value & opt count default
     & info [ "domains" ] ~docv:"N"
         ~doc:"Worker domains draining the trial queue (in serve, of each campaign wave).")
 
 let workers_arg =
   Arg.(
-    value & opt int 0
+    value & opt count 0
     & info [ "workers" ] ~docv:"N"
         ~doc:
           "Shard phase-2 trials across $(docv) supervised worker processes \
@@ -523,7 +523,7 @@ let shrink_cmd =
   in
   let fuel_arg =
     Arg.(
-      value & opt int 400
+      value & opt count 400
       & info [ "fuel" ] ~docv:"N" ~doc:"Maximum oracle executions spent minimizing.")
   in
   let action file out fuel =
@@ -714,7 +714,7 @@ let campaign_cmd =
   in
   let offline_shards_arg =
     Arg.(
-      value & opt int d.offline_shards
+      value & opt count d.offline_shards
       & info [ "offline-shards" ] ~docv:"N"
           ~doc:
             "Shard phase-1 detection by memory location over $(docv) \

@@ -36,9 +36,11 @@ val minimize :
     search statistics.  [oracle candidate] must return [Some exact]
     when executing [candidate] reproduces the original error
     fingerprint, where [exact] is the full re-recording of that
-    execution — the shrinker's final answer is always an exact prefix
-    of a witnessed run, so it replays under {!Replayer.Exact} with no
-    divergence.  [fuel] caps oracle executions (default 500); when it
-    runs out the best schedule found so far is returned.  Idempotent on
-    the (steps, switches) measure: minimizing a minimized schedule
-    finds nothing further to remove. *)
+    execution — the shrinker's final answer is an exact prefix of a
+    witnessed run, so it replays under {!Replayer.Exact} with no
+    divergence, or [sched] itself.  [fuel] caps oracle executions
+    (default 500); when it runs out the best schedule found so far is
+    returned, and never one that measures more than [sched]: when fuel
+    runs out before a prefix shorter than [sched] is confirmed, the
+    answer is [sched].  Idempotent on the (steps, switches) measure:
+    minimizing a minimized schedule finds nothing further to remove. *)

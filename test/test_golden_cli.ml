@@ -14,8 +14,8 @@
    serve fixture with its repro directory, a model that interns sites at
    run time on two domains, and one shard on two domains), a --budget
    campaign with --phase1-seeds, the worker rlimit and process-fault
-   flags, `workload`, and the usage error of a negative count, budget
-   or fuel.
+   flags, `fuzz` and `workload` stdout, and the usage error of a
+   negative count, budget or fuel.
 
    Check (also part of dune runtest):
      dune build @golden
@@ -154,6 +154,16 @@ let rows : (string * pin * arg list) list =
     ( "figure1-detector-budget-negative",
       Stderr,
       args [ "campaign"; "figure1"; "--detector-budget=-1" ] );
+    (* the options are parsed before SCHEDULE is read, so any existing
+       file stands in for one *)
+    ( "shrink-fuel-negative",
+      Stderr,
+      [ A "shrink"; Example "figure1.rfl"; A "--fuel=-5" ] );
+    ("figure1-workers-negative", Stderr, args [ "campaign"; "figure1"; "--workers=-1" ]);
+    ( "figure1-offline-shards-negative",
+      Stderr,
+      args [ "campaign"; "figure1"; "--offline-detect"; "--offline-shards=-2" ] );
+    ("figure1-domains-negative", Stderr, args [ "campaign"; "figure1"; "--domains=-3" ]);
   ]
 
 let read_lines path =

@@ -139,7 +139,29 @@ let test_shrink_reproduces_and_fixpoint () =
             (Schedule.length min1, Schedule.switches min1)
             (Schedule.length min2, Schedule.switches min2))
 
-(* 7. QCheck: over arbitrary well-formed RFL programs, recording any
+(* 7. Shrinking never returns a longer schedule than it was given: at
+   every fuel, re-minimizing a minimized schedule measures no more than
+   it did, even when the fuel runs out before the search can confirm a
+   short prefix of the re-recorded run. *)
+let test_shrink_never_grows () =
+  let _, sched = record_fig1 () in
+  let min1 =
+    match Fuzzer.minimize_schedule ~program:fig1 sched with
+    | Some (m, _) -> m
+    | None -> Alcotest.fail "minimization lost the error"
+  in
+  let measure s = (Schedule.length s, Schedule.switches s) in
+  for fuel = 1 to 6 do
+    match Fuzzer.minimize_schedule ~fuel ~program:fig1 min1 with
+    | None -> Alcotest.failf "fuel %d: lost the error" fuel
+    | Some (m, _) ->
+        if measure m > measure min1 then
+          Alcotest.failf "fuel %d: (steps, switches) %d/%d grew to %d/%d" fuel
+            (Schedule.length min1) (Schedule.switches min1) (Schedule.length m)
+            (Schedule.switches m)
+  done
+
+(* 8. QCheck: over arbitrary well-formed RFL programs, recording any
    phase-2 trial and replaying it exactly reproduces the outcome — same
    error fingerprint, no divergence — and the schedule survives JSON. *)
 let prop_record_replay_roundtrip =
@@ -182,6 +204,7 @@ let () =
           Alcotest.test_case "strict mode raises" `Quick test_strict_raises;
           Alcotest.test_case "shrink reproduces + fixpoint" `Slow
             test_shrink_reproduces_and_fixpoint;
+          Alcotest.test_case "shrink never grows" `Quick test_shrink_never_grows;
         ] );
       ( "qcheck",
         [ QCheck_alcotest.to_alcotest prop_record_replay_roundtrip ] );
