@@ -343,33 +343,49 @@ let print_analysis (a : Racefuzzer.Fuzzer.analysis) =
     (Site.Pair.Set.cardinal a.Racefuzzer.Fuzzer.error_pairs)
     (Site.Pair.Set.cardinal potential)
 
+(* 'fuzz' and 'workload' run a campaign on one domain with cutoff off:
+   every pair runs every trial, one pair after another.  Its trials are
+   sandboxed, so a harness crash exits 3, as in 'campaign'. *)
+let exit_on_crashes (s : Campaign.stats) =
+  if s.Campaign.s_quarantined > 0 || s.Campaign.s_crashes > 0 then begin
+    Fmt.epr "%d harness crash(es) sandboxed, %d pair(s) quarantined@."
+      s.Campaign.s_crashes s.Campaign.s_quarantined;
+    exit 3
+  end
+
 let fuzz_cmd =
   let d = Campaign.default_config in
   let action file p1 trials static_filter detector_budget mem_budget no_degrade =
     let prog = or_fail (load file) in
     let main = Rf_lang.Lang.program ~print:ignore prog in
-    let static = Rf_static.Static.of_program prog in
-    match
-      Racefuzzer.Fuzzer.analyze ~phase1_seeds:(seeds p1) ~seeds_per_pair:(seeds trials)
-        ~static ~static_filter ?detector_budget ?mem_budget ~no_degrade main
-    with
-    | a ->
+    let config =
+      {
+        d with
+        Campaign.domains = 1;
+        phase1_seeds = seeds p1;
+        seeds_per_pair = seeds trials;
+        cutoff = false;
+        detector_budget;
+        mem_budget;
+        no_degrade;
+        static = Some (Rf_static.Static.of_program prog);
+        static_filter;
+      }
+    in
+    match Campaign.run config main with
+    | r ->
+        let a = r.Campaign.analysis in
         pp_p1_degraded a;
         List.iter
           (fun (p, v) ->
             Fmt.pr "filtered: %a — %s@." Site.Pair.pp p
               (Rf_static.Static.verdict_to_string v))
           a.Racefuzzer.Fuzzer.a_filtered;
-        print_analysis a
+        print_analysis a;
+        exit_on_crashes r.Campaign.stats
     | exception Rf_resource.Governor.Budget_stop trigger ->
         Fmt.epr "resource budget exhausted (%s) under --no-degrade@."
           (Rf_resource.Governor.trigger_to_string trigger);
-        exit 2
-    | exception e ->
-        (* The sequential driver is unsandboxed: a harness crash aborts
-           the analysis.  Use 'campaign' for fault-tolerant runs. *)
-        Fmt.epr "harness crash: %s@.%s@." (Printexc.to_string e)
-          (Printexc.get_backtrace ());
         exit 2
   in
   Cmd.v
@@ -1224,11 +1240,18 @@ let workload_cmd =
         exit 1
     | Some w ->
         Fmt.pr "%a@.@." Rf_workloads.Workload.pp w;
-        let a =
-          Racefuzzer.Fuzzer.analyze ~phase1_seeds:Campaign.default_config.phase1_seeds
-            ~seeds_per_pair:(seeds trials) w.Rf_workloads.Workload.program
+        let r =
+          Campaign.run
+            {
+              Campaign.default_config with
+              domains = 1;
+              seeds_per_pair = seeds trials;
+              cutoff = false;
+            }
+            w.Rf_workloads.Workload.program
         in
-        print_analysis a
+        print_analysis r.Campaign.analysis;
+        exit_on_crashes r.Campaign.stats
   in
   Cmd.v
     (Cmd.info "workload" ~doc:"Analyze a built-in Table-1 workload analogue.")

@@ -33,10 +33,16 @@ let program () =
 let () =
   Fmt.pr "== JDK synchronized-collection bug (paper §5.3) ==@.@.";
   let analysis =
-    Racefuzzer.Fuzzer.analyze
-      ~phase1_seeds:(List.init 8 Fun.id)
-      ~seeds_per_pair:(List.init 60 Fun.id)
-      program
+    (Rf_campaign.Campaign.run
+       {
+         Rf_campaign.Campaign.default_config with
+         domains = 1;
+         phase1_seeds = List.init 8 Fun.id;
+         seeds_per_pair = List.init 60 Fun.id;
+         cutoff = false;
+       }
+       program)
+      .Rf_campaign.Campaign.analysis
   in
   let potential = Racefuzzer.Fuzzer.potential_pairs analysis.Racefuzzer.Fuzzer.a_phase1 in
   Fmt.pr "hybrid: %d potential pair(s) inside the collection library@."

@@ -84,10 +84,16 @@ let () =
   detect (fun () -> Rf_detect.Detector.eraser ()) "eraser";
   (* 3. fuzz everything hybrid found *)
   let a =
-    Racefuzzer.Fuzzer.analyze
-      ~phase1_seeds:(List.init 8 Fun.id)
-      ~seeds_per_pair:(List.init 50 Fun.id)
-      main
+    (Rf_campaign.Campaign.run
+       {
+         Rf_campaign.Campaign.default_config with
+         domains = 1;
+         phase1_seeds = List.init 8 Fun.id;
+         seeds_per_pair = List.init 50 Fun.id;
+         cutoff = false;
+       }
+       main)
+      .Rf_campaign.Campaign.analysis
   in
   Fmt.pr "@.RaceFuzzer verdicts:@.";
   List.iter

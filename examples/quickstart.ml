@@ -41,12 +41,18 @@ let bank_program () =
 
 let () =
   Fmt.pr "== RaceFuzzer quickstart ==@.@.";
-  (* Phase 1 + phase 2 in one call. *)
+  (* Phase 1 + phase 2 in one call: a campaign on one domain, every
+     trial of every pair. *)
   let analysis =
-    Racefuzzer.Fuzzer.analyze
-      ~phase1_seeds:(List.init 5 Fun.id)
-      ~seeds_per_pair:(List.init 50 Fun.id)
-      bank_program
+    (Rf_campaign.Campaign.run
+       {
+         Rf_campaign.Campaign.default_config with
+         domains = 1;
+         seeds_per_pair = List.init 50 Fun.id;
+         cutoff = false;
+       }
+       bank_program)
+      .Rf_campaign.Campaign.analysis
   in
   let potential = Racefuzzer.Fuzzer.potential_pairs analysis.Racefuzzer.Fuzzer.a_phase1 in
   Fmt.pr "phase 1 (hybrid detection): %d potential racing pair(s)@."

@@ -604,7 +604,7 @@ let schedule ~log ~stop c ~stream ~(program : Fuzzer.program) produce =
       else max 1 (min ndomains (Work_queue.remaining queue))
     in
     let inflight = Array.make n None in
-    let worker ~allow_death ~domain =
+    let worker ~domain =
       let rec loop () =
         if halted () then ()
         else
@@ -613,7 +613,7 @@ let schedule ~log ~stop c ~stream ~(program : Fuzzer.program) produce =
           | Some task ->
               inflight.(domain) <- Some task;
               (match chaos_state with
-              | Some (plan, st) when allow_death && Chaos.kills_worker plan st ->
+              | Some (plan, st) when Chaos.kills_worker plan st ->
                   (* The in-flight task is recorded; the supervisor's
                      on_crash hook requeues it. *)
                   raise Chaos.Injected_death
@@ -666,22 +666,14 @@ let schedule ~log ~stop c ~stream ~(program : Fuzzer.program) produce =
              others :=
                Some
                  (Domain.spawn (fun () ->
-                      supervise ~first:1 ~domains:(n - 1)
-                        (worker ~allow_death:true))));
+                      supervise ~first:1 ~domains:(n - 1) worker)));
       supervise ~domains:1 (fun ~domain ->
           produce_once ();
-          worker ~allow_death:true ~domain);
+          worker ~domain);
       on_admit := ignore;
       Option.iter Domain.join !others
     end
-    else supervise ~domains:n (worker ~allow_death:true);
-    (* If every surviving worker exited but slots gave up mid-queue, finish
-       the stragglers inline, immune to injected deaths. *)
-    if (not (halted ())) && Work_queue.remaining queue > 0 then
-      worker ~allow_death:false ~domain:0;
-    if halted () then
-      interrupted_remaining :=
-        !interrupted_remaining + List.length (Work_queue.drain queue)
+    else supervise ~domains:n worker
   in
   (* ---------------------------------------------------------------- *)
   (* Multi-process wave driver.  Skip-checks and journal replays happen
@@ -692,13 +684,11 @@ let schedule ~log ~stop c ~stream ~(program : Fuzzer.program) produce =
      rather than chasing its own retry forever. *)
   let assign_ctr = ref 0 in
   let proc_inflight : (int, int * pair_state) Hashtbl.t = Hashtbl.create 64 in
-  let run_wave_proc pool tasks =
-    let pending = Queue.create () in
-    List.iter (fun t -> Queue.add t pending) tasks;
+  let run_wave_proc pool queue =
     (* Pop until a task actually ships: skipped and replayed tasks are
        satisfied supervisor-side and consume no worker. *)
     let rec dispatch worker =
-      match Queue.take_opt pending with
+      match Work_queue.pop queue with
       | None -> ()
       | Some (idx, ps) ->
           let seed = seed_of idx in
@@ -752,7 +742,7 @@ let schedule ~log ~stop c ~stream ~(program : Fuzzer.program) produce =
               match Hashtbl.find_opt proc_inflight id with
               | Some task ->
                   Hashtbl.remove proc_inflight id;
-                  Queue.add task pending
+                  Work_queue.requeue queue task
               | None -> ())
           | None -> ());
           Atomic.incr worker_crashes_n;
@@ -775,46 +765,39 @@ let schedule ~log ~stop c ~stream ~(program : Fuzzer.program) produce =
           Event_log.emit log (Event_log.Worker_gave_up { domain = w })
     in
     let finished () =
-      Queue.is_empty pending && Hashtbl.length proc_inflight = 0
+      Work_queue.remaining queue = 0 && Hashtbl.length proc_inflight = 0
     in
     while
       (not (finished ()))
       && (not (halted ()))
       && not (Proc_pool.gone pool)
     do
-      List.iter
-        (fun w -> if not (Queue.is_empty pending) then dispatch w)
-        (Proc_pool.idle_workers pool);
+      List.iter dispatch (Proc_pool.idle_workers pool);
       if not (finished ()) then
         List.iter handle_event (Proc_pool.poll pool ~timeout:0.05)
     done;
-    if halted () then begin
+    (* A stop or the loss of the whole fleet leaves tasks in flight:
+       they go back to the queue for the inline drain. *)
+    Hashtbl.iter (fun _ task -> Work_queue.requeue queue task) proc_inflight;
+    Hashtbl.reset proc_inflight
+  in
+  (* Both tiers end here, on the calling domain.  What a wave's workers
+     left — every domain slot or the whole process fleet gave up past its
+     respawn budget — runs inline, where no chaos death or process fault
+     strikes; a stopped wave counts it as not run. *)
+  let drain_inline queue =
+    let rec loop () =
+      if not (halted ()) then
+        match Work_queue.pop queue with
+        | Some task ->
+            process 0 task;
+            loop ()
+        | None -> ()
+    in
+    loop ();
+    if halted () then
       interrupted_remaining :=
-        !interrupted_remaining + Queue.length pending
-        + Hashtbl.length proc_inflight;
-      Queue.clear pending;
-      Hashtbl.reset proc_inflight
-    end
-    else if Proc_pool.gone pool then begin
-      (* The whole fleet died past its respawn budget: requeue whatever
-         was in flight and finish the wave inline, immune to process
-         faults — the same degradation the in-process pool applies when
-         every domain slot gives up. *)
-      Hashtbl.iter (fun _ task -> Queue.add task pending) proc_inflight;
-      Hashtbl.reset proc_inflight;
-      let rec drain () =
-        if halted () then
-          interrupted_remaining :=
-            !interrupted_remaining + Queue.length pending
-        else
-          match Queue.take_opt pending with
-          | None -> ()
-          | Some task ->
-              process 0 task;
-              drain ()
-      in
-      drain ()
-    end
+        !interrupted_remaining + List.length (Work_queue.drain queue)
   in
   (* Unstreamed, phase 1 runs to the end before the campaign starts, and
      its failure escapes at once. *)
@@ -875,8 +858,9 @@ let schedule ~log ~stop c ~stream ~(program : Fuzzer.program) produce =
       Event_log.emit log (Event_log.Wave_started { wave = !waves; tasks });
     if stream || tasks > 0 then begin
       (match ppool with
-      | Some pool -> run_wave_proc pool (Work_queue.drain queue)
+      | Some pool -> run_wave_proc pool queue
       | None -> run_wave queue);
+      drain_inline queue;
       if Work_queue.total queue > 0 then incr waves
     end;
     if not (halted ()) then begin

@@ -1,12 +1,13 @@
-(** The parallel campaign orchestrator.
+(** The campaign orchestrator: the one driver of both RaceFuzzer phases.
 
-    {!Racefuzzer.Fuzzer.analyze} fuzzes candidate pairs strictly one after
-    another.  The paper notes that "different invocations of RaceFuzzer are
+    The paper notes that "different invocations of RaceFuzzer are
     independent of each other [so] performance can be increased linearly
     with the number of processors or cores" — a campaign takes that
     globally: {e all} phase-2 (pair, seed) trials go into a single
-    deterministic work queue drained by a pool of OCaml domains, instead of
-    exploiting parallelism one pair at a time.
+    deterministic work queue drained by a pool of OCaml domains or worker
+    processes, instead of exploiting parallelism one pair at a time.  On
+    one domain with [cutoff] off it is the sequential analysis: every
+    trial of every pair, one pair after another.
 
     {2 Deterministic aggregation}
 
@@ -15,8 +16,9 @@
     any domain at any time.  Aggregation sorts trials back into their
     logical (pair, trial-index) slots, so campaign results are
     {b bit-identical} for any domain count and any interleaving — and,
-    with cutoff disabled, identical to sequential
-    {!Racefuzzer.Fuzzer.analyze} on the same seed lists.
+    with cutoff disabled, identical to {!Racefuzzer.Fuzzer.phase1}
+    followed by {!Racefuzzer.Fuzzer.fuzz_pair} over each frontier pair on
+    the same seed lists.
 
     {2 Early cutoff}
 
@@ -254,8 +256,9 @@ val run : ?log:Event_log.t -> ?stop:stop_switch -> config -> Fuzzer.program -> r
 (** Whole-program campaign: phase 1 (sequential, like the paper's single
     observed execution) and a campaign over all potential pairs.
     With [cutoff = false] and no faults, the analysis equals
-    [Fuzzer.analyze ~phase1_seeds ~seeds_per_pair] exactly — see
-    {!fingerprint}.  Phase 1 is deterministic and cheap, so a resumed run
+    [Fuzzer.phase1 ~seeds:phase1_seeds] followed by
+    [Fuzzer.fuzz_pair ~seeds:seeds_per_pair] over each frontier pair
+    exactly — see {!fingerprint}.  Phase 1 is deterministic and cheap, so a resumed run
     re-executes it and replays only phase-2 trials.
 
     Phase 1 {e streams} into phase 2 when it runs on one shard on an

@@ -1,4 +1,4 @@
-(** The two-phase RaceFuzzer driver.
+(** The two phases of RaceFuzzer.
 
     Phase 1 executes the program under an unconstrained random scheduler
     with the hybrid detector attached and collects potential racing
@@ -7,7 +7,8 @@
     is actually created, and as harmful when the created race leads to an
     uncaught exception or deadlock.  Different invocations are independent
     (the paper's "embarrassingly parallel" remark), so everything is
-    driven by explicit seed lists. *)
+    driven by explicit seed lists; the campaign orchestrator
+    ([Rf_campaign.Campaign]) is the driver that chains both phases. *)
 
 open Rf_util
 open Rf_runtime
@@ -571,48 +572,6 @@ let restrict_analysis ~keep (a : analysis) : analysis =
     real_pairs = restrict a.real_pairs;
     error_pairs = restrict a.error_pairs;
     deadlock_pairs = restrict a.deadlock_pairs;
-  }
-
-let analyze ?(phase1_seeds = [ 0 ]) ?(seeds_per_pair = List.init 100 Fun.id)
-    ?max_steps ?detector_budget ?mem_budget ?(no_degrade = false) ?static
-    ?(static_filter = false) (program : program) : analysis =
-  (* Resource governance lives in phase 1: that is where the detector —
-     and hence the unbounded analysis state — is.  Phase-2 trials carry
-     no detector, so they run ungoverned here (the campaign orchestrator
-     additionally governs trials for its chaos/watermark paths). *)
-  let governor, deadline =
-    governance ?detector_budget ?mem_budget ~no_degrade ~tripped:false ()
-  in
-  let p1 =
-    phase1 ~seeds:phase1_seeds ?max_steps ?deadline ?governor program
-  in
-  let pairs = Site.Pair.Set.elements (potential_pairs p1) in
-  let pairs, filtered =
-    match static with
-    | None -> (pairs, [])
-    | Some st ->
-        if static_filter then
-          let surviving, filtered = partition_frontier ~static:st pairs in
-          (order_pairs ~static:st surviving, filtered)
-        else (order_pairs ~static:st pairs, [])
-  in
-  let results =
-    List.map
-      (fun pair -> fuzz_pair ~seeds:seeds_per_pair ?max_steps ~program pair)
-      pairs
-  in
-  let collect p =
-    List.fold_left
-      (fun acc r -> if p r then Site.Pair.Set.add r.pr_pair acc else acc)
-      Site.Pair.Set.empty results
-  in
-  {
-    a_phase1 = p1;
-    results;
-    real_pairs = collect is_real;
-    error_pairs = collect is_harmful;
-    deadlock_pairs = collect (fun r -> r.deadlock_trials > 0);
-    a_filtered = filtered;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -1,18 +1,19 @@
-(** The two-phase RaceFuzzer driver.
+(** The two phases of RaceFuzzer.
 
     Phase 1 ({!phase1}) observes random executions with the hybrid
     detector attached and collects potential racing statement pairs.
     Phase 2 ({!fuzz_pair}) re-executes once per (pair, seed) under the
     {!Algo} strategy, classifying a pair as {e real} when a race is
     actually created and {e harmful} when a trial with a created race ends
-    in an uncaught exception.  {!analyze} chains both phases.
+    in an uncaught exception.
 
     Invocations are independent — the paper's "embarrassingly parallel"
-    observation.  The campaign orchestrator ([Rf_campaign.Campaign])
-    distributes the same trials over domains or worker processes; every
-    tier runs {!run_trial} through one trial body and merges results
-    through {!trial_of_record}, so its verdicts equal the sequential
-    run's. *)
+    observation.  The campaign orchestrator ([Rf_campaign.Campaign]) is
+    the driver that chains both phases: it distributes the trials over
+    domains or worker processes, or runs them on one domain; every tier
+    runs {!run_trial} through one trial body and merges results through
+    {!trial_of_record}, so its verdicts equal {!phase1} followed by
+    {!fuzz_pair} over each candidate pair. *)
 
 open Rf_util
 open Rf_runtime
@@ -191,8 +192,10 @@ val run_trial_exn :
   Site.Pair.t ->
   int ->
   trial
-(** Unsandboxed [run_trial]: re-raises a harness crash.  The historical
-    contract of the sequential drivers ({!fuzz_pair} et al.). *)
+(** Unsandboxed [run_trial]: re-raises a harness crash.  {!fuzz_pair}
+    runs its trials through it, so a crash in an experiment or a test's
+    reference run surfaces instead of being counted; the campaign runs
+    the sandboxed {!run_trial}. *)
 
 exception Journal_replayed
 (** Placeholder exception inside trials rebuilt by {!trial_of_record}. *)
@@ -309,6 +312,8 @@ val partition_frontier :
 
 (** {1 Whole-program analysis} *)
 
+(** Both phases' result, as the campaign ([Rf_campaign.Campaign.run])
+    assembles it. *)
 type analysis = {
   a_phase1 : phase1_result;
   results : pair_result list;
@@ -323,25 +328,6 @@ val restrict_analysis : keep:(Site.Pair.t -> bool) -> analysis -> analysis
 (** Drop per-pair results (and their membership in the verdict sets) for
     pairs [keep] rejects, leaving phase 1 untouched: the unfiltered run
     projected onto a surviving-pair set. *)
-
-val analyze :
-  ?phase1_seeds:int list ->
-  ?seeds_per_pair:int list ->
-  ?max_steps:int ->
-  ?detector_budget:int ->
-  ?mem_budget:float ->
-  ?no_degrade:bool ->
-  ?static:Rf_static.Static.t ->
-  ?static_filter:bool ->
-  program ->
-  analysis
-(** [detector_budget] caps phase-1 detector-state entries; [mem_budget]
-    (MB) arms the heap-watermark backstop.  Either makes phase 1 run
-    under a {!Rf_resource.Governor.t} — over budget, it degrades down
-    the ladder and completes with [p1_degraded] set.  With
-    [~no_degrade:true] the first trip raises
-    {!Rf_resource.Governor.Budget_stop} instead.  Phase-2 trials carry
-    no detector and run ungoverned here. *)
 
 (** {1 Baselines} *)
 

@@ -96,10 +96,19 @@ let row_of_workload ?(config = default_config) (w : W.Workload.t) : row =
         [ Rf_detect.Detector.feed d ])
       program
   in
-  (* the actual two-phase analysis *)
+  (* the actual two-phase analysis: every trial of every pair, on one
+     domain *)
   let a =
-    Fuzzer.analyze ~phase1_seeds:config.phase1_seeds
-      ~seeds_per_pair:config.seeds_per_pair program
+    (Rf_campaign.Campaign.run
+       {
+         Rf_campaign.Campaign.default_config with
+         domains = 1;
+         phase1_seeds = config.phase1_seeds;
+         seeds_per_pair = config.seeds_per_pair;
+         cutoff = false;
+       }
+       program)
+      .Rf_campaign.Campaign.analysis
   in
   let potential = Fuzzer.potential_pairs a.Fuzzer.a_phase1 in
   let real_results = List.filter Fuzzer.is_real a.Fuzzer.results in

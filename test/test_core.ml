@@ -58,7 +58,16 @@ let test_fig1_error2_never () =
 
 let test_fig1_end_to_end_analysis () =
   let a =
-    Fuzzer.analyze ~phase1_seeds:(seeds 10) ~seeds_per_pair:(seeds 50) F1.program
+    (Rf_campaign.Campaign.run
+       {
+         Rf_campaign.Campaign.default_config with
+         domains = 1;
+         phase1_seeds = seeds 10;
+         seeds_per_pair = seeds 50;
+         cutoff = false;
+       }
+       F1.program)
+      .Rf_campaign.Campaign.analysis
   in
   let potential = Fuzzer.potential_pairs a.Fuzzer.a_phase1 in
   Alcotest.(check int) "phase1: two potential pairs" 2

@@ -1,9 +1,9 @@
 (* Determinism properties of the campaign orchestrator (Rf_campaign):
 
-   1. Campaign.run ~domains:1 ≡ Campaign.run ~domains:4 ≡ sequential
-      Fuzzer.analyze on the same seed lists — same real_pairs /
-      error_pairs / per-pair trial outcomes (QCheck over seeds, trial
-      counts and workloads).
+   1. Campaign.run ~domains:1 ≡ Campaign.run ~domains:4 ≡ the sequential
+      reference (phase 1, then Fuzzer.fuzz_pair over each frontier pair)
+      on the same seed lists — same real_pairs / error_pairs / per-pair
+      trial outcomes (QCheck over seeds, trial counts and workloads).
    2. With early cutoff enabled, results are still bit-identical across
       domain counts (the cutoff point is logical, not temporal).
    3. Cutoff actually saves work, and budget freed by resolved pairs is
@@ -23,6 +23,31 @@ module Chaos = Rf_campaign.Chaos
 module W = Rf_workloads
 
 let fp = Campaign.fingerprint
+
+(* The sequential reference, the analysis as the paper defines it: phase
+   1 over its seeds, then every seed of every frontier pair, one pair
+   after another. *)
+let sequential ~phase1_seeds ~seeds_per_pair program : Fuzzer.analysis =
+  let p1 = Fuzzer.phase1 ~seeds:phase1_seeds program in
+  let results =
+    List.map
+      (fun pair -> Fuzzer.fuzz_pair ~seeds:seeds_per_pair ~program pair)
+      (Site.Pair.Set.elements (Fuzzer.potential_pairs p1))
+  in
+  let collect p =
+    List.fold_left
+      (fun acc (r : Fuzzer.pair_result) ->
+        if p r then Site.Pair.Set.add r.Fuzzer.pr_pair acc else acc)
+      Site.Pair.Set.empty results
+  in
+  {
+    Fuzzer.a_phase1 = p1;
+    results;
+    real_pairs = collect Fuzzer.is_real;
+    error_pairs = collect Fuzzer.is_harmful;
+    deadlock_pairs = collect (fun r -> r.Fuzzer.deadlock_trials > 0);
+    a_filtered = [];
+  }
 
 (* A campaign on [domains] over the two seed lists, everything else at
    its default. *)
@@ -55,14 +80,15 @@ let arb_case =
         trials seed0 p1)
     gen_case
 
-(* 1. No cutoff: campaign at any domain count ≡ sequential analyze. *)
-let prop_campaign_equals_analyze =
-  QCheck.Test.make ~name:"campaign(d=1) = campaign(d=4) = Fuzzer.analyze" ~count:12
-    arb_case (fun (wi, trials, seed0, p1) ->
+(* 1. No cutoff: campaign at any domain count ≡ the sequential reference. *)
+let prop_campaign_equals_sequential =
+  QCheck.Test.make
+    ~name:"campaign(d=1) = campaign(d=4) = Fuzzer.fuzz_pair over the frontier"
+    ~count:12 arb_case (fun (wi, trials, seed0, p1) ->
       let _, program = List.nth workload_pool wi in
       let phase1_seeds = List.init p1 Fun.id in
       let seeds_per_pair = List.init trials (fun i -> seed0 + i) in
-      let a = Fuzzer.analyze ~phase1_seeds ~seeds_per_pair program in
+      let a = sequential ~phase1_seeds ~seeds_per_pair program in
       let run domains =
         Campaign.run (config ~domains ~cutoff:false ~phase1_seeds ~seeds_per_pair) program
       in
@@ -88,9 +114,9 @@ let prop_cutoff_domain_invariant =
 
 let seeds n = List.init n Fun.id
 
-let test_equals_analyze_exact () =
+let test_equals_sequential_exact () =
   let phase1_seeds = seeds 10 and seeds_per_pair = seeds 40 in
-  let a = Fuzzer.analyze ~phase1_seeds ~seeds_per_pair W.Figure1.program in
+  let a = sequential ~phase1_seeds ~seeds_per_pair W.Figure1.program in
   let c =
     Campaign.run (config ~domains:4 ~cutoff:false ~phase1_seeds ~seeds_per_pair)
       W.Figure1.program
@@ -423,10 +449,11 @@ let () =
     [
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_campaign_equals_analyze; prop_cutoff_domain_invariant ] );
+          [ prop_campaign_equals_sequential; prop_cutoff_domain_invariant ] );
       ( "cutoff",
         [
-          Alcotest.test_case "equals analyze exactly" `Quick test_equals_analyze_exact;
+          Alcotest.test_case "equals the sequential reference exactly" `Quick
+            test_equals_sequential_exact;
           Alcotest.test_case "cancels and truncates" `Quick
             test_cutoff_cancels_and_truncates;
           Alcotest.test_case "budget reallocation" `Quick test_budget_reallocation;

@@ -87,10 +87,16 @@ let prop_confirmed_subset_of_candidates =
     Rfl_gen.arbitrary_program (fun prog ->
       let main = main_of prog in
       let a =
-        Racefuzzer.Fuzzer.analyze
-          ~phase1_seeds:[ 0; 1 ]
-          ~seeds_per_pair:(List.init 10 Fun.id)
-          main
+        (Rf_campaign.Campaign.run
+           {
+             Rf_campaign.Campaign.default_config with
+             domains = 1;
+             phase1_seeds = [ 0; 1 ];
+             seeds_per_pair = List.init 10 Fun.id;
+             cutoff = false;
+           }
+           main)
+          .Rf_campaign.Campaign.analysis
       in
       Site.Pair.Set.subset a.Racefuzzer.Fuzzer.real_pairs
         (Racefuzzer.Fuzzer.potential_pairs a.Racefuzzer.Fuzzer.a_phase1))

@@ -439,10 +439,16 @@ let test_dsl_figure1_full_pipeline () =
   let prog = Lang.load_string ~file:"fig1.rfl" figure1_src in
   let main = Lang.program ~print:ignore prog in
   let a =
-    Racefuzzer.Fuzzer.analyze
-      ~phase1_seeds:(List.init 10 Fun.id)
-      ~seeds_per_pair:(List.init 60 Fun.id)
-      main
+    (Rf_campaign.Campaign.run
+       {
+         Rf_campaign.Campaign.default_config with
+         domains = 1;
+         phase1_seeds = List.init 10 Fun.id;
+         seeds_per_pair = List.init 60 Fun.id;
+         cutoff = false;
+       }
+       main)
+      .Rf_campaign.Campaign.analysis
   in
   let potential = Racefuzzer.Fuzzer.potential_pairs a.Racefuzzer.Fuzzer.a_phase1 in
   Alcotest.(check int) "two potential pairs" 2 (Site.Pair.Set.cardinal potential);

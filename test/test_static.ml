@@ -3,7 +3,7 @@
    1. Differential QCheck soundness: over generated RFL programs
       (rfl_gen's filter-adversarial shapes), a pair the analysis marks
       [Impossible] must never be confirmable by phase 2 — checked both at
-      the frontier (analyze's confirmed sets vs the classifier) and
+      the frontier (an analysis' confirmed sets vs the classifier) and
       directly (fuzzing Impossible universe pairs and demanding zero race
       trials).  Deadlocks are deliberately out of scope: a trial can
       deadlock while fuzzing any pair, racy or not, so only race
@@ -36,6 +36,23 @@ let load ~file src = Rf_lang.Lang.load_string ~file src
 let confirmed_races (a : Fuzzer.analysis) =
   Site.Pair.Set.union a.Fuzzer.real_pairs a.Fuzzer.error_pairs
 
+(* Both phases on one domain, every trial of every pair: phase 1 on seed
+   0, phase 2 on [trials]. *)
+let analyze ?static ?(static_filter = false) ~trials main =
+  (Campaign.run
+     {
+       Campaign.default_config with
+       domains = 1;
+       phase1_seeds = [ 0 ];
+       seeds_per_pair = trials;
+       cutoff = false;
+       max_steps;
+       static;
+       static_filter;
+     }
+     main)
+    .Campaign.analysis
+
 let is_impossible st p =
   match Static.classify st p with Static.Impossible _ -> true | _ -> false
 
@@ -48,10 +65,7 @@ let prop_confirmed_never_impossible =
   QCheck.Test.make ~name:"confirmed race => not Impossible" ~count:500
     Rfl_gen.arbitrary_program (fun prog ->
       let st = Static.of_program prog in
-      let a =
-        Fuzzer.analyze ~phase1_seeds:[ 0 ] ~seeds_per_pair:[ 0; 1; 2; 3 ]
-          ~max_steps (main_of prog)
-      in
+      let a = analyze ~trials:[ 0; 1; 2; 3 ] (main_of prog) in
       Site.Pair.Set.for_all
         (fun p -> not (is_impossible st p))
         (confirmed_races a))
@@ -94,16 +108,15 @@ let prop_impossible_unfuzzable =
           r.Fuzzer.race_trials = 0)
         (impossible_sample (Static.of_program prog)))
 
-(* Filtered analyze agrees with unfiltered on every race confirmation, and
-   never filters a pair the unfiltered run confirmed. *)
+(* A filtered analysis agrees with the unfiltered one on every race
+   confirmation, and never filters a pair the unfiltered run confirmed. *)
 let prop_filtered_analyze_sound =
-  QCheck.Test.make ~name:"analyze ~static_filter confirms the same races"
+  QCheck.Test.make ~name:"campaign ~static_filter confirms the same races"
     ~count:60 Rfl_gen.arbitrary_program (fun prog ->
       let st = Static.of_program prog in
       let main = main_of prog in
       let run filter =
-        Fuzzer.analyze ~phase1_seeds:[ 0 ] ~seeds_per_pair:[ 0; 1; 2 ]
-          ~max_steps ~static:st ~static_filter:filter main
+        analyze ~static:st ~static_filter:filter ~trials:[ 0; 1; 2 ] main
       in
       let unfiltered = run false and filtered = run true in
       Site.Pair.Set.equal (confirmed_races unfiltered) (confirmed_races filtered)

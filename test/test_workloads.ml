@@ -9,8 +9,16 @@ module W = Rf_workloads
 let seeds n = List.init n Fun.id
 
 let analyze ?(p1 = 6) ?(per_pair = 40) (w : W.Workload.t) =
-  Fuzzer.analyze ~phase1_seeds:(seeds p1) ~seeds_per_pair:(seeds per_pair)
-    w.W.Workload.program
+  (Rf_campaign.Campaign.run
+     {
+       Rf_campaign.Campaign.default_config with
+       domains = 1;
+       phase1_seeds = seeds p1;
+       seeds_per_pair = seeds per_pair;
+       cutoff = false;
+     }
+     w.W.Workload.program)
+    .Rf_campaign.Campaign.analysis
 
 (* Cache analyses: several tests inspect the same workload. *)
 let analysis_tbl : (string, Fuzzer.analysis) Hashtbl.t = Hashtbl.create 16
