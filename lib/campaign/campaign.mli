@@ -1,4 +1,5 @@
-(** The campaign orchestrator: the one driver of both RaceFuzzer phases.
+(** The campaign orchestrator: the one entry point that runs both
+    RaceFuzzer phases.
 
     The paper notes that "different invocations of RaceFuzzer are
     independent of each other [so] performance can be increased linearly

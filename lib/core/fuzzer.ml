@@ -8,7 +8,7 @@
     uncaught exception or deadlock.  Different invocations are independent
     (the paper's "embarrassingly parallel" remark), so everything is
     driven by explicit seed lists; the campaign orchestrator
-    ([Rf_campaign.Campaign]) is the driver that chains both phases. *)
+    ([Rf_campaign.Campaign]) chains both phases. *)
 
 open Rf_util
 open Rf_runtime

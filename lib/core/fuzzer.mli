@@ -8,10 +8,10 @@
     in an uncaught exception.
 
     Invocations are independent — the paper's "embarrassingly parallel"
-    observation.  The campaign orchestrator ([Rf_campaign.Campaign]) is
-    the driver that chains both phases: it distributes the trials over
-    domains or worker processes, or runs them on one domain; every tier
-    runs {!run_trial} through one trial body and merges results through
+    observation.  The campaign orchestrator ([Rf_campaign.Campaign])
+    chains both phases: it distributes the trials over domains or
+    worker processes, or runs them on one domain; every tier runs
+    {!run_trial} through one trial body and merges results through
     {!trial_of_record}, so its verdicts equal {!phase1} followed by
     {!fuzz_pair} over each candidate pair. *)
 
